@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Map where the hinge energy bound sum_{x in E} n_a(x)^2 <= 8 q |E| holds.
+"""Map where the hinge energy bound (ffgeom.bounds.HINGE_ENERGY) holds.
 
 Scans seeded random sets over a (q, density) grid, keeps the cells inside
-the size regime |E|^2 <= 8 q^3, and prints the worst energy-to-bound ratio
-per cell.  Ratios above 1 are the documented failures of the bound: near
-the regime ceiling the main term alone reaches 8 q |E| (|S_a|/q)^2, which
+the bound's size regime, and prints the worst energy-to-bound ratio per
+cell.  Ratios above 1 are the documented failures of the bound: near the
+regime ceiling the main term alone is (|S_a|/q)^2 times the bound, which
 exceeds 1 whenever |S_a| = q + 1.
 """
 
@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ffgeom.bounds import HINGE_ENERGY, hinge_energy_regime
 from ffgeom.counting import HingeSweep
 from ffgeom.experiments import random_set
 from ffgeom.field import is_prime
@@ -40,12 +41,12 @@ def main() -> None:
             for seed in seeds:
                 E = random_set(q, 2, rho, seed)
                 card = E.cardinality
-                if card * card > 8 * q**3:
+                if not hinge_energy_regime(q, card):
                     continue
                 in_regime = True
                 diag = np.diagonal(HingeSweep(E).exact)
                 a = int(np.argmax(diag)) + 1
-                ratio = float(diag[a - 1]) / (8 * q * card)
+                ratio = HINGE_ENERGY.ratio(HINGE_ENERGY.value(diag[a - 1], q, card))
                 if ratio > worst:
                     worst, worst_a = ratio, a
             if not in_regime:

@@ -28,6 +28,7 @@ from typing import List, Tuple, Union
 
 import numpy as np
 
+from .bounds import sphere_size
 from .charsums import norm_values
 from .counting import PointSet
 from .field import FieldElement, PrimeField
@@ -150,10 +151,10 @@ def sum_two_squares_count(field: PrimeField, u: Scalar) -> int:
 
 
 def sum_two_squares_closed(field: PrimeField, u: Scalar) -> int:
-    """The closed form q - eta(-1), valid for u != 0."""
+    """The closed form of ffgeom.bounds.sphere_size, valid for u != 0."""
     if field.residue(u) == 0:
         raise ValueError("the closed form is only claimed for u != 0")
-    return field.q - field.legendre(field.q - 1)
+    return sphere_size(field)
 
 
 def parallelogram_check(x: PointD, y: PointD) -> Tuple[FieldElement, FieldElement]:

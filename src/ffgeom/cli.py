@@ -21,16 +21,15 @@ import argparse
 import contextlib
 import sys
 from fractions import Fraction
-from typing import IO, Dict, List, Optional, Sequence, TextIO
+from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 
-import numpy as np
-
+from . import bounds
 from . import experiments as exp
 from .charsums import gauss_sum, kloosterman, sphere_size_table
 from .circles import build_counterexample, midpoint_exclusion_check
 from .congruence import distinct_signature_count, t3_orbit_count
 from .counting import HingeSweep
-from .experiments import ExperimentConfig, density_in_hinge_regime, random_set
+from .experiments import ExperimentConfig, random_set
 from .field import PrimeField
 from .fourier import BudgetError, CapacityError
 
@@ -94,126 +93,78 @@ def _gather_config(args: argparse.Namespace) -> ExperimentConfig:
     return exp.config_from_pairs(args.command, pairs)
 
 
-def _fmt(x) -> str:
-    if isinstance(x, int):
-        return str(x)
-    return "%.12g" % float(x)
+def _sphere_checks(field: PrimeField) -> Iterator[Tuple[int, int, Optional[int], str]]:
+    """(t, |S_t|, reference, status) per radius; |S_0| has no reference."""
+    sizes = sphere_size_table(field, 2)
+    ref = bounds.sphere_size(field)
+    yield 0, int(sizes[0]), None, "info"
+    for t in range(1, field.q):
+        yield t, int(sizes[t]), ref, "pass" if int(sizes[t]) == ref else "fail"
 
 
-class _CsvOut:
-    """CSV sink tracking rows that violated an asserted bound."""
-
-    def __init__(self, stream: TextIO) -> None:
-        import csv
-
-        self.writer = csv.writer(stream, lineterminator="\n")
-        self.violations: List[List[str]] = []
-
-    def header(self, columns: Sequence[str]) -> None:
-        self.writer.writerow(columns)
-
-    def row(self, record: Sequence[str], violated: bool = False) -> None:
-        record = list(record)
-        self.writer.writerow(record)
-        if violated:
-            self.violations.append(record)
-
-
-def _run_spheres(config: ExperimentConfig, out: _CsvOut) -> None:
-    out.header(("q", "d", "t", "count", "reference", "status"))
+def _run_spheres(config: ExperimentConfig, stream: TextIO) -> List[List[str]]:
+    out = exp.CsvSink(stream, ("q", "d", "t", "count", "reference", "status"))
     for q in config.qs:
-        field = PrimeField(q)
-        sizes = sphere_size_table(field, 2)
-        eta_m1 = field.legendre(q - 1)
-        for t in range(q):
-            count = int(sizes[t])
-            if t == 0:
-                out.row((str(q), "2", "0", str(count), "", "info"))
-                continue
-            ref = q - eta_m1
-            ok = count == ref
-            out.row((str(q), "2", str(t), str(count), str(ref),
-                     "pass" if ok else "fail"), violated=not ok)
+        for t, count, ref, status in _sphere_checks(PrimeField(q)):
+            out.row((q, 2, t, count, ref, status), violated=status == "fail")
+    return out.violations
 
 
-def _run_charsum(config: ExperimentConfig, out: _CsvOut) -> None:
-    out.header(("q", "kind", "param", "re", "im", "modulus", "reference", "status"))
+def _run_charsum(config: ExperimentConfig, stream: TextIO) -> List[List[str]]:
+    out = exp.CsvSink(stream, ("q", "kind", "param", "re", "im", "modulus", "reference", "status"))
     tol = 1e-9
     for q in config.qs:
         field = PrimeField(q)
-        sizes = sphere_size_table(field, 2)
-        eta_m1 = field.legendre(q - 1)
         root_q = q**0.5
         for j in range(q):
             val = gauss_sum(field, j)
-            mod = abs(val)
             if j == 0:
-                ok = abs(val - q) <= tol
-                out.row((str(q), "gauss", "0", _fmt(val.real), _fmt(val.imag),
-                         _fmt(mod), str(q), "pass" if ok else "fail"),
-                        violated=not ok)
+                ref, ok = q, abs(val - q) <= tol
             else:
-                ok = abs(mod - root_q) <= tol
-                out.row((str(q), "gauss", str(j), _fmt(val.real), _fmt(val.imag),
-                         _fmt(mod), _fmt(root_q), "pass" if ok else "fail"),
-                        violated=not ok)
+                ref, ok = root_q, abs(abs(val) - root_q) <= tol
+            out.row((q, "gauss", j, val.real, val.imag, abs(val), ref,
+                     "pass" if ok else "fail"), violated=not ok)
         for psi in ("trivial", "quadratic"):
             kind = f"kloosterman_{psi}"
             for a in range(q):
                 val = kloosterman(field, a, psi)
-                mod = abs(val)
-                if a == 0:
-                    out.row((str(q), kind, "0", _fmt(val.real), _fmt(val.imag),
-                             _fmt(mod), "", "info"))
-                    continue
-                ref = 2 * root_q
-                ok = mod <= ref + tol
-                out.row((str(q), kind, str(a), _fmt(val.real), _fmt(val.imag),
-                         _fmt(mod), _fmt(ref), "pass" if ok else "fail"),
-                        violated=not ok)
-        for t in range(q):
-            count = int(sizes[t])
-            if t == 0:
-                out.row((str(q), "sphere", "0", str(count), "0",
-                         str(count), "", "info"))
-                continue
-            ref = q - eta_m1
-            ok = count == ref
-            out.row((str(q), "sphere", str(t), str(count), "0", str(count),
-                     str(ref), "pass" if ok else "fail"), violated=not ok)
+                # the Weil bound 2 sqrt(q) is stated for a != 0
+                ref = None if a == 0 else 2 * root_q
+                status = "info" if a == 0 else "pass" if abs(val) <= ref + tol else "fail"
+                out.row((q, kind, a, val.real, val.imag, abs(val), ref, status),
+                        violated=status == "fail")
+        for t, count, ref, status in _sphere_checks(field):
+            out.row((q, "sphere", t, count, 0, count, ref, status), violated=status == "fail")
+    return out.violations
 
 
-def _run_hinges(config: ExperimentConfig, out: _CsvOut) -> None:
-    out.header(("q", "|E|", "a", "b", "exact", "I", "R", "bound_ratio"))
+def _run_hinges(config: ExperimentConfig, stream: TextIO) -> List[List[str]]:
+    out = exp.CsvSink(stream, ("q", "|E|", "a", "b", "exact", "I", "R", "bound_ratio"))
     for q, rho, seed in config.cells():
-        if q**4 > config.budget:
-            raise BudgetError(f"hinge table at q={q} needs {q**4} steps, "
-                              f"budget {config.budget}")
+        bounds.charge_hinge_sweep(q, config.budget)
         E = random_set(q, 2, rho, seed)
         hs = HingeSweep(E)
         card = E.cardinality
-        in_regime = density_in_hinge_regime(q, rho)
-        main = hs.pair_counts[:, None] * (card * hs.sphere_sizes[None, :])
-        numer = hs.exact * q**2 - main
+        asserted = bounds.density_in_hinge_regime(q, rho)
+        numer = hs.remainder_numers()
+        main = hs.exact * q**2 - numer  # q^2 I(a, b)
+        holds = bounds.HINGE_REMAINDER.holds(numer, q, card)
         for a in range(1, q):
             for b in range(1, q):
                 n_ab = int(numer[a - 1, b - 1])
-                main_term = Fraction(int(main[a - 1, b - 1]), q**2)
-                remainder = Fraction(n_ab, q**2)
-                ratio = Fraction(abs(n_ab), q**3 * card)
-                violated = in_regime and abs(n_ab) > 8 * q**3 * card
-                out.row((str(q), str(card), str(a), str(b),
-                         str(int(hs.exact[a - 1, b - 1])),
-                         _fmt(float(main_term)), _fmt(float(remainder)),
-                         _fmt(float(ratio))), violated=violated)
+                out.row((q, card, a, b, int(hs.exact[a - 1, b - 1]),
+                         float(Fraction(int(main[a - 1, b - 1]), q**2)),
+                         float(Fraction(n_ab, q**2)),
+                         bounds.HINGE_REMAINDER.value(n_ab, q, card)),
+                        violated=asserted and not holds[a - 1, b - 1])
+    return out.violations
 
 
-def _run_triangles(config: ExperimentConfig, out: _CsvOut) -> None:
-    out.header(("q", "|E|", "rho", "signatures_all", "signatures_nondeg",
-                "orbits_SO", "orbits_O", "ratio_to_rho_q3"))
+def _run_triangles(config: ExperimentConfig, stream: TextIO) -> List[List[str]]:
+    out = exp.CsvSink(stream, ("q", "|E|", "rho", "signatures_all", "signatures_nondeg",
+                               "orbits_SO", "orbits_O", "ratio_to_rho_q3"))
     for q, rho, seed in config.cells():
         E = random_set(q, 2, rho, seed)
-        card = E.cardinality
         sig_all = distinct_signature_count(E, mode="all")
         sig_nd = distinct_signature_count(E, mode="nondegenerate")
         orbits_so: Optional[int] = None
@@ -222,19 +173,15 @@ def _run_triangles(config: ExperimentConfig, out: _CsvOut) -> None:
             orbits_so = t3_orbit_count(E, group="SO", budget=config.budget)
         if config.group in ("o", "both"):
             orbits_o = t3_orbit_count(E, group="O", budget=config.budget)
-        ratio = float(Fraction(sig_all) / (rho * q**3))
-        violated = (orbits_so is not None and sig_all > orbits_so) or (
-            orbits_so is not None and orbits_o is not None and orbits_o > orbits_so
-        )
-        out.row((str(q), str(card), _fmt(float(rho)), str(sig_all), str(sig_nd),
-                 "" if orbits_so is None else str(orbits_so),
-                 "" if orbits_o is None else str(orbits_o),
-                 _fmt(ratio)), violated=violated)
+        out.row((q, E.cardinality, float(rho), sig_all, sig_nd, orbits_so, orbits_o,
+                 bounds.signature_ratio(sig_all, q, rho)),
+                violated=not bounds.triangle_chain_holds(sig_all, orbits_o, orbits_so))
+    return out.violations
 
 
-def _run_counterexample(config: ExperimentConfig, out: _CsvOut) -> None:
-    out.header(("q", "|A|", "|E|", "rho", "sumset_size", "sumset_full",
-                "violations"))
+def _run_counterexample(config: ExperimentConfig, stream: TextIO) -> List[List[str]]:
+    out = exp.CsvSink(stream, ("q", "|A|", "|E|", "rho", "sumset_size", "sumset_full",
+                               "violations"))
     for q in config.qs:
         field = PrimeField(q)
         cs = build_counterexample(field)
@@ -246,15 +193,24 @@ def _run_counterexample(config: ExperimentConfig, out: _CsvOut) -> None:
             budget=config.budget,
         )
         bad = cs.sumset_is_full or report.violations > 0
-        out.row((str(q), str(len(cs.A)), str(cs.E.cardinality),
-                 _fmt(float(cs.density)), str(cs.sumset_size),
-                 "true" if cs.sumset_is_full else "false",
-                 str(report.violations)), violated=bad)
+        out.row((q, len(cs.A), cs.E.cardinality, float(cs.density), cs.sumset_size,
+                 "true" if cs.sumset_is_full else "false", report.violations),
+                violated=bad)
+    return out.violations
 
 
 def _run_sweep(config: ExperimentConfig, stream: TextIO) -> List[List[str]]:
-    result = exp.run_sweep(config, stream)
-    return [r.record() for r in result.failures]
+    return [r.record() for r in exp.run_sweep(config, stream).failures]
+
+
+_RUNNERS = {
+    "spheres": _run_spheres,
+    "charsum": _run_charsum,
+    "hinges": _run_hinges,
+    "triangles": _run_triangles,
+    "counterexample": _run_counterexample,
+    "sweep": _run_sweep,
+}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -264,28 +220,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         config = _gather_config(args)
         with contextlib.ExitStack() as stack:
             if config.out:
-                stream: TextIO = stack.enter_context(
-                    open(config.out, "w", newline="")
-                )
+                stream: TextIO = stack.enter_context(open(config.out, "w", newline=""))
             else:
                 stream = sys.stdout
-            if args.command == "sweep":
-                violations = _run_sweep(config, stream)
-            else:
-                out = _CsvOut(stream)
-                runner = {
-                    "spheres": _run_spheres,
-                    "charsum": _run_charsum,
-                    "hinges": _run_hinges,
-                    "triangles": _run_triangles,
-                    "counterexample": _run_counterexample,
-                }[args.command]
-                runner(config, out)
-                violations = out.violations
-    except _CliError as err:
-        print(f"ffgeom: error: {err}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, BudgetError, CapacityError) as err:
+            violations = _RUNNERS[args.command](config, stream)
+    except (_CliError, OSError, ValueError, BudgetError, CapacityError) as err:
         print(f"ffgeom: error: {err}", file=sys.stderr)
         return 1
     if violations:

@@ -27,6 +27,8 @@ from typing import Iterable, List, Sequence, Union
 
 import numpy as np
 
+from . import bounds
+from .bounds import hinge_energy_regime  # noqa: F401  (kept importable from here)
 from .charsums import Sphere, norm_values, sphere_size_table
 from .field import FieldElement, PrimeField
 from .fourier import GRID_CAPACITY, CapacityError, PointD, SpectralGrid, decode, forward
@@ -149,16 +151,15 @@ class DistancePairReport:
         return Fraction(self.count) - self.main_term
 
     def bound_holds(self) -> bool:
-        """|deviation| <= 2 q^{(d-1)/2} |E|, checked in exact integers."""
-        size = self.q**self.d
-        numerator = self.count * size - self.cardinality**2 * self.sphere_size
-        return numerator**2 <= 4 * self.q ** (self.d - 1) * self.cardinality**2 * size**2
+        """bounds.PAIR_DEVIATION on this count, in exact integers."""
+        numer = self.deviation * self.q**self.d
+        return bounds.PAIR_DEVIATION.holds(numer, self.q, self.cardinality, self.d)
 
     @property
     def deviation_ratio(self) -> float:
-        """|deviation| / (q^{(d-1)/2} |E|); the bound says this is <= 2."""
-        scale = self.q ** ((self.d - 1) / 2) * self.cardinality
-        return abs(float(self.deviation)) / scale
+        """|deviation| / (q^{(d-1)/2} |E|), the value bounds.PAIR_DEVIATION bounds."""
+        numer = self.deviation * self.q**self.d
+        return bounds.PAIR_DEVIATION.value(numer, self.q, self.cardinality, self.d)
 
 
 def distance_pair_count(E: PointSet, t: Scalar) -> DistancePairReport:
@@ -212,16 +213,12 @@ class HingeReport:
 
     @property
     def bound_ratio(self) -> float:
-        """|R| / (q |E|); the remainder bound says this is <= 8."""
-        return abs(float(self.remainder)) / (self.q * self.cardinality)
+        """|R| / (q |E|), the value bounds.HINGE_REMAINDER bounds."""
+        return bounds.HINGE_REMAINDER.value(self.remainder * self.q**2, self.q, self.cardinality)
 
-    def remainder_bound_holds(self, constant: int = 8) -> bool:
-        """|R| <= constant * q * |E|, checked in exact integers."""
-        numerator = abs(
-            self.exact_count * self.q**2
-            - self.pair_count_a * self.cardinality * self.sphere_size_b
-        )
-        return numerator <= constant * self.q**3 * self.cardinality
+    def remainder_bound_holds(self) -> bool:
+        """bounds.HINGE_REMAINDER on this pair, in exact integers."""
+        return bounds.HINGE_REMAINDER.holds(self.remainder * self.q**2, self.q, self.cardinality)
 
     def fourier_matches(self, tol: float = 1e-6) -> bool:
         value = self.fourier_count
@@ -261,8 +258,7 @@ class HingeSweep:
 
     Profiles for all radii are stacked into one matrix, so every exact count
     sum_{x in E} n_a(x) n_b(x) comes from a single integer matrix product and
-    every spectral value from one batched FFT.  Entries stay far below 2^63:
-    each count is at most q^2 (q+1)^2.
+    every spectral value from one batched FFT.
     """
 
     def __init__(self, E: PointSet) -> None:
@@ -270,6 +266,13 @@ class HingeSweep:
             raise ValueError("hinge counting is defined on the plane (d = 2)")
         self.E = E
         q = E.q
+        # Each (q - 1) x q^2 int64 stack is capped like a grid, so q <= 211.
+        # There every count is at most q^2 (q + 1)^2 and every numerator that
+        # ffgeom.bounds forms (exact q^2, sum n_a^2 q^2) at most q^4 (q + 1)^2
+        # < 2^47: no int64 wrap, and exact in float64.
+        if (q - 1) * q * q > GRID_CAPACITY:
+            raise CapacityError(f"hinge profile stack of {(q - 1) * q * q} entries at q={q} "
+                                f"exceeds capacity {GRID_CAPACITY}")
         self.radii = np.arange(1, q, dtype=np.int64)
         self.profiles = np.stack([circle_profile(E, int(a)) for a in self.radii])
         self.masked = self.profiles * E.indicator.astype(np.int64)
@@ -311,54 +314,48 @@ class HingeSweep:
             sphere_size_b=int(self.sphere_sizes[b - 1]),
         )
 
+    def remainder_numers(self) -> np.ndarray:
+        """q^2 R(a, b) for every radius pair, exact signed integers."""
+        E = self.E
+        return bounds.hinge_remainder_numer(
+            E.q, E.cardinality, self.exact, self.pair_counts[:, None], self.sphere_sizes[None, :]
+        )
+
     def max_remainder_ratio(self) -> float:
         """max over nonzero (a, b) of |R(a,b)| / (q |E|)."""
-        q, card = self.E.q, self.E.cardinality
-        main = self.pair_counts[:, None] * (card * self.sphere_sizes[None, :])
-        numer = np.abs(self.exact * q**2 - main)
-        return float(numer.max()) / (q**3 * card)
+        numer = np.abs(self.remainder_numers()).max()
+        return bounds.HINGE_REMAINDER.value(numer, self.E.q, self.E.cardinality)
 
-    def remainder_violations(self, constant: int = 8) -> List[tuple]:
-        """(a, b) pairs violating |R| <= constant q |E|, in exact integers."""
-        q, card = self.E.q, self.E.cardinality
-        main = self.pair_counts[:, None] * (card * self.sphere_sizes[None, :])
-        numer = np.abs(self.exact * q**2 - main)
-        bad = np.argwhere(numer > constant * q**3 * card)
-        return [(int(a + 1), int(b + 1)) for a, b in bad]
+    def remainder_violations(self) -> List[tuple]:
+        """(a, b) pairs violating the hinge-remainder bound, in exact integers."""
+        ok = bounds.HINGE_REMAINDER.holds(self.remainder_numers(), self.E.q, self.E.cardinality)
+        return [(int(a + 1), int(b + 1)) for a, b in np.argwhere(~ok)]
 
 
 def fluctuation_energy(E: PointSet, a: Scalar) -> Fraction:
     """sum over all x of (n_a(x) - |E||S_a| q^{-d})^2, as an exact rational.
 
     The subtracted constant is the zero-mode of n_a, so this is the energy in
-    the nonzero modes; it is at most 4 q |E| for d = 2 and any a != 0,
+    the nonzero modes; bounds.FLUCTUATION bounds it for d = 2 and any a != 0,
     with no density restriction.
     """
     profile = circle_profile(E, a)
-    size = E.q**E.d
     sum_sq = int(np.dot(profile, profile))
-    zero_mode = E.cardinality * Sphere(E.field, a, E.d).count
-    return Fraction(sum_sq * size - zero_mode**2, size)
+    sphere_size = Sphere(E.field, a, E.d).count
+    numer = bounds.fluctuation_numer(E.q, E.d, E.cardinality, sum_sq, sphere_size)
+    return Fraction(numer, E.q**E.d)
 
 
 def fluctuation_bound_holds(E: PointSet, a: Scalar) -> bool:
-    """fluctuation_energy(E, a) <= 4 q |E|, in exact integers (d = 2)."""
-    profile = circle_profile(E, a)
-    size = E.q**E.d
-    sum_sq = int(np.dot(profile, profile))
-    zero_mode = E.cardinality * Sphere(E.field, a, E.d).count
-    return sum_sq * size - zero_mode**2 <= 4 * E.q * E.cardinality * size
+    """bounds.FLUCTUATION on fluctuation_energy(E, a), in exact integers."""
+    numer = fluctuation_energy(E, a) * E.q**E.d
+    return bounds.FLUCTUATION.holds(numer, E.q, E.cardinality, E.d)
 
 
 def hinge_energy(E: PointSet, a: Scalar) -> int:
     """sum over x in E of n_a(x)^2: the hinge count at equal radii (a, a)."""
     profile = circle_profile(E, a)
     return int(np.dot(E.indicator.astype(np.int64), profile * profile))
-
-
-def hinge_energy_regime(q: int, cardinality: int) -> bool:
-    """Whether |E| <= sqrt(8) q^{3/2}, the stated scope of the 8q|E| bound."""
-    return cardinality**2 <= 8 * q**3
 
 
 def hinge_energy_guaranteed(q: int, cardinality: int, sphere_size: int) -> bool:

@@ -17,11 +17,11 @@ Sweep rows carry a status column:
     budget        the computation would exceed the work budget or a
                   structural capacity, so value fields are left empty.
 
-The hinge remainder bound |R| <= 8 q |E| is asserted only when the density
-satisfies rho^2 q >= 16; the hinge energy bound sum n_a^2 <= 8 q |E| only
-when |E|^2 <= 8 q^3.  Outside those regimes the measured ratios still appear
-with status info.  Orbit counts are checked against the signature count,
-which every congruence class refines, so orbits >= signatures always.
+Each bound, its regime and its printed value and ratio come from
+ffgeom.bounds: the hinge remainder is asserted only for dense sets and the
+hinge energy only for sets inside its size regime; outside them the measured
+ratios still appear with status info.  Orbit counts are checked against the
+signature count, which every congruence class refines.
 """
 
 from __future__ import annotations
@@ -32,12 +32,14 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Dict, Iterator, List, Optional, Tuple, Union
+from typing import IO, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from . import bounds
+from .bounds import density_in_hinge_regime, hinge_energy_regime
 from .congruence import distinct_signature_count, t3_orbit_count
-from .counting import HingeSweep, PointSet, hinge_energy_regime
+from .counting import HingeSweep, PointSet
 from .field import PrimeField
 from .fourier import BudgetError, CapacityError, _check_grid_size, decode, encode
 
@@ -220,11 +222,6 @@ class ExperimentConfig:
                     yield q, rho, seed
 
 
-def density_in_hinge_regime(q: int, rho: Fraction) -> bool:
-    """rho >= 4 / sqrt(q), checked exactly as rho^2 q >= 16."""
-    return rho * rho * q >= 16
-
-
 def parse_config_file(path: str) -> Dict[str, str]:
     """Flat key=value pairs, '#' comments; returns raw string values."""
     pairs: Dict[str, str] = {}
@@ -307,31 +304,38 @@ class SweepRow:
     status: str
 
     def record(self) -> List[str]:
-        return [
-            str(self.q),
-            _fmt(float(self.rho)),
-            str(self.seed),
-            str(self.card),
-            self.statistic,
-            _fmt(self.value),
-            _fmt(self.reference),
-            _fmt(self.ratio),
-            self.status,
-        ]
+        return [_fmt(v) for v in (self.q, float(self.rho), self.seed, self.card, self.statistic,
+                                  self.value, self.reference, self.ratio, self.status)]
 
 
-def _fmt(x: Optional[Union[int, float]]) -> str:
+def _fmt(x: Optional[Union[str, int, float]]) -> str:
     if x is None:
         return ""
+    if isinstance(x, str):
+        return x
     if isinstance(x, int):
         return str(x)
     return "%.12g" % x
 
 
+class CsvSink:
+    """CSV with a header and LF endings; keeps the rows that violated a bound."""
+
+    def __init__(self, stream: IO[str], columns: Sequence[str]) -> None:
+        self._writer = csv.writer(stream, lineterminator="\n")
+        self._writer.writerow(columns)
+        self.violations: List[List[str]] = []
+
+    def row(self, values: Sequence[Optional[Union[str, int, float]]], violated=False) -> None:
+        record = [_fmt(v) for v in values]
+        self._writer.writerow(record)
+        if violated:
+            self.violations.append(record)
+
+
 def _cell_rows(config: ExperimentConfig, q: int, rho: Fraction, seed: int) -> List[SweepRow]:
     E = random_set(q, 2, rho, seed)
     card = E.cardinality
-    size = q * q
 
     def row(stat: str, value, reference, ratio, status: str) -> SweepRow:
         return SweepRow(q, rho, seed, card, stat, value, reference, ratio, status)
@@ -347,15 +351,9 @@ def _cell_rows(config: ExperimentConfig, q: int, rho: Fraction, seed: int) -> Li
             raise BudgetError("signature table exceeds budget")
         sig_all = distinct_signature_count(E, mode="all")
         sig_nd = distinct_signature_count(E, mode="nondegenerate")
-        sig_ref = rho * q**3
-        rows.append(
-            row("signatures_all", sig_all, float(sig_ref),
-                float(Fraction(sig_all) / sig_ref), "info")
-        )
-        rows.append(
-            row("signatures_nondeg", sig_nd, float(sig_ref),
-                float(Fraction(sig_nd) / sig_ref), "info")
-        )
+        sig_ref = float(rho * q**3)
+        for stat, sig in (("signatures_all", sig_all), ("signatures_nondeg", sig_nd)):
+            rows.append(row(stat, sig, sig_ref, bounds.signature_ratio(sig, q, rho), "info"))
     except (BudgetError, CapacityError):
         rows.append(budget_row("signatures_all"))
         rows.append(budget_row("signatures_nondeg"))
@@ -370,64 +368,35 @@ def _cell_rows(config: ExperimentConfig, q: int, rho: Fraction, seed: int) -> Li
             continue
         try:
             orbits = t3_orbit_count(E, group=tag, budget=config.budget)
+            holds = bounds.triangle_chain_holds(sig_all, **{stat: orbits})
             rows.append(
-                row(stat, orbits, sig_all, orbits / sig_all,
-                    "pass" if orbits >= sig_all else "fail")
+                row(stat, orbits, sig_all, orbits / sig_all, "pass" if holds else "fail")
             )
         except (BudgetError, CapacityError):
             rows.append(budget_row(stat))
 
     try:
-        if q**4 > config.budget:
-            raise BudgetError("hinge profile stack exceeds budget")
+        bounds.charge_hinge_sweep(q, config.budget)
         hs = HingeSweep(E)
     except (BudgetError, CapacityError):
         rows.extend(budget_row(s) for s in SWEEP_STATISTICS[4:])
         return rows
 
-    # R(a, b) = q^2 (exact - I_a |E| |S_b| / q^2), bound 8 q |E| in its regime
-    main = hs.pair_counts[:, None] * (card * hs.sphere_sizes[None, :])
-    remainder_numer = np.abs(hs.exact * q**2 - main)
-    rem_value = float(Fraction(int(remainder_numer.max()), q**3 * card))
-    rem_holds = bool((remainder_numer <= 8 * q**3 * card).all())
-    if density_in_hinge_regime(q, rho):
-        rem_status = "pass" if rem_holds else "fail"
-    else:
-        rem_status = "info"
-    rows.append(row("hinge_max_remainder", rem_value, 8, rem_value / 8, rem_status))
-
-    # |pairs(t) - |E|^2 |S_t| / q^2| <= 2 sqrt(q) |E|, no density restriction
-    pair_numer = np.abs(hs.pair_counts * size - card**2 * hs.sphere_sizes)
-    pair_value = float(int(pair_numer.max())) / (math.sqrt(q) * card * size)
-    pair_holds = bool(
-        (pair_numer.astype(object) ** 2 <= 4 * q * card**2 * size**2).all()
-    )
-    rows.append(
-        row("pair_max_deviation", pair_value, 2, pair_value / 2,
-            "pass" if pair_holds else "fail")
-    )
-
-    # sum_x (n_a(x) - |E||S_a|/q^2)^2 <= 4 q |E|, no density restriction
-    sum_sq = (hs.profiles * hs.profiles).sum(axis=1)
-    fluct_numer = sum_sq * size - (card * hs.sphere_sizes) ** 2
-    fluct_value = float(Fraction(int(fluct_numer.max()), size * q * card))
-    fluct_holds = bool((fluct_numer <= 4 * q * card * size).all())
-    rows.append(
-        row("fluctuation_max", fluct_value, 4, fluct_value / 4,
-            "pass" if fluct_holds else "fail")
-    )
-
-    # sum_{x in E} n_a(x)^2 <= 8 q |E|, stated for |E|^2 <= 8 q^3 only
-    diag = np.diagonal(hs.exact)
-    energy_value = float(Fraction(int(diag.max()), q * card))
-    energy_holds = bool((diag <= 8 * q * card).all())
-    if hinge_energy_regime(q, card):
-        energy_status = "pass" if energy_holds else "fail"
-    else:
-        energy_status = "info"
-    rows.append(
-        row("hinge_energy_max", energy_value, 8, energy_value / 8, energy_status)
-    )
+    profiles_sq = (hs.profiles * hs.profiles).sum(axis=1)
+    for bound, numer, asserted in (
+        (bounds.HINGE_REMAINDER, hs.remainder_numers(), density_in_hinge_regime(q, rho)),
+        (bounds.PAIR_DEVIATION,
+         bounds.pair_deviation_numer(q, 2, card, hs.pair_counts, hs.sphere_sizes), True),
+        (bounds.FLUCTUATION,
+         bounds.fluctuation_numer(q, 2, card, profiles_sq, hs.sphere_sizes), True),
+        (bounds.HINGE_ENERGY, np.diagonal(hs.exact), hinge_energy_regime(q, card)),
+    ):
+        value = bound.value(np.abs(numer).max(), q, card)
+        if not asserted:
+            status = "info"
+        else:
+            status = "pass" if bound.holds(numer, q, card).all() else "fail"
+        rows.append(row(bound.statistic, value, bound.constant, bound.ratio(value), status))
     return rows
 
 
@@ -445,13 +414,9 @@ class SweepResult:
 
 def run_sweep(config: ExperimentConfig, stream: IO[str]) -> SweepResult:
     """Write the sweep as CSV (header always, LF endings); collect failures."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(SWEEP_COLUMNS)
+    out = CsvSink(stream, SWEEP_COLUMNS)
     rows: List[SweepRow] = []
-    failures: List[SweepRow] = []
     for r in sweep_rows(config):
-        writer.writerow(r.record())
+        out.row(r.record())
         rows.append(r)
-        if r.status == "fail":
-            failures.append(r)
-    return SweepResult(rows=rows, failures=failures)
+    return SweepResult(rows=rows, failures=[r for r in rows if r.status == "fail"])

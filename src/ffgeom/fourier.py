@@ -16,7 +16,7 @@ per-axis path.  They must agree to 1e-9; tests enforce this.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -76,19 +76,6 @@ def coordinate_table(q: int, d: int) -> np.ndarray:
 def chi_table(q: int) -> np.ndarray:
     """chi(k) = e^{2 pi i k / q} for k = 0 .. q-1."""
     return np.exp(2j * np.pi * np.arange(q) / q)
-
-
-def negation_permutation(q: int, d: int) -> np.ndarray:
-    """Index permutation sending enc(x) to enc(-x)."""
-    size = _check_grid_size(q, d)
-    perm = np.zeros(size, dtype=np.int64)
-    stride = 1
-    idx = np.arange(size, dtype=np.int64)
-    for _ in range(d):
-        idx, digit = np.divmod(idx, q)
-        perm += ((q - digit) % q) * stride
-        stride *= q
-    return perm
 
 
 class PointD:
@@ -207,16 +194,6 @@ class SpectralGrid:
     @property
     def size(self) -> int:
         return self.values.size
-
-    @classmethod
-    def from_function(
-        cls, field: PrimeField, d: int, fn: Callable[[Tuple[int, ...]], complex]
-    ) -> "SpectralGrid":
-        size = _check_grid_size(field.q, d)
-        grid = cls(field, d)
-        for i in range(size):
-            grid.values[i] = fn(decode(i, field.q, d))
-        return grid
 
     @classmethod
     def indicator(

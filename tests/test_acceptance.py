@@ -219,7 +219,7 @@ def test_criterion_08_hinge_remainder_and_fluctuation(record_property):
 
             if card * card >= 16 * q**3:
                 dense_sets[q] += 1
-                bad = hs.remainder_violations(constant=8)
+                bad = hs.remainder_violations()
                 for a, b in bad:
                     remainder_violations.append((q, str(rho), seed, a, b))
     # the dense regime is reachable exactly when 4 q^{3/2} <= q^2

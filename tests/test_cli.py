@@ -1,10 +1,12 @@
 """End-to-end runs of the command-line harness through main()."""
 
 import csv
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+from ffgeom import cli
 from ffgeom.cli import main
 from ffgeom.counting import HingeSweep
 from ffgeom.experiments import random_set
@@ -117,6 +119,16 @@ class TestTriangles:
         assert code == 0
         assert rows[1][5] == ""
         assert rows[1][6] != ""
+
+
+    @pytest.mark.parametrize("group", ["o", "so"])
+    def test_chain_violation_exits_two(self, tmp_path, monkeypatch, group):
+        # one orbit is fewer than the signatures, whichever group was counted
+        monkeypatch.setattr(cli, "t3_orbit_count", lambda *args, **kwargs: 1)
+        out = tmp_path / "out.csv"
+        code = main(["triangles", "--q", "5", "--density", "0.5", "--seed", "0",
+                     "--group", group, "--out", str(out)])
+        assert code == 2
 
 
 class TestCounterexample:
@@ -252,3 +264,24 @@ def test_determinism(tmp_path):
     assert main(argv + ["--out", str(a)]) == 0
     assert main(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of stdout, recorded before the bound checks moved to ffgeom.bounds
+@pytest.mark.parametrize("argv,digest", [
+    ("spheres --q 13,17",
+     "ecb88406706eee18ff3d3043cc83a2bac80a927730bf6677ea10abf82035299e"),
+    ("charsum --q 13",
+     "225af810c868483aeb421a67022a6a430c45b7ffb2299700c100bfa26e016d15"),
+    # rho^2 q = 13/4: outside the remainder regime
+    ("hinges --q 13 --density 0.5 --seed 0",
+     "0a16575b499b7044a77589b7f2576687dc139f377c1b2bca9f052b6552c3f14c"),
+    # rho^2 q = 67/4 >= 16: inside it
+    ("hinges --q 67 --density 0.5 --seed 0",
+     "eb84a5e2f7ebc1b024e142e702117eb5c3b772082bcbb0f38982b9120776d746"),
+    ("triangles --q 7 --density 0.5 --seed 0",
+     "d12dba0e170b8d34a73ca21f9753aafdedd307a8376062d4d0087a848985f3cf"),
+])
+def test_stdout_bytes_pinned(capsys, argv, digest):
+    assert main(argv.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

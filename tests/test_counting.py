@@ -275,6 +275,23 @@ class TestHingeSweep:
         ]
         assert sweep.remainder_violations() == expected
 
+    def test_capacity_guard_before_allocating(self, monkeypatch):
+        # (q - 1) q^2 first exceeds GRID_CAPACITY at the prime 223 (211 still fits);
+        # a profile computed means the stack was being built
+        import ffgeom.counting as counting
+
+        class Allocated(Exception):
+            pass
+
+        def no_profiles(*args):
+            raise Allocated
+
+        monkeypatch.setattr(counting, "circle_profile", no_profiles)
+        with pytest.raises(CapacityError):
+            HingeSweep(PointSet.from_points(PrimeField(223), 2, [(0, 0)]))
+        with pytest.raises(Allocated):
+            HingeSweep(PointSet.from_points(PrimeField(211), 2, [(0, 0)]))
+
     def test_report_rejects_zero_radius(self):
         sweep = HingeSweep(random_subset(5, 6, seed=18))
         with pytest.raises(ValueError):
