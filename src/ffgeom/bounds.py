@@ -112,6 +112,14 @@ def signature_ratio(signatures: int, q: int, rho: Fraction) -> float:
     return float(Fraction(signatures) / (rho * q**3))
 
 
+def charge_signature_table(card: int, budget: int) -> None:
+    """Charge a signature count's |E|^2 steps, one per ordered pair of points."""
+    if card * card > budget:
+        raise BudgetError(
+            f"signature table for |E|={card} needs {card * card} steps, budget {budget}"
+        )
+
+
 def charge_hinge_sweep(q: int, budget: int) -> None:
     """Charge HingeSweep's q^4 steps (q - 1 radii, ~q shifts of q^2 cells each)."""
     if q**4 > budget:

@@ -12,6 +12,13 @@ so the solution count is 2, 1, or 0 according to whether D is a nonzero
 square, zero, or a non-residue; this holds on the w_1 = 0 branch as well
 because there the quadratic's discriminant is D divided by the square (2w_2)^2.
 
+intersect_circles solves one system with scalar arithmetic and is the
+readable reference.  representable_c_values solves the systems for every c in
+F_q at once with numpy: the same two elimination branches, square roots read
+from a per-q table, and the same checks (solution count against the class of
+D, every point against both circle equations), applied to all c together.
+The tests hold the batched path equal to the scalar one.
+
 The midpoint-avoiding set is a union of circles with radii in A, the positive
 multiples of 8 up to q/32.  For x, y in it whose difference norm lies outside
 the sumset 2A + 2A - 4A, the midpoint (x+y)/2 cannot land back in the set:
@@ -24,15 +31,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Tuple, Union
 
 import numpy as np
 
 from .bounds import sphere_size
-from .charsums import norm_values
+from .charsums import legendre_table, norm_values
 from .counting import PointSet
 from .field import FieldElement, PrimeField
-from .fourier import BudgetError, PointD
+from .fourier import GRID_CAPACITY, BudgetError, CapacityError, PointD
 
 Scalar = Union[int, FieldElement]
 
@@ -122,6 +130,17 @@ def intersect_circles(sys: CircleSystem) -> List[PointD]:
     return points
 
 
+@lru_cache(maxsize=64)
+def _sqrt_table(q: int) -> np.ndarray:
+    """The smaller square root of every residue mod q, -1 at non-residues."""
+    # 0 .. (q-1)/2 holds exactly one root of each square, the smaller one
+    half = np.arange((q + 1) // 2, dtype=np.int64)
+    table = np.full(q, -1, dtype=np.int64)
+    table[(half * half) % q] = half
+    table.setflags(write=False)
+    return table
+
+
 def representable_c_values(
     field: PrimeField, a: Scalar, b: Scalar, w: PointD
 ) -> List[int]:
@@ -129,16 +148,54 @@ def representable_c_values(
 
     w must lie on the sphere of squared-radius a about the origin, a != 0.
     The subset with c != 0 has at least (q - 3) / 2 members for b != 0.
+
+    Every c in F_q is solved in one numpy pass along the elimination branch
+    intersect_circles takes for this w.  As there, the solution count must
+    match the square class of 4ab - (a + b - c)^2 and every point must lie
+    on both circles; a failed check raises AssertionError.  Raises
+    CapacityError for q > GRID_CAPACITY, before any O(q) table exists.
     """
+    q = field.q
     av = field.residue(a)
+    if w.field != field or w.d != 2:
+        raise ValueError("witness must be a point of the plane over this field")
     if w.norm().value != av or av == 0:
         raise ValueError("witness must satisfy |w| = a != 0")
-    origin = PointD(field, (0, 0))
-    out = []
-    for c in range(field.q):
-        if intersect_circles(CircleSystem(origin, w, b, c)):
-            out.append(c)
-    return out
+    bv = field.residue(b)
+    if q > GRID_CAPACITY:
+        raise CapacityError(f"per-residue tables at q={q} exceed capacity {GRID_CAPACITY}")
+    # residues stay below q <= 10^7, so every product below is far from 2^63
+    w1, w2 = w.as_ints()
+    c = np.arange(q, dtype=np.int64)
+    k = (av + bv - c) * field.inv(2) % q
+    roots = _sqrt_table(q)
+    # row j of S, T is the point built from root j of the branch's quadratic
+    if w1 != 0:
+        r = roots[(av * bv - k * k) % q]
+        R = np.stack((r, (q - r) % q))
+        T = (k * w2 + w1 * R) % q * field.inv(av) % q
+        S = (k - T * w2) % q * field.inv(w1) % q
+    else:
+        t = k * field.inv(w2) % q
+        r = roots[(bv - t * t) % q]
+        S = np.stack((r, (q - r) % q))
+        T = np.broadcast_to(t, S.shape)
+    has_root = r >= 0
+    # a double root yields one point, so count distinct points, not roots
+    count = has_root * (1 + ((S[0] != S[1]) | (T[0] != T[1])))
+    disc = (4 * av * bv - (av + bv - c) ** 2) % q
+    # eta(D) + 1 maps non-residue, zero, square to 0, 1, 2 points
+    expected = legendre_table(field)[disc].astype(np.int64) + 1
+    if not np.array_equal(count, expected):
+        bad = np.flatnonzero(count != expected).tolist()
+        raise AssertionError(f"solution count off the class of D at q={q}, a={av}, "
+                             f"b={bv}, w={(w1, w2)}, c in {bad}")
+    on_both = ((S * S + T * T) % q == bv) & (((S - w1) ** 2 + (T - w2) ** 2) % q == c)
+    if not on_both[:, has_root].all():
+        bad = np.flatnonzero(has_root & ~on_both.all(axis=0)).tolist()
+        raise AssertionError(f"point off a circle at q={q}, a={av}, b={bv}, "
+                             f"w={(w1, w2)}, c in {bad}")
+    return np.flatnonzero(count).tolist()
 
 
 def sum_two_squares_count(field: PrimeField, u: Scalar) -> int:

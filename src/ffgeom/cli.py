@@ -2,7 +2,9 @@
 
 Subcommands: spheres, charsum, hinges, triangles, counterexample, sweep.
 All output is CSV with a header row and LF endings, written to --out or
-stdout; every run is a pure function of its flags and config file.
+stdout once the run completes (a run that exits 1 writes no table and leaves
+an existing --out file as it was); every run is a pure function of its flags
+and config file.
 
 Exit codes: 0 all asserted inequalities held, 2 an asserted bound failed
 (the violating rows are printed to stderr), 1 usage or IO error.  Bounds
@@ -18,7 +20,7 @@ subcommands.
 from __future__ import annotations
 
 import argparse
-import contextlib
+import io
 import sys
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
@@ -165,6 +167,7 @@ def _run_triangles(config: ExperimentConfig, stream: TextIO) -> List[List[str]]:
                                "orbits_SO", "orbits_O", "ratio_to_rho_q3"))
     for q, rho, seed in config.cells():
         E = random_set(q, 2, rho, seed)
+        bounds.charge_signature_table(E.cardinality, config.budget)
         sig_all = distinct_signature_count(E, mode="all")
         sig_nd = distinct_signature_count(E, mode="nondegenerate")
         orbits_so: Optional[int] = None
@@ -218,12 +221,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         config = _gather_config(args)
-        with contextlib.ExitStack() as stack:
-            if config.out:
-                stream: TextIO = stack.enter_context(open(config.out, "w", newline=""))
-            else:
-                stream = sys.stdout
-            violations = _RUNNERS[args.command](config, stream)
+        # held back until the runner returns, so a failed run writes no table
+        table = io.StringIO()
+        violations = _RUNNERS[args.command](config, table)
+        if config.out:
+            with open(config.out, "w", newline="") as stream:
+                stream.write(table.getvalue())
+        else:
+            sys.stdout.write(table.getvalue())
     except (_CliError, OSError, ValueError, BudgetError, CapacityError) as err:
         print(f"ffgeom: error: {err}", file=sys.stderr)
         return 1

@@ -347,8 +347,7 @@ def _cell_rows(config: ExperimentConfig, q: int, rho: Fraction, seed: int) -> Li
 
     sig_all: Optional[int] = None
     try:
-        if card * card > config.budget:
-            raise BudgetError("signature table exceeds budget")
+        bounds.charge_signature_table(card, config.budget)
         sig_all = distinct_signature_count(E, mode="all")
         sig_nd = distinct_signature_count(E, mode="nondegenerate")
         sig_ref = float(rho * q**3)

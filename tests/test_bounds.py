@@ -73,6 +73,12 @@ def test_triangle_chain_skips_missing_terms():
     assert bounds.triangle_chain_holds(5)
 
 
+def test_signature_table_charge():
+    bounds.charge_signature_table(25, 625)
+    with pytest.raises(BudgetError, match="needs 625 steps, budget 624"):
+        bounds.charge_signature_table(25, 624)
+
+
 def test_hinge_sweep_charge():
     bounds.charge_hinge_sweep(13, 13**4)
     with pytest.raises(BudgetError, match="budget"):

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ffgeom import circles
+from ffgeom.charsums import Sphere
 from ffgeom.circles import (
     CircleSystem,
     CounterexampleSet,
@@ -20,7 +22,7 @@ from ffgeom.circles import (
     sum_two_squares_count,
 )
 from ffgeom.field import PrimeField
-from ffgeom.fourier import BudgetError, PointD
+from ffgeom.fourier import BudgetError, CapacityError, PointD
 
 
 def brute_intersection(sys: CircleSystem):
@@ -133,6 +135,56 @@ def test_representable_values_rejects_off_sphere_witness():
         representable_c_values(F, 3, 1, PointD(F, (1, 0)))
     with pytest.raises(ValueError):
         representable_c_values(F, 0, 1, PointD(F, (0, 0)))
+
+
+@pytest.mark.parametrize("q", (3, 5, 7, 11, 13))
+def test_representable_values_match_scalar_solver(q):
+    """The batched solver against intersect_circles on every (a, w in S_a, b)."""
+    F = PrimeField(q)
+    origin = PointD(F, (0, 0))
+    for a in range(1, q):
+        for w in Sphere(F, a, 2).points:
+            for b in range(q):
+                expected = [c for c in range(q)
+                            if intersect_circles(CircleSystem(origin, w, b, c))]
+                assert representable_c_values(F, a, b, w) == expected, (a, b, w.as_ints())
+
+
+F7 = PrimeField(7)
+
+
+@pytest.mark.parametrize("a,b,w,error", [
+    (1, 1, PointD(PrimeField(11), (1, 0)), ValueError),  # witness from F_11
+    (1, 1, PointD(F7, (1, 0, 0)), ValueError),  # witness in d = 3, |w| = a
+    (1, PrimeField(11).element(1), PointD(F7, (1, 0)), ValueError),
+    (PrimeField(11).element(1), 1, PointD(F7, (1, 0)), ValueError),
+    (1, 1.0, PointD(F7, (1, 0)), TypeError),
+    (1, True, PointD(F7, (1, 0)), TypeError),
+])
+def test_representable_values_validation(a, b, w, error):
+    with pytest.raises(error):
+        representable_c_values(F7, a, b, w)
+
+
+def test_representable_values_capacity_guard():
+    F = PrimeField(2**31 - 1)
+    with pytest.raises(CapacityError):
+        representable_c_values(F, 1, 1, PointD(F, (1, 0)))
+
+
+@pytest.mark.parametrize("w", [(1, 2), (0, 3)])  # both elimination branches
+def test_representable_values_checks_are_live(monkeypatch, w):
+    F = PrimeField(13)
+    witness = PointD(F, w)
+    a = witness.norm().value
+    roots = circles._sqrt_table(13)
+    monkeypatch.setattr(circles, "_sqrt_table", lambda q: np.full(q, -1))
+    with pytest.raises(AssertionError, match="solution count"):
+        representable_c_values(F, a, 1, witness)
+    # 2r is a root of 4 r^2, not of r^2, and keeps the count of distinct roots
+    monkeypatch.setattr(circles, "_sqrt_table", lambda q: np.where(roots >= 0, 2 * roots % q, -1))
+    with pytest.raises(AssertionError, match="off a circle"):
+        representable_c_values(F, a, 1, witness)
 
 
 @pytest.mark.parametrize("q", (5, 7, 11, 13, 17))

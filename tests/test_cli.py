@@ -130,6 +130,13 @@ class TestTriangles:
                      "--group", group, "--out", str(out)])
         assert code == 2
 
+    def test_signature_stage_charged_against_budget(self, capsys):
+        code = main(["triangles", "--q", "7", "--density", "0.5", "--budget", "100"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "signature table for |E|=25 needs 625 steps, budget 100" in err
+        assert "orbit" not in err
+
 
 class TestCounterexample:
     def test_row_pinned(self, tmp_path):
@@ -212,6 +219,20 @@ class TestUsageErrors:
         target = tmp_path / "missing-dir" / "out.csv"
         assert main(["spheres", "--q", "5", "--out", str(target)]) == 1
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    "triangles --q 7 --density 0.5 --budget 100",
+    # the q = 5 row completes before the q = 7 orbit count exceeds the budget
+    "triangles --q 5,7 --density 0.5 --seed 0 --budget 20000",
+])
+def test_failed_run_writes_no_table(tmp_path, capsys, argv):
+    assert main(argv.split()) == 1
+    assert capsys.readouterr().out == ""
+    out = tmp_path / "out.csv"
+    out.write_text("previous\n")
+    assert main(argv.split() + ["--out", str(out)]) == 1
+    assert out.read_text() == "previous\n"
 
 
 class TestConfigPrecedence:
