@@ -3,8 +3,8 @@
 Subcommands: spheres, charsum, hinges, triangles, counterexample, sweep.
 All output is CSV with a header row and LF endings, written to --out or
 stdout once the run completes (a run that exits 1 writes no table and leaves
-an existing --out file as it was); every run is a pure function of its flags
-and config file.
+an existing --out file as it was, and an unwritable --out fails before the
+run starts); every run is a pure function of its flags and config file.
 
 Exit codes: 0 all asserted inequalities held, 2 an asserted bound failed
 (the violating rows are printed to stderr), 1 usage or IO error.  Bounds
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import os
 import sys
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
@@ -206,6 +207,14 @@ def _run_sweep(config: ExperimentConfig, stream: TextIO) -> List[List[str]]:
     return [r.record() for r in exp.run_sweep(config, stream).failures]
 
 
+def _check_out_writable(path: str) -> None:
+    """Fail before the run, not after it, when the table could not be written."""
+    directory = os.path.dirname(os.path.abspath(path))
+    target = path if os.path.exists(path) else directory
+    if not os.path.isdir(directory) or os.path.isdir(path) or not os.access(target, os.W_OK):
+        raise _CliError(f"cannot write --out {path}")
+
+
 _RUNNERS = {
     "spheres": _run_spheres,
     "charsum": _run_charsum,
@@ -221,6 +230,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         config = _gather_config(args)
+        if config.out:
+            _check_out_writable(config.out)
         # held back until the runner returns, so a failed run writes no table
         table = io.StringIO()
         violations = _RUNNERS[args.command](config, table)

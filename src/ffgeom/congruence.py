@@ -15,11 +15,16 @@ extension step solves the linear constraints <w', u'_i> = <e_j, u_i> and the
 norm constraint |w'| = |e_j|, and backtracking over the finitely many
 solutions searches for a determinant +1 completion when SO is requested.
 
-Orbit counting for triples under the translation-plus-rotation group uses
-translation normalization to (0, y - x, z - x) followed by a canonical form:
-the minimum, over group elements g, of the base-q code of (g(y-x), g(z-x)).
+Triangle statistics read one table, the realized difference pairs
+(u, v) = (y - x, z - x) over (x, y, z) in E^3.  An independent pair is fixed
+up to O_2 by its Gram data (|u|, |v|, u.v) (Witt's theorem) and up to SO_2 by
+that data plus det(u, v); as 2 is invertible, the Gram data and the distance
+triple (|u|, |v|, |u - v|) determine each other, so signatures are counted
+as Gram codes.  Dependent pairs (det(u, v) = 0) are counted by a canonical
+form: the minimum, over group elements g, of the base-q code of (gu, gv).
 The code orders the four residues as (u_1, u_2, v_1, v_2), most significant
-first; this ordering is frozen, since orbit counts are regression-locked.
+first; this ordering, used for dependent pairs only, is frozen, since
+orbit counts are regression-locked.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from .fourier import BudgetError, CapacityError, PointD
 
 Scalar = Union[int, FieldElement]
 
-SIGNATURE_CAPACITY = 10**8
 PAIR_CAPACITY = 10**8
 DEFAULT_ORBIT_BUDGET = 10**10
 
@@ -141,62 +145,54 @@ def group_matrices(field: PrimeField, group: str) -> List[Matrix2]:
 # -- exact linear algebra mod q ------------------------------------------------
 
 
-def _rank(rows: Sequence[Sequence[int]], field: PrimeField) -> int:
+def _row_reduce(
+    rows: Sequence[Sequence[int]], field: PrimeField, ncols: int
+) -> Tuple[List[List[int]], List[int], int]:
+    """Gauss-Jordan elimination mod q on the first ncols columns.
+
+    Returns the reduced rows (the pivot rows first, each pivot scaled to 1
+    and cleared from every other row), the pivot columns, and the
+    determinant of the first ncols columns, which is meaningful when there
+    are exactly ncols rows (0 as soon as a column has no pivot).
+    """
     q = field.q
-    mat = [list(r) for r in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] % q != 0), None)
+    mat = [[v % q for v in r] for r in rows]
+    pivots: List[int] = []
+    det = 1
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if pivot is None:
+            det = 0
             continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        if pivot != rank:
+            mat[rank], mat[pivot] = mat[pivot], mat[rank]
+            det = -det
+        det = det * mat[rank][col] % q
         inv = field.inv(mat[rank][col])
         mat[rank] = [v * inv % q for v in mat[rank]]
         for r in range(len(mat)):
-            if r != rank and mat[r][col] % q:
-                factor = mat[r][col] % q
+            if r != rank and mat[r][col]:
+                factor = mat[r][col]
                 mat[r] = [(v - factor * p) % q for v, p in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return mat, pivots, det
+
+
+def _rank(rows: Sequence[Sequence[int]], field: PrimeField) -> int:
+    return len(_row_reduce(rows, field, len(rows[0]) if rows else 0)[1])
 
 
 def _det_mod(rows: Sequence[Sequence[int]], field: PrimeField) -> int:
-    q = field.q
-    mat = [list(r) for r in rows]
-    n = len(mat)
-    det = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if mat[r][col] % q != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = (-det) % q
-        det = det * mat[col][col] % q
-        inv = field.inv(mat[col][col])
-        for r in range(col + 1, n):
-            if mat[r][col] % q:
-                factor = mat[r][col] * inv % q
-                mat[r] = [(v - factor * p) % q for v, p in zip(mat[r], mat[col])]
-    return det
+    return _row_reduce(rows, field, len(rows))[2]
 
 
 def _matrix_inverse(rows: Sequence[Sequence[int]], field: PrimeField) -> List[List[int]]:
-    q = field.q
     n = len(rows)
-    mat = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if mat[r][col] % q != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        inv = field.inv(mat[col][col])
-        mat[col] = [v * inv % q for v in mat[col]]
-        for r in range(n):
-            if r != col and mat[r][col] % q:
-                factor = mat[r][col] % q
-                mat[r] = [(v - factor * p) % q for v, p in zip(mat[r], mat[col])]
+    aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
+    mat, pivots, _ = _row_reduce(aug, field, n)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
     return [row[n:] for row in mat]
 
 
@@ -212,26 +208,9 @@ def _solve_affine(
 ) -> Optional[Tuple[List[int], List[List[int]]]]:
     """All solutions in F_q^n of rows . w = rhs as particular + span(basis)."""
     q = field.q
-    m = len(rows)
-    aug = [list(r) + [c % q] for r, c in zip(rows, rhs)]
-    pivots: List[int] = []
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, m) if aug[r][col] % q != 0), None)
-        if pivot is None:
-            continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        inv = field.inv(aug[rank][col])
-        aug[rank] = [v * inv % q for v in aug[rank]]
-        for r in range(m):
-            if r != rank and aug[r][col] % q:
-                factor = aug[r][col] % q
-                aug[r] = [(v - factor * p) % q for v, p in zip(aug[r], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, m):
-        if aug[r][n] % q:
-            return None
+    aug, pivots, _ = _row_reduce([list(r) + [c] for r, c in zip(rows, rhs)], field, n)
+    if any(row[n] for row in aug[len(pivots):]):
+        return None
     particular = [0] * n
     for r, col in enumerate(pivots):
         particular[col] = aug[r][n]
@@ -435,44 +414,47 @@ def signature(x: PointD, y: PointD, z: PointD) -> DistanceTriple:
     return DistanceTriple((x - y).norm(), (x - z).norm(), (y - z).norm())
 
 
-def _coords_of(E: PointSet) -> Tuple[np.ndarray, np.ndarray]:
+def _realized_pairs(E: PointSet) -> Tuple[np.ndarray, np.ndarray]:
+    """The difference pairs (y - x, z - x) over (x, y, z) in E^3, each once.
+
+    Returned as two aligned arrays of grid indices u, v (index x_1 + x_2 q),
+    read off a boolean q^2-by-q^2 table filled one anchor x at a time.
+    """
+    q = E.q
+    if q**4 > PAIR_CAPACITY:
+        raise CapacityError(f"pair table of size {q}^4 exceeds {PAIR_CAPACITY}")
     idx = E.indices()
-    return idx % E.q, idx // E.q
+    xs, ys = idx % q, idx // q
+    realized = np.zeros((q * q, q * q), dtype=bool)
+    for x, y in zip(xs, ys):
+        diff = ((xs - x) % q) + ((ys - y) % q) * q
+        realized[np.ix_(diff, diff)] = True
+    return np.nonzero(realized)
+
+
+def _pair_labels(iu: np.ndarray, iv: np.ndarray, q: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Per pair: the Gram code (|u| q + |v|) q + u.v, and det(u, v) mod q."""
+    u1, u2, v1, v2 = iu % q, iu // q, iv % q, iv // q
+    gram = (((u1 * u1 + u2 * u2) % q * q + (v1 * v1 + v2 * v2) % q) * q
+            + (u1 * v1 + u2 * v2) % q)
+    return gram, (u1 * v2 - u2 * v1) % q
 
 
 def distinct_signature_count(E: PointSet, mode: str = "all") -> int:
     """How many distinct distance triples ordered triples of E realize.
 
     mode "all" ranges over every (x, y, z) in E^3; "nondegenerate" keeps only
-    triples of non-collinear (hence pairwise distinct) points.  Exact, via a
-    presence table over the q^3 possible triples, filled one anchor x at a
-    time with vectorized distance rows.
+    triples of non-collinear (hence pairwise distinct) points, the realized
+    pairs with det(u, v) != 0.  Counted as distinct Gram codes.
     """
     if E.d != 2:
         raise ValueError("signature counting is defined on the plane (d = 2)")
     if mode not in ("all", "nondegenerate"):
         raise ValueError(f"mode must be 'all' or 'nondegenerate', got {mode!r}")
-    q = E.q
-    if q**3 > SIGNATURE_CAPACITY:
-        raise CapacityError(f"presence table of size {q}^3 exceeds {SIGNATURE_CAPACITY}")
-    xs, ys = _coords_of(E)
-    n = xs.size
-    if n * n > SIGNATURE_CAPACITY:
-        raise CapacityError(f"distance matrix of size {n}^2 exceeds {SIGNATURE_CAPACITY}")
-    dx = (xs[:, None] - xs[None, :]) % q
-    dy = (ys[:, None] - ys[None, :]) % q
-    dist = (dx * dx + dy * dy) % q
-    presence = np.zeros(q**3, dtype=bool)
-    for i in range(n):
-        row = dist[i]
-        codes = (row[:, None] * q + row[None, :]) * q + dist
-        if mode == "all":
-            presence[codes.reshape(-1)] = True
-        else:
-            ux, uy = dx[:, i], dy[:, i]
-            noncollinear = (ux[:, None] * uy[None, :] - uy[:, None] * ux[None, :]) % q != 0
-            presence[codes[noncollinear]] = True
-    return int(np.count_nonzero(presence))
+    gram, det = _pair_labels(*_realized_pairs(E), E.q)
+    if mode == "nondegenerate":
+        gram = gram[det != 0]
+    return int(np.unique(gram).size)
 
 
 def t3_orbit_count(
@@ -480,11 +462,11 @@ def t3_orbit_count(
 ) -> int:
     """Exact number of orbits of E^3 under translations and the chosen group.
 
-    Triples are translation-normalized to difference pairs (y - x, z - x);
-    the realized pairs form a boolean q^2-by-q^2 table, and each orbit is
-    counted once via the minimal base-q code over all group images.  The
-    work budget is charged with the |E|^3 * |group| cost model of the
-    canonical-form definition, which upper-bounds the realized-pair pass.
+    Independent realized pairs are counted by label (the Gram code for O,
+    with det(u, v) for SO), dependent ones by the canonical form; no group
+    element mixes the two.  The work budget is charged with the
+    |E|^3 * |group| cost model of the canonical-form definition, which
+    upper-bounds both passes.
     """
     if E.d != 2:
         raise ValueError("orbit counting is defined on the plane (d = 2)")
@@ -494,22 +476,20 @@ def t3_orbit_count(
             f"orbit count needs {E.cardinality}^3 * {len(mats)} steps, budget {budget}"
         )
     q = E.q
-    if q**4 > PAIR_CAPACITY:
-        raise CapacityError(f"pair table of size {q}^4 exceeds {PAIR_CAPACITY}")
-    xs, ys = _coords_of(E)
-    n = xs.size
-    realized = np.zeros((q * q, q * q), dtype=bool)
-    for i in range(n):
-        diff = ((xs - xs[i]) % q) + ((ys - ys[i]) % q) * q
-        realized[np.ix_(diff, diff)] = True
-    iu, iv = np.nonzero(realized)
+    iu, iv = _realized_pairs(E)
+    gram, det = _pair_labels(iu, iv, q)
+    independent = det != 0
+    labels = gram[independent]
+    if group.upper() == "SO":
+        labels = labels * q + det[independent]
+    iu, iv = iu[~independent], iv[~independent]
     c0 = np.arange(q * q, dtype=np.int64) % q
     c1 = np.arange(q * q, dtype=np.int64) // q
-    best: Optional[np.ndarray] = None
+    best = np.full(iu.size, q**4, dtype=np.int64)
     for m00, m01, m10, m11 in mats:
         img = ((m00 * c0 + m01 * c1) % q) + ((m10 * c0 + m11 * c1) % q) * q
         # code orders (u1, u2, v1, v2) most significant first
         gu, gv = img[iu], img[iv]
         codes = ((gu % q) * q + gu // q) * (q * q) + ((gv % q) * q + gv // q)
-        best = codes if best is None else np.minimum(best, codes)
-    return int(np.unique(best).size)
+        best = np.minimum(best, codes)
+    return int(np.unique(labels).size + np.unique(best).size)

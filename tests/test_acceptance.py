@@ -286,7 +286,7 @@ def test_criterion_10_representable_radii(record_property):
     All q <= 31, all a, b != 0, every witness w on S_a; the solver's output
     equals an independent grid scan everywhere at q <= 13.  Exact.
     """
-    solver_calls = 0
+    systems_solved = 0
     for q in PRIMES_TO_31:
         F = PrimeField(q)
         floor = (q - 3) // 2
@@ -294,7 +294,7 @@ def test_criterion_10_representable_radii(record_property):
             for w in Sphere(F, a, 2).points:
                 for b in range(1, q):
                     vals = representable_c_values(F, a, b, w)
-                    solver_calls += q
+                    systems_solved += q  # one circle system per c
                     nonzero = [c for c in vals if c != 0]
                     assert len(nonzero) >= floor, (q, a, b, w.as_ints())
 
@@ -314,7 +314,7 @@ def test_criterion_10_representable_radii(record_property):
                         got = intersect_circles(CircleSystem(origin, w, b, c))
                         expected = sorted(buckets.get((b, c), []))
                         assert [p.as_ints() for p in got] == expected
-    record_property("solver_calls", solver_calls)
+    record_property("systems_solved", systems_solved)
 
 
 def test_criterion_11_sum_two_squares_identity():

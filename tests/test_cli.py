@@ -220,6 +220,14 @@ class TestUsageErrors:
         assert main(["spheres", "--q", "5", "--out", str(target)]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("name", ["missing-dir/out.csv", "."])
+    def test_unwritable_out_fails_before_the_run(self, tmp_path, capsys, monkeypatch, name):
+        calls = []
+        monkeypatch.setitem(cli._RUNNERS, "sweep", lambda config, stream: calls.append(config))
+        assert main(["sweep", "--q", "5", "--out", str(tmp_path / name)]) == 1
+        assert calls == []
+        assert "--out" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("argv", [
     "triangles --q 7 --density 0.5 --budget 100",

@@ -1,6 +1,7 @@
 """Planar rotation groups, simplex congruence search, and orbit counting."""
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -21,6 +22,7 @@ from ffgeom.congruence import (
     t3_orbit_count,
 )
 from ffgeom.counting import PointSet
+from ffgeom.experiments import random_set
 from ffgeom.field import PrimeField
 from ffgeom.fourier import BudgetError, CapacityError, PointD
 
@@ -328,6 +330,102 @@ def brute_orbit_count(E: PointSet, group: str) -> int:
     return len(reps)
 
 
+def anchor_loop_signature_count(E: PointSet, mode: str) -> int:
+    """The earlier kernel: a q^3 presence table filled one anchor at a time."""
+    q = E.q
+    idx = E.indices()
+    xs, ys = idx % q, idx // q
+    dx = (xs[:, None] - xs[None, :]) % q
+    dy = (ys[:, None] - ys[None, :]) % q
+    dist = (dx * dx + dy * dy) % q
+    presence = np.zeros(q**3, dtype=bool)
+    for i in range(xs.size):
+        row = dist[i]
+        codes = (row[:, None] * q + row[None, :]) * q + dist
+        if mode == "all":
+            presence[codes.reshape(-1)] = True
+        else:
+            ux, uy = dx[:, i], dy[:, i]
+            noncollinear = (ux[:, None] * uy[None, :] - uy[:, None] * ux[None, :]) % q != 0
+            presence[codes[noncollinear]] = True
+    return int(np.count_nonzero(presence))
+
+
+def full_group_orbit_count(E: PointSet, group: str) -> int:
+    """The earlier kernel: the minimal base-q code over every group image,
+    for every realized pair, independent or not."""
+    q = E.q
+    idx = E.indices()
+    xs, ys = idx % q, idx // q
+    realized = np.zeros((q * q, q * q), dtype=bool)
+    for x, y in zip(xs, ys):
+        diff = ((xs - x) % q) + ((ys - y) % q) * q
+        realized[np.ix_(diff, diff)] = True
+    iu, iv = np.nonzero(realized)
+    c0 = np.arange(q * q, dtype=np.int64) % q
+    c1 = np.arange(q * q, dtype=np.int64) // q
+    best = None
+    for m00, m01, m10, m11 in group_matrices(E.field, group):
+        img = ((m00 * c0 + m01 * c1) % q) + ((m10 * c0 + m11 * c1) % q) * q
+        gu, gv = img[iu], img[iv]
+        codes = ((gu % q) * q + gu // q) * (q * q) + ((gv % q) * q + gv // q)
+        best = codes if best is None else np.minimum(best, codes)
+    return int(np.unique(best).size)
+
+
+def four_statistics(E: PointSet, signatures, orbits):
+    return (
+        signatures(E, "all"),
+        signatures(E, "nondegenerate"),
+        orbits(E, "SO"),
+        orbits(E, "O"),
+    )
+
+
+def kernel_statistics(E: PointSet):
+    return four_statistics(E, distinct_signature_count, t3_orbit_count)
+
+
+class TestTriangleKernelOracles:
+    """The realized-pair kernel against the earlier kernels and brute force."""
+
+    @pytest.mark.parametrize("q", (5, 7, 11, 13))
+    @pytest.mark.parametrize("rho", ("1/10", "3/10", "1/2", "1"))
+    def test_random_sets_match_earlier_kernels(self, q, rho):
+        for seed in range(3):
+            E = random_set(q, 2, Fraction(rho), seed)
+            assert kernel_statistics(E) == four_statistics(
+                E, anchor_loop_signature_count, full_group_orbit_count
+            ), (q, rho, seed)
+
+    def test_every_subset_of_the_q3_plane(self):
+        F = PrimeField(3)
+        for mask in range(1, 2**9):
+            indicator = np.array([(mask >> i) & 1 for i in range(9)], dtype=np.uint8)
+            E = PointSet(F, 2, indicator)
+            assert kernel_statistics(E) == four_statistics(
+                E, brute_signature_count, brute_orbit_count
+            ), mask
+
+    @pytest.mark.parametrize("q,slope", [(5, 2), (5, 1), (7, 3)])
+    def test_line_through_origin(self, q, slope):
+        # every pair is dependent, so orbits come from the canonical-form
+        # pass alone; y = 2x is isotropic at q = 5 (1 + 4 = 0), the others
+        # are not
+        F = PrimeField(q)
+        isotropic = (1 + slope * slope) % q == 0
+        assert isotropic == ((q, slope) == (5, 2))
+        line = [(x, slope * x % q) for x in range(q)]
+        for pts in (line, line[:3], line[1:]):
+            E = PointSet.from_points(F, 2, pts)
+            stats = kernel_statistics(E)
+            assert stats[1] == 0
+            assert stats == four_statistics(E, brute_signature_count, brute_orbit_count)
+            assert stats == four_statistics(
+                E, anchor_loop_signature_count, full_group_orbit_count
+            )
+
+
 class TestSignatureCount:
     def test_three_point_hand_example(self):
         F = PrimeField(5)
@@ -370,11 +468,13 @@ class TestSignatureCount:
         with pytest.raises(ValueError):
             distinct_signature_count(E3)
 
-    def test_capacity_guard(self):
-        F = PrimeField(467)  # 467^3 exceeds the presence-table cap
-        E = PointSet.from_points(F, 2, [(0, 0), (1, 0)])
-        with pytest.raises(CapacityError):
-            distinct_signature_count(E)
+    @pytest.mark.parametrize("q", (101, 467))
+    def test_capacity_guard(self, q):
+        # signatures share the q^4 pair table, so q = 101 already exceeds it
+        E = PointSet.from_points(PrimeField(q), 2, [(0, 0), (1, 0)])
+        for mode in ("all", "nondegenerate"):
+            with pytest.raises(CapacityError):
+                distinct_signature_count(E, mode)
 
 
 class TestOrbitCount:
