@@ -6,7 +6,7 @@ from .charsums import GaussConstant, Sphere
 from .circles import CircleSystem, CounterexampleSet, MidpointReport
 from .congruence import CongruenceWitness, Rotation, Simplex
 from .constants import SIGNATURE_RATIO_FLOOR
-from .counting import DistancePairReport, HingeReport, HingeSweep, PointSet
+from .counting import HingeReport, HingeSweep, PointSet
 from .experiments import (
     ExperimentConfig,
     PointsetFormatError,
@@ -24,7 +24,6 @@ __all__ = [
     "CircleSystem",
     "CongruenceWitness",
     "CounterexampleSet",
-    "DistancePairReport",
     "ExperimentConfig",
     "FieldElement",
     "GaussConstant",

@@ -1,20 +1,22 @@
 """Every exact bound ffgeom asserts, with its regime and printed ratio, stated once.
 
-The sweep, the CLI, HingeSweep, the report classes and the scripts read the
+The sweep, the CLI, HingeSweep, HingeReport and the scripts read the
 statements below; none of them restates a bound.  (The character-sum table
 checks |G(j)| = sqrt(q) and the Weil bound in floating point, with its own
 tolerance.)
 
     hinge remainder  |R(a,b)| <= 8 q|E|, R = hinge(a,b) - |D_a| |E| |S_b| / q^2,
                      asserted for dense sets, rho^2 q >= 16
-    pair deviation   |pairs(t) - |E|^2 |S_t| / q^d| <= 2 q^{(d-1)/2} |E|
-    fluctuation      sum_x (n_a(x) - |E| |S_a| / q^d)^2 <= 4 q|E|
+    pair deviation   |pairs(t) - |E|^2 |S_t| / q^2| <= 2 sqrt(q) |E|
+    fluctuation      sum_x (n_a(x) - |E| |S_a| / q^2)^2 <= 4 q|E|
     hinge energy     sum_{x in E} n_a(x)^2 <= 8 q|E|, asserted for |E|^2 <= 8 q^3
     sphere size      |S_t| = q - eta(-1) for t != 0 in the plane
     triangle chain   signatures <= orbits_O <= orbits_SO
 
-Each of the first four is a `Bound`, decided in integers; floating point
-enters only the value and ratio it prints.
+All of them are stated for sets E in the plane F_q^2, the only setting the
+counting kernel (counting.HingeSweep) computes.  Each of the first four is a
+`Bound`, decided in integers; floating point enters only the value and ratio
+it prints.
 """
 
 from __future__ import annotations
@@ -30,39 +32,39 @@ from .fourier import BudgetError
 
 @dataclass(frozen=True)
 class Bound:
-    """value <= constant, for value = |numer| / unit(q, card, d) and an exact
+    """value <= constant, for value = |numer| / unit(q, card) and an exact
     integer numer; checked as |numer| <= constant * unit, elementwise on arrays."""
 
     statistic: str  # the sweep row that reports the maximum over radii
     constant: int
-    unit: Callable[[int, int, int], int]
+    unit: Callable[[int, int], int]
 
-    def holds(self, numer, q: int, card: int, d: int = 2):
-        return abs(numer) <= self.constant * self.unit(q, card, d)
+    def holds(self, numer, q: int, card: int):
+        return abs(numer) <= self.constant * self.unit(q, card)
 
-    def value(self, numer, q: int, card: int, d: int = 2) -> float:
-        return float(Fraction(abs(int(numer)), self.unit(q, card, d)))
+    def value(self, numer, q: int, card: int) -> float:
+        return float(Fraction(abs(int(numer)), self.unit(q, card)))
 
     def ratio(self, value: float) -> float:
         return value / self.constant
 
 
 class _PairDeviation(Bound):
-    """The unit carries a further factor q^{(d-1)/2}, irrational for even d."""
+    """The unit carries a further factor sqrt(q), irrational for prime q."""
 
-    def holds(self, numer, q: int, card: int, d: int = 2):
-        # for an integer n: n <= c sqrt(q^{d-1}) u  iff  n <= isqrt(c^2 q^{d-1} u^2)
-        limit = math.isqrt(self.constant**2 * q ** (d - 1) * self.unit(q, card, d) ** 2)
+    def holds(self, numer, q: int, card: int):
+        # for an integer n: n <= c sqrt(q) u  iff  n <= isqrt(c^2 q u^2)
+        limit = math.isqrt(self.constant**2 * q * self.unit(q, card) ** 2)
         return abs(numer) <= limit
 
-    def value(self, numer, q: int, card: int, d: int = 2) -> float:
-        return float(abs(int(numer))) / (math.sqrt(q ** (d - 1)) * card * q**d)
+    def value(self, numer, q: int, card: int) -> float:
+        return float(abs(int(numer))) / (math.sqrt(q) * card * q**2)
 
 
-HINGE_REMAINDER = Bound("hinge_max_remainder", 8, lambda q, card, d: q**3 * card)
-PAIR_DEVIATION = _PairDeviation("pair_max_deviation", 2, lambda q, card, d: card * q**d)
-FLUCTUATION = Bound("fluctuation_max", 4, lambda q, card, d: q**d * q * card)
-HINGE_ENERGY = Bound("hinge_energy_max", 8, lambda q, card, d: q * card)
+HINGE_REMAINDER = Bound("hinge_max_remainder", 8, lambda q, card: q**3 * card)
+PAIR_DEVIATION = _PairDeviation("pair_max_deviation", 2, lambda q, card: card * q**2)
+FLUCTUATION = Bound("fluctuation_max", 4, lambda q, card: q**3 * card)
+HINGE_ENERGY = Bound("hinge_energy_max", 8, lambda q, card: q * card)
 
 
 def hinge_remainder_numer(q: int, card: int, exact, pair_count_a, sphere_size_b):
@@ -70,14 +72,14 @@ def hinge_remainder_numer(q: int, card: int, exact, pair_count_a, sphere_size_b)
     return exact * q**2 - pair_count_a * (card * sphere_size_b)
 
 
-def pair_deviation_numer(q: int, d: int, card: int, count, sphere_size):
-    """q^d (pairs(t) - |E|^2 |S_t| / q^d)."""
-    return count * q**d - card**2 * sphere_size
+def pair_deviation_numer(q: int, card: int, count, sphere_size):
+    """q^2 (pairs(t) - |E|^2 |S_t| / q^2)."""
+    return count * q**2 - card**2 * sphere_size
 
 
-def fluctuation_numer(q: int, d: int, card: int, sum_sq, sphere_size):
-    """q^d sum_x (n_a(x) - |E| |S_a| / q^d)^2, from sum_sq = sum_x n_a(x)^2."""
-    return sum_sq * q**d - (card * sphere_size) ** 2
+def fluctuation_numer(q: int, card: int, sum_sq, sphere_size):
+    """q^2 sum_x (n_a(x) - |E| |S_a| / q^2)^2, from sum_sq = sum_x n_a(x)^2."""
+    return sum_sq * q**2 - (card * sphere_size) ** 2
 
 
 def density_in_hinge_regime(q: int, rho: Fraction) -> bool:

@@ -64,20 +64,22 @@ def legendre_table(field: PrimeField) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=64)
 def inverse_table(field: PrimeField) -> np.ndarray:
-    """inv[k] = k^{-1} mod q for k >= 1, inv[0] = 0, by the standard recurrence."""
+    """inv[k] = k^{-1} mod q for k >= 1, inv[0] = 0, by the standard recurrence.
+
+    The returned array is cached and marked read-only; copy before mutating.
+    """
     q = field.q
     inv = np.zeros(q, dtype=np.int64)
-    if q > 1:
-        inv[1] = 1
+    inv[1] = 1
     for k in range(2, q):
         inv[k] = (-(q // k) * inv[q % k]) % q
+    inv.setflags(write=False)
     return inv
 
 
-_NORM_CACHE: dict = {}
-
-
+@lru_cache(maxsize=32)
 def norm_values(field: PrimeField, d: int) -> np.ndarray:
     """|x| mod q for every flat grid index, built one coordinate at a time.
 
@@ -86,9 +88,6 @@ def norm_values(field: PrimeField, d: int) -> np.ndarray:
     q = field.q
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    cached = _NORM_CACHE.get((q, d))
-    if cached is not None:
-        return cached
     if q**d > GRID_CAPACITY:
         raise CapacityError(f"grid of size {q}^{d} exceeds capacity {GRID_CAPACITY}")
     squares = (np.arange(q, dtype=np.int64) ** 2) % q
@@ -97,8 +96,6 @@ def norm_values(field: PrimeField, d: int) -> np.ndarray:
         # New coordinate is the most significant digit: index k*q^i + j.
         norms = (squares[:, None] + norms[None, :]).reshape(-1) % q
     norms.setflags(write=False)
-    if len(_NORM_CACHE) < 32:
-        _NORM_CACHE[(q, d)] = norms
     return norms
 
 

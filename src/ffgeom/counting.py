@@ -3,7 +3,11 @@
 The workhorse is the circle profile n_a(x) = |E intersect S_a(x)|, the number
 of points of E at distance a from x, computed in integer arithmetic by
 accumulating shifted copies of E's indicator (one shift per point of S_a).
-Pair counts, hinge counts, and the two energy statistics all reduce to it.
+HingeSweep stacks the profiles of every nonzero radius of a planar set and
+is the one kernel for the statistics built on them: pair counts
+sum_{x in E} n_a(x), hinge counts sum_{x in E} n_a(x) n_b(x) (the energies
+sum_{x in E} n_a(x)^2 on the diagonal), and the sums sum_x n_a(x)^2 behind
+the fluctuation bound.
 
 The Fourier route exists to verify the counting identity
 
@@ -12,8 +16,11 @@ The Fourier route exists to verify the counting identity
 where Dhat_a(m,0) = q^{-2} fhat(m) and f(x) = E(x) n_a(x).  The source
 identity is stated without explicit conjugates; the placement above (conjugate
 on the f factor, equivalently on Ehat by realness of the total) is the one
-that reproduces the integer count, and the oracle test pinning it is
-permanent.  Since f is real this equals q^4 sum_m fhat(-m) Ehat(m) Shat_b(m).
+that reproduces the integer count.  HingeSweep.fourier_counts evaluates it
+for every radius pair, and its tests against the brute-force hinge count
+(every nonempty subset of F_3^2, random subsets of F_5^2) are the permanent
+pin of that placement.  Since f is real this equals
+q^4 sum_m fhat(-m) Ehat(m) Shat_b(m).
 
 Main-term/remainder splits are kept as exact rationals so bound checks never
 touch floating point.
@@ -28,10 +35,9 @@ from typing import Iterable, List, Sequence, Union
 import numpy as np
 
 from . import bounds
-from .bounds import hinge_energy_regime  # noqa: F401  (kept importable from here)
 from .charsums import Sphere, norm_values, sphere_size_table
 from .field import FieldElement, PrimeField
-from .fourier import GRID_CAPACITY, CapacityError, PointD, SpectralGrid, decode, forward
+from .fourier import GRID_CAPACITY, CapacityError, PointD, SpectralGrid, decode
 
 Scalar = Union[int, FieldElement]
 
@@ -88,9 +94,6 @@ class PointSet:
     def cube(self) -> np.ndarray:
         return self.indicator.reshape((self.q,) * self.d)
 
-    def grid(self) -> SpectralGrid:
-        return SpectralGrid(self.field, self.d, self.indicator.astype(np.complex128))
-
     def contains(self, point: Union[PointD, Sequence[int]]) -> bool:
         idx = SpectralGrid._index_of(self.field, self.d, point)
         return bool(self.indicator[idx])
@@ -132,64 +135,6 @@ def circle_profile(E: PointSet, a: Scalar) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DistancePairReport:
-    """Exact ordered-pair count at one distance, with its main-term split."""
-
-    q: int
-    d: int
-    cardinality: int
-    t: FieldElement
-    sphere_size: int
-    count: int
-
-    @property
-    def main_term(self) -> Fraction:
-        return Fraction(self.cardinality**2 * self.sphere_size, self.q**self.d)
-
-    @property
-    def deviation(self) -> Fraction:
-        return Fraction(self.count) - self.main_term
-
-    def bound_holds(self) -> bool:
-        """bounds.PAIR_DEVIATION on this count, in exact integers."""
-        numer = self.deviation * self.q**self.d
-        return bounds.PAIR_DEVIATION.holds(numer, self.q, self.cardinality, self.d)
-
-    @property
-    def deviation_ratio(self) -> float:
-        """|deviation| / (q^{(d-1)/2} |E|), the value bounds.PAIR_DEVIATION bounds."""
-        numer = self.deviation * self.q**self.d
-        return bounds.PAIR_DEVIATION.value(numer, self.q, self.cardinality, self.d)
-
-
-def distance_pair_count(E: PointSet, t: Scalar) -> DistancePairReport:
-    """Count ordered pairs (x, y) in E^2 with |x - y| = t, exactly."""
-    profile = circle_profile(E, t)
-    count = int(np.dot(E.indicator.astype(np.int64), profile))
-    sphere_size = Sphere(E.field, t, E.d).count
-    return DistancePairReport(
-        q=E.q,
-        d=E.d,
-        cardinality=E.cardinality,
-        t=E.field.element(t),
-        sphere_size=sphere_size,
-        count=count,
-    )
-
-
-def hinge_count(E: PointSet, a: Scalar, b: Scalar) -> int:
-    """Ordered triples (x, y, z) in E^3 with |x-y| = a and |x-z| = b.
-
-    Equals sum over x in E of n_a(x) n_b(x); pure integer arithmetic.
-    """
-    if E.d != 2:
-        raise ValueError("hinge counting is defined on the plane (d = 2)")
-    na = circle_profile(E, a)
-    nb = circle_profile(E, b) if E.field.residue(b) != E.field.residue(a) else na
-    return int(np.dot(E.indicator.astype(np.int64), na * nb))
-
-
-@dataclass(frozen=True)
 class HingeReport:
     """A hinge count with its Fourier-side value and main/remainder split."""
 
@@ -227,30 +172,6 @@ class HingeReport:
             and round(value.real) == self.exact_count
             and abs(value.real - self.exact_count) <= tol * (1 + self.exact_count)
         )
-
-
-def hinge_count_fourier(E: PointSet, a: Scalar, b: Scalar) -> HingeReport:
-    """Evaluate the hinge count through the spectral identity and report the split."""
-    if E.d != 2:
-        raise ValueError("hinge counting is defined on the plane (d = 2)")
-    field, q = E.field, E.q
-    na = circle_profile(E, a)
-    f = SpectralGrid(field, 2, E.indicator * na.astype(np.complex128))
-    fhat = forward(f).values
-    ehat = forward(E.grid()).values
-    sbhat = forward(Sphere(field, b, 2).indicator()).values
-    fourier_count = complex(q**4 * np.sum(np.conj(fhat) * ehat * sbhat))
-    exact = int(np.dot(E.indicator.astype(np.int64), na * circle_profile(E, b)))
-    return HingeReport(
-        q=q,
-        cardinality=E.cardinality,
-        a=field.element(a),
-        b=field.element(b),
-        exact_count=exact,
-        fourier_count=fourier_count,
-        pair_count_a=int(np.dot(E.indicator.astype(np.int64), na)),
-        sphere_size_b=Sphere(field, b, 2).count,
-    )
 
 
 class HingeSweep:
@@ -330,32 +251,6 @@ class HingeSweep:
         """(a, b) pairs violating the hinge-remainder bound, in exact integers."""
         ok = bounds.HINGE_REMAINDER.holds(self.remainder_numers(), self.E.q, self.E.cardinality)
         return [(int(a + 1), int(b + 1)) for a, b in np.argwhere(~ok)]
-
-
-def fluctuation_energy(E: PointSet, a: Scalar) -> Fraction:
-    """sum over all x of (n_a(x) - |E||S_a| q^{-d})^2, as an exact rational.
-
-    The subtracted constant is the zero-mode of n_a, so this is the energy in
-    the nonzero modes; bounds.FLUCTUATION bounds it for d = 2 and any a != 0,
-    with no density restriction.
-    """
-    profile = circle_profile(E, a)
-    sum_sq = int(np.dot(profile, profile))
-    sphere_size = Sphere(E.field, a, E.d).count
-    numer = bounds.fluctuation_numer(E.q, E.d, E.cardinality, sum_sq, sphere_size)
-    return Fraction(numer, E.q**E.d)
-
-
-def fluctuation_bound_holds(E: PointSet, a: Scalar) -> bool:
-    """bounds.FLUCTUATION on fluctuation_energy(E, a), in exact integers."""
-    numer = fluctuation_energy(E, a) * E.q**E.d
-    return bounds.FLUCTUATION.holds(numer, E.q, E.cardinality, E.d)
-
-
-def hinge_energy(E: PointSet, a: Scalar) -> int:
-    """sum over x in E of n_a(x)^2: the hinge count at equal radii (a, a)."""
-    profile = circle_profile(E, a)
-    return int(np.dot(E.indicator.astype(np.int64), profile * profile))
 
 
 def hinge_energy_guaranteed(q: int, cardinality: int, sphere_size: int) -> bool:

@@ -131,13 +131,18 @@ def save_pointset(E: PointSet, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-_HEADER_RE = re.compile(r"^ffgeom-pointset v1 q=(\d+) d=(\d+)$")
+_HEADER_RE = re.compile(r"^ffgeom-pointset v1 q=([0-9]+) d=([0-9]+)$")
 
 
 def load_pointset(path: str) -> PointSet:
     """Parse a pointset file; strict, every failure names its line number."""
-    with open(path, "r") as fh:
-        raw = fh.read().split("\n")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise PointsetFormatError("not UTF-8 text", data.count(b"\n", 0, exc.start) + 1) from None
+    raw = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if not raw or _HEADER_RE.match(raw[0].strip()) is None:
         raise PointsetFormatError(
             f"expected header '{POINTSET_MAGIC} q=<q> d=<d>'", 1
@@ -145,7 +150,10 @@ def load_pointset(path: str) -> PointSet:
     m = _HEADER_RE.match(raw[0].strip())
     assert m is not None
     q, d = int(m.group(1)), int(m.group(2))
-    field = PrimeField(q)
+    try:
+        field = PrimeField(q)
+    except ValueError as exc:
+        raise PointsetFormatError(str(exc), 1) from None
     if d < 1:
         raise PointsetFormatError("dimension must be positive", 1)
     _check_grid_size(q, d)
@@ -162,7 +170,7 @@ def load_pointset(path: str) -> PointSet:
             )
         coords = []
         for tok in tokens:
-            if not tok.isdigit():
+            if not (tok.isascii() and tok.isdigit()):
                 raise PointsetFormatError(f"bad coordinate {tok!r}", lineno)
             c = int(tok)
             if c >= q:
@@ -188,7 +196,6 @@ class ExperimentConfig:
     qs: Tuple[int, ...] = DEFAULT_QS
     densities: Tuple[Fraction, ...] = DEFAULT_DENSITIES
     seeds: Tuple[int, ...] = DEFAULT_SEEDS
-    d: int = 2
     out: Optional[str] = None
     budget: int = DEFAULT_BUDGET
     group: str = "both"
@@ -255,7 +262,6 @@ _CONFIG_KEYS = (
     "q",
     "density",
     "seed",
-    "d",
     "out",
     "budget",
     "group",
@@ -276,8 +282,6 @@ def config_from_pairs(mode: str, pairs: Dict[str, str]) -> ExperimentConfig:
         kwargs["densities"] = _parse_density_list(pairs["density"])
     if "seed" in pairs:
         kwargs["seeds"] = _parse_int_list(pairs["seed"])
-    if "d" in pairs:
-        kwargs["d"] = int(pairs["d"])
     if "out" in pairs:
         kwargs["out"] = pairs["out"]
     if "budget" in pairs:
@@ -385,9 +389,9 @@ def _cell_rows(config: ExperimentConfig, q: int, rho: Fraction, seed: int) -> Li
     for bound, numer, asserted in (
         (bounds.HINGE_REMAINDER, hs.remainder_numers(), density_in_hinge_regime(q, rho)),
         (bounds.PAIR_DEVIATION,
-         bounds.pair_deviation_numer(q, 2, card, hs.pair_counts, hs.sphere_sizes), True),
+         bounds.pair_deviation_numer(q, card, hs.pair_counts, hs.sphere_sizes), True),
         (bounds.FLUCTUATION,
-         bounds.fluctuation_numer(q, 2, card, profiles_sq, hs.sphere_sizes), True),
+         bounds.fluctuation_numer(q, card, profiles_sq, hs.sphere_sizes), True),
         (bounds.HINGE_ENERGY, np.diagonal(hs.exact), hinge_energy_regime(q, card)),
     ):
         value = bound.value(np.abs(numer).max(), q, card)

@@ -43,7 +43,7 @@ from ffgeom.congruence import (
     t3_orbit_count,
 )
 from ffgeom.constants import SIGNATURE_RATIO_FLOOR
-from ffgeom.counting import HingeSweep, hinge_energy
+from ffgeom.counting import HingeSweep
 from ffgeom.experiments import random_set
 from ffgeom.field import PrimeField, is_prime
 from ffgeom.fourier import PointD, forward
@@ -276,8 +276,9 @@ def test_criterion_09_full_grid_expected_failure():
     """The unrestricted energy bound fails on the q=13 full grid (documented)."""
     E = random_set(13, 2, Fraction(1, 1), seed=0)
     assert E.cardinality**2 > 8 * 13**3  # outside the regime on purpose
-    for a in range(1, 13):
-        assert hinge_energy(E, a) <= 8 * 13 * E.cardinality
+    energies = np.diagonal(HingeSweep(E).exact)  # sum_{x in E} n_a(x)^2 for a = 1..12
+    for a, energy in enumerate(energies, start=1):
+        assert energy <= 8 * 13 * E.cardinality, a
 
 
 def test_criterion_10_representable_radii(record_property):

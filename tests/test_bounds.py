@@ -12,10 +12,10 @@ from ffgeom.field import PrimeField
 from ffgeom.fourier import BudgetError
 
 RATIONAL = [
-    # (bound, the exact scale of its value at (q, card, d))
-    (bounds.HINGE_REMAINDER, lambda q, card, d: q**3 * card),
-    (bounds.FLUCTUATION, lambda q, card, d: q**d * q * card),
-    (bounds.HINGE_ENERGY, lambda q, card, d: q * card),
+    # (bound, the exact scale of its value at (q, card))
+    (bounds.HINGE_REMAINDER, lambda q, card: q**3 * card),
+    (bounds.FLUCTUATION, lambda q, card: q**3 * card),
+    (bounds.HINGE_ENERGY, lambda q, card: q * card),
 ]
 
 
@@ -24,21 +24,21 @@ def test_rational_verdict_is_the_exact_comparison(bound, unit):
     rng = random.Random(0)
     for q in (3, 13, 31, 211):
         card = rng.randrange(1, q * q + 1)
-        limit = bound.constant * unit(q, card, 2)
+        limit = bound.constant * unit(q, card)
         for numer in (0, limit - 1, limit, limit + 1, -limit, -limit - 1):
-            assert bound.holds(numer, q, card) == (Fraction(abs(numer), unit(q, card, 2)) <= bound.constant)
+            assert bound.holds(numer, q, card) == (Fraction(abs(numer), unit(q, card)) <= bound.constant)
 
 
 def test_pair_verdict_is_the_squared_comparison():
-    for d in (1, 2, 3):
-        for q in (3, 5, 13, 31):
-            card = q**d // 2 + 1
-            limit_sq = 4 * q ** (d - 1) * card**2 * q ** (2 * d)
-            root = math.isqrt(limit_sq)
-            for numer in range(root - 2, root + 3):
-                for sign in (1, -1):
-                    holds = bounds.PAIR_DEVIATION.holds(sign * numer, q, card, d)
-                    assert holds == (numer * numer <= limit_sq)
+    # |n| <= 2 sqrt(q) |E| q^2, decided as n^2 <= 4 q |E|^2 q^4
+    for q in (3, 5, 13, 31, 211):
+        card = q**2 // 2 + 1
+        limit_sq = 4 * q * card**2 * q**4
+        root = math.isqrt(limit_sq)
+        for numer in range(root - 2, root + 3):
+            for sign in (1, -1):
+                holds = bounds.PAIR_DEVIATION.holds(sign * numer, q, card)
+                assert holds == (numer * numer <= limit_sq)
 
 
 def test_holds_is_elementwise_on_arrays():

@@ -211,6 +211,19 @@ class TestUsageErrors:
         assert main(["spheres", "--config", str(tmp_path / "none.cfg")]) == 1
         capsys.readouterr()
 
+    def test_dimension_key_is_unknown(self, tmp_path, capsys):
+        # every statistic is planar; a config asking for d = 3 is refused, not ignored
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("q = 5\nd = 3\n")
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert "unknown config key 'd'" in captured.err
+        assert captured.out == ""
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+        capsys.readouterr()
+
     def test_bad_group_value(self, capsys):
         assert main(["triangles", "--group", "both"]) == 1
         capsys.readouterr()

@@ -1,49 +1,87 @@
-"""Point sets, circle profiles, pair and hinge counts, and their bound checks."""
+"""Point sets, circle profiles, and HingeSweep against brute-force definitions.
+
+HingeSweep is the one kernel for pair counts, hinge counts, energies and the
+spectral hinge identity.  Its oracles below work from the list of points
+alone and share no code with the library path.
+"""
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ffgeom import bounds
+from ffgeom.bounds import hinge_energy_regime
 from ffgeom.charsums import Sphere, sphere_size_table
-from ffgeom.counting import (
-    DistancePairReport,
-    HingeSweep,
-    PointSet,
-    circle_profile,
-    distance_pair_count,
-    fluctuation_bound_holds,
-    fluctuation_energy,
-    hinge_count,
-    hinge_count_fourier,
-    hinge_energy,
-    hinge_energy_guaranteed,
-    hinge_energy_regime,
-)
+from ffgeom.counting import HingeSweep, PointSet, circle_profile, hinge_energy_guaranteed
 from ffgeom.field import PrimeField
 from ffgeom.fourier import CapacityError, PointD
 
 
-def brute_hinge(E: PointSet, a: int, b: int) -> int:
-    """Triple loop straight from the definition; no shared code with the library path."""
+def _dist(u, v, q: int) -> int:
+    return sum((x - y) ** 2 for x, y in zip(u, v)) % q
+
+
+def brute_hinge(E: PointSet) -> np.ndarray:
+    """hinge(a, b) = #{(x, y, z) in E^3 : |x-y| = a, |x-z| = b} for every (a, b) in
+    F_q x F_q, by one triple loop straight from the definition."""
     q = E.q
-    av, bv = a % q, b % q
     pts = [p.as_ints() for p in E.points()]
-
-    def dist(u, v):
-        return sum((x - y) ** 2 for x, y in zip(u, v)) % q
-
-    total = 0
+    table = [[0] * q for _ in range(q)]
     for x in pts:
         for y in pts:
-            if dist(x, y) != av:
-                continue
+            row = table[_dist(x, y, q)]
             for z in pts:
-                if dist(x, z) == bv:
-                    total += 1
-    return total
+                row[_dist(x, z, q)] += 1
+    return np.array(table, dtype=np.int64)
+
+
+def brute_statistics(E: PointSet):
+    """Per distance a in F_q, by direct loops over the points: the ordered pair
+    count #{(x, y) in E^2 : |x-y| = a}, sum over the grid of n_a(x)^2, and the
+    energy sum over x in E of n_a(x)^2, with n_a(x) = #{y in E : |x-y| = a}."""
+    q = E.q
+    pts = [p.as_ints() for p in E.points()]
+    members = set(pts)
+    pairs = [0] * q
+    for x in pts:
+        for y in pts:
+            pairs[_dist(x, y, q)] += 1
+    grid_sq = [0] * q
+    energy = [0] * q
+    for x in product(range(q), repeat=2):
+        n = [0] * q
+        for y in pts:
+            n[_dist(x, y, q)] += 1
+        for a in range(q):
+            grid_sq[a] += n[a] ** 2
+            if x in members:
+                energy[a] += n[a] ** 2
+    return pairs, grid_sq, energy
+
+
+def check_against_definitions(E: PointSet) -> None:
+    """Every per-radius output of HingeSweep equals its brute-force definition."""
+    hs = HingeSweep(E)
+    hinges = brute_hinge(E)[1:, 1:]
+    pairs, grid_sq, energy = brute_statistics(E)
+    assert hs.exact.tolist() == hinges.tolist()
+    assert hs.pair_counts.tolist() == pairs[1:]
+    assert (hs.profiles * hs.profiles).sum(axis=1).tolist() == grid_sq[1:]
+    assert np.diagonal(hs.exact).tolist() == energy[1:]
+    fourier = hs.fourier_counts()
+    assert np.rint(fourier.real).astype(np.int64).tolist() == hinges.tolist()
+    assert np.abs(fourier - hinges).max() <= 1e-6 * (1 + hinges.max())
+
+
+def fluctuation_numers(hs: HingeSweep) -> np.ndarray:
+    """q^2 sum_x (n_a(x) - |E| |S_a| / q^2)^2 for every nonzero radius a."""
+    E = hs.E
+    sum_sq = (hs.profiles * hs.profiles).sum(axis=1)
+    return bounds.fluctuation_numer(E.q, E.cardinality, sum_sq, hs.sphere_sizes)
 
 
 def random_subset(q: int, size: int, seed: int) -> PointSet:
@@ -128,36 +166,45 @@ def test_circle_profile_total_is_cardinality_times_sphere():
         assert circle_profile(E, a).sum() == 13 * Sphere(E.field, a, 2).count
 
 
+def test_every_nonempty_subset_of_the_q3_plane():
+    # all 511 nonempty subsets of F_3^2: the whole population, not a sample
+    F = PrimeField(3)
+    for mask in range(1, 2**9):
+        indicator = np.array([(mask >> i) & 1 for i in range(9)], dtype=np.uint8)
+        check_against_definitions(PointSet(F, 2, indicator))
+
+
 def test_hinge_hand_example():
     # distance matrix of the L-shape:
     #   origin row (0,1,1,4,4), arms see the origin plus one isotropic mate
-    E = l_shape()
-    assert hinge_count(E, 1, 4) == 8
-    assert hinge_count(E, 4, 1) == 8
-    assert hinge_count(E, 1, 1) == 8
-    assert hinge_count(E, 2, 3) == 0
+    hs = HingeSweep(l_shape())
+    for (a, b), count in {(1, 4): 8, (4, 1): 8, (1, 1): 8, (2, 3): 0}.items():
+        assert hs.report(a, b, with_fourier=False).exact_count == count
 
 
 def test_pair_hand_example():
     E = l_shape()
-    counts = {t: distance_pair_count(E, t).count for t in range(5)}
-    assert counts == {0: 13, 1: 6, 2: 0, 3: 0, 4: 6}
+    hs = HingeSweep(E)
+    assert hs.pair_counts.tolist() == [6, 0, 0, 6]
+    # the rest of the 25 ordered pairs sit at distance 0: 5 diagonal, 8 isotropic
+    assert E.cardinality**2 - hs.pair_counts.sum() == 13
 
 
-@pytest.mark.parametrize("q,size,seed", [(5, 8, 1), (7, 12, 2), (7, 24, 3)])
+# every random set the tests below draw at q <= 13, plus a few more
+RANDOM_SETS = [
+    (5, 7, 10), (5, 8, 1), (5, 9, 4), (7, 12, 2), (7, 15, 13), (7, 18, 11), (7, 20, 5),
+    (7, 20, 15), (7, 22, 16), (7, 24, 3), (11, 30, 7), (11, 35, 14), (11, 40, 6),
+    (11, 40, 19), (13, 50, 8), (13, 60, 12), (13, 70, 17),
+]
+
+
+@pytest.mark.parametrize("q,size,seed", RANDOM_SETS)
 def test_hinge_matches_brute_force(q, size, seed):
-    E = random_subset(q, size, seed)
-    for a in range(1, q):
-        for b in range(1, q):
-            assert hinge_count(E, a, b) == brute_hinge(E, a, b)
+    check_against_definitions(random_subset(q, size, seed))
 
 
 def test_hinge_rejects_higher_dimensions():
     E = PointSet.from_points(PrimeField(5), 3, [(0, 0, 0), (1, 0, 0)])
-    with pytest.raises(ValueError):
-        hinge_count(E, 1, 1)
-    with pytest.raises(ValueError):
-        hinge_count_fourier(E, 1, 1)
     with pytest.raises(ValueError):
         HingeSweep(E)
 
@@ -165,9 +212,11 @@ def test_hinge_rejects_higher_dimensions():
 @pytest.mark.parametrize("q,size,seed", [(5, 9, 4), (7, 20, 5), (11, 40, 6)])
 def test_fourier_route_agrees_with_exact(q, size, seed):
     E = random_subset(q, size, seed)
+    hinges = brute_hinge(E)
+    sweep = HingeSweep(E)
     for a, b in [(1, 1), (1, q - 1), (2, 3)]:
-        report = hinge_count_fourier(E, a, b)
-        assert report.exact_count == hinge_count(E, a, b)
+        report = sweep.report(a, b)
+        assert report.exact_count == hinges[a, b]
         assert report.fourier_matches()
         assert abs(report.fourier_count - report.exact_count) < 1e-6 * (
             1 + report.exact_count
@@ -176,69 +225,60 @@ def test_fourier_route_agrees_with_exact(q, size, seed):
 
 def test_pair_partition_over_all_distances():
     E = random_subset(11, 30, seed=7)
-    total = sum(distance_pair_count(E, t).count for t in range(11))
-    assert total == 30 * 30
+    pairs, _, _ = brute_statistics(E)
+    assert sum(pairs) == 30 * 30
+    assert HingeSweep(E).pair_counts.sum() == 30 * 30 - pairs[0]
 
 
 def test_pair_report_decomposition():
-    E = random_subset(13, 50, seed=8)
+    q, card = 13, 50
+    hs = HingeSweep(random_subset(q, card, seed=8))
+    numers = bounds.pair_deviation_numer(q, card, hs.pair_counts, hs.sphere_sizes)
     for t in (1, 6, 12):
-        r = distance_pair_count(E, t)
-        assert r.main_term == Fraction(50 * 50 * r.sphere_size, 13**2)
-        assert r.deviation == r.count - r.main_term
-        assert r.bound_holds()
-        assert r.deviation_ratio <= 2.0
+        count, size, numer = (int(v[t - 1]) for v in (hs.pair_counts, hs.sphere_sizes, numers))
+        main_term = Fraction(card * card * size, q**2)
+        assert Fraction(numer, q**2) == count - main_term
+        assert bounds.PAIR_DEVIATION.holds(numer, q, card)
+        assert bounds.PAIR_DEVIATION.value(numer, q, card) <= 2.0
 
 
 def test_pair_bound_exact_arithmetic_consistency():
     # the float ratio and the integer predicate must agree away from the boundary
-    E = random_subset(17, 100, seed=9)
-    for t in range(1, 17):
-        r = distance_pair_count(E, t)
-        assert r.bound_holds() == (r.deviation_ratio <= 2.0)
+    q, card = 17, 100
+    hs = HingeSweep(random_subset(q, card, seed=9))
+    numers = bounds.pair_deviation_numer(q, card, hs.pair_counts, hs.sphere_sizes)
+    for numer in numers:
+        assert bounds.PAIR_DEVIATION.holds(numer, q, card) == (
+            bounds.PAIR_DEVIATION.value(numer, q, card) <= 2.0
+        )
 
 
 def test_fluctuation_single_point():
     # n_1 is the indicator of a circle with 4 points: energy 4 - (4/25)^2 * 25
-    E = PointSet.from_points(PrimeField(5), 2, [(0, 0)])
-    assert fluctuation_energy(E, 1) == Fraction(84, 25)
-    assert fluctuation_bound_holds(E, 1)
+    hs = HingeSweep(PointSet.from_points(PrimeField(5), 2, [(0, 0)]))
+    numer = fluctuation_numers(hs)[0]
+    assert Fraction(int(numer), 25) == Fraction(84, 25)
+    assert bounds.FLUCTUATION.holds(numer, 5, 1)
 
 
 def test_fluctuation_full_grid_is_zero():
-    E = PointSet.full_grid(PrimeField(7), 2)
-    for a in range(1, 7):
-        assert fluctuation_energy(E, a) == 0
-        assert fluctuation_bound_holds(E, a)
+    hs = HingeSweep(PointSet.full_grid(PrimeField(7), 2))
+    assert fluctuation_numers(hs).tolist() == [0] * 6
 
 
 @pytest.mark.parametrize("q,size,seed", [(5, 7, 10), (7, 18, 11), (13, 60, 12)])
 def test_fluctuation_definition(q, size, seed):
     E = random_subset(q, size, seed)
+    numers = fluctuation_numers(HingeSweep(E))
     for a in (1, q - 1):
         profile = circle_profile(E, a)
         mean = Fraction(size * Sphere(E.field, a, 2).count, q * q)
         direct = sum((Fraction(int(v)) - mean) ** 2 for v in profile)
-        assert fluctuation_energy(E, a) == direct
-        assert fluctuation_bound_holds(E, a) == (direct <= 4 * q * size)
+        assert Fraction(int(numers[a - 1]), q * q) == direct
+        assert bounds.FLUCTUATION.holds(numers[a - 1], q, size) == (direct <= 4 * q * size)
 
 
 class TestHingeSweep:
-    def test_matches_per_pair_functions(self):
-        E = random_subset(7, 15, seed=13)
-        sweep = HingeSweep(E)
-        for a in range(1, 7):
-            for b in range(1, 7):
-                assert sweep.exact[a - 1, b - 1] == hinge_count(E, a, b)
-        fc = sweep.fourier_counts()
-        for a in (1, 3, 6):
-            r = sweep.report(a, 2)
-            direct = hinge_count_fourier(E, a, 2)
-            assert r.exact_count == direct.exact_count
-            assert r.pair_count_a == direct.pair_count_a
-            assert r.sphere_size_b == direct.sphere_size_b
-            assert abs(fc[a - 1, 1] - direct.fourier_count) < 1e-6
-
     def test_exact_matrix_symmetric(self):
         E = random_subset(11, 35, seed=14)
         sweep = HingeSweep(E)
@@ -246,17 +286,15 @@ class TestHingeSweep:
 
     def test_diagonal_is_hinge_energy(self):
         E = random_subset(7, 20, seed=15)
-        sweep = HingeSweep(E)
-        for a in range(1, 7):
-            assert sweep.exact[a - 1, a - 1] == hinge_energy(E, a)
+        _, _, energy = brute_statistics(E)
+        assert np.diagonal(HingeSweep(E).exact).tolist() == energy[1:]
 
     def test_pair_counts_and_sphere_sizes(self):
         E = random_subset(7, 22, seed=16)
         sweep = HingeSweep(E)
-        sizes = sphere_size_table(E.field, 2)
-        for a in range(1, 7):
-            assert sweep.pair_counts[a - 1] == distance_pair_count(E, a).count
-            assert sweep.sphere_sizes[a - 1] == sizes[a]
+        pairs, _, _ = brute_statistics(E)
+        assert sweep.pair_counts.tolist() == pairs[1:]
+        assert sweep.sphere_sizes.tolist() == sphere_size_table(E.field, 2)[1:].tolist()
 
     def test_max_ratio_and_violations_consistent(self):
         E = random_subset(13, 70, seed=17)
@@ -302,7 +340,7 @@ class TestHingeSweep:
 
 def test_hinge_report_split():
     E = random_subset(11, 40, seed=19)
-    r = hinge_count_fourier(E, 2, 5)
+    r = HingeSweep(E).report(2, 5)
     assert r.main_term == Fraction(r.pair_count_a * 40 * r.sphere_size_b, 121)
     assert r.remainder == r.exact_count - r.main_term
     assert r.bound_ratio == pytest.approx(abs(float(r.remainder)) / (11 * 40))
@@ -331,7 +369,9 @@ def test_pair_partition_hypothesis(indices):
     indicator = np.zeros(25, dtype=np.uint8)
     indicator[list(indices)] = 1
     E = PointSet(F, 2, indicator)
-    assert sum(distance_pair_count(E, t).count for t in range(5)) == len(indices) ** 2
+    pairs, _, _ = brute_statistics(E)
+    assert sum(pairs) == len(indices) ** 2
+    assert HingeSweep(E).pair_counts.tolist() == pairs[1:]
 
 
 @settings(max_examples=15, deadline=None)
@@ -341,10 +381,14 @@ def test_pair_partition_hypothesis(indices):
     st.integers(min_value=1, max_value=4),
 )
 def test_hinge_routes_agree_hypothesis(indices, a, b):
+    # pins the conjugate placement in HingeSweep.fourier_counts (see ffgeom.counting)
     F = PrimeField(5)
     indicator = np.zeros(25, dtype=np.uint8)
     indicator[list(indices)] = 1
     E = PointSet(F, 2, indicator)
-    report = hinge_count_fourier(E, a, b)
-    assert report.exact_count == brute_hinge(E, a, b)
+    hinges = brute_hinge(E)[1:, 1:]
+    sweep = HingeSweep(E)
+    assert np.rint(sweep.fourier_counts().real).astype(np.int64).tolist() == hinges.tolist()
+    report = sweep.report(a, b)
+    assert report.exact_count == hinges[a - 1, b - 1]
     assert report.fourier_matches()

@@ -103,10 +103,15 @@ class TestPointsetFormat:
             ("ffgeom-pointset v2 q=5 d=2\n1 2\n", 1),
             # the header is a physical line; no comments allowed there
             ("ffgeom-pointset v1 q=5 d=2 # note\n1 2\n", 1),
-            ("ffgeom-pointset v1 q=6 d=2\n1 2\n", None),  # composite modulus
+            ("ffgeom-pointset v1 q=6 d=2\n1 2\n", 1),  # composite modulus
+            ("ffgeom-pointset v1 q=2 d=2\n1 0\n", 1),  # even prime
+            ("ffgeom-pointset v1 q=4294967311 d=2\n1 2\n", 1),  # prime above 2**31
             ("ffgeom-pointset v1 q=5 d=2\n1\n", 2),
             ("ffgeom-pointset v1 q=5 d=2\n1 2 3\n", 2),
             ("ffgeom-pointset v1 q=5 d=2\n1 x\n", 2),
+            # a digit to str.isdigit() that int() rejects; only ASCII digits count
+            ("ffgeom-pointset v1 q=5 d=2\n1 \u00b2\n", 2),
+            ("ffgeom-pointset v1 q=5 d=2\n1 \u0662\n", 2),
             ("ffgeom-pointset v1 q=5 d=2\n1 -2\n", 2),
             ("ffgeom-pointset v1 q=5 d=2\n1 5\n", 2),
             ("ffgeom-pointset v1 q=5 d=2\n1 2\n# gap\n1 2\n", 4),
@@ -115,15 +120,18 @@ class TestPointsetFormat:
     )
     def test_rejections_name_their_line(self, tmp_path, content, line):
         p = tmp_path / "bad.txt"
-        p.write_text(content)
-        if line is None:
-            with pytest.raises(ValueError):
-                load_pointset(str(p))
-            return
+        p.write_text(content, encoding="utf-8")
         with pytest.raises(PointsetFormatError) as exc:
             load_pointset(str(p))
         assert exc.value.line == line
         assert f"line {line}:" in str(exc.value)
+
+    def test_undecodable_bytes_name_their_line(self, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_bytes(b"ffgeom-pointset v1 q=5 d=2\n1 2\n3 \xff\n")
+        with pytest.raises(PointsetFormatError) as exc:
+            load_pointset(str(p))
+        assert exc.value.line == 3
 
 
 class TestConfigFile:
@@ -321,7 +329,7 @@ class TestSweep:
         assert buf.getvalue() == golden.read_text()
 
     def test_values_replay_against_direct_computation(self):
-        from ffgeom.counting import HingeSweep, hinge_energy
+        from ffgeom.counting import HingeSweep, circle_profile
 
         cfg = one_cell_config(qs=(13,), densities=(Fraction(3, 10),), seeds=(4,))
         rows = {r.statistic: r for r in sweep_rows(cfg)}
@@ -330,7 +338,8 @@ class TestSweep:
         assert rows["hinge_max_remainder"].value == pytest.approx(
             hs.max_remainder_ratio() * 8 / 8
         )
-        worst_energy = max(hinge_energy(E, a) for a in range(1, 13))
+        member = E.indicator.astype(np.int64)
+        worst_energy = max(int(member @ circle_profile(E, a) ** 2) for a in range(1, 13))
         assert rows["hinge_energy_max"].value == pytest.approx(
             worst_energy / (13 * E.cardinality)
         )
