@@ -15,32 +15,45 @@ extension step solves the linear constraints <w', u'_i> = <e_j, u_i> and the
 norm constraint |w'| = |e_j|, and backtracking over the finitely many
 solutions searches for a determinant +1 completion when SO is requested.
 
-Triangle statistics read one table, the realized difference pairs
-(u, v) = (y - x, z - x) over (x, y, z) in E^3.  An independent pair is fixed
-up to O_2 by its Gram data (|u|, |v|, u.v) (Witt's theorem) and up to SO_2 by
-that data plus det(u, v); as 2 is invertible, the Gram data and the distance
-triple (|u|, |v|, |u - v|) determine each other, so signatures are counted
-as Gram codes.  Dependent pairs (det(u, v) = 0) are counted by a canonical
-form: the minimum, over group elements g, of the base-q code of (gu, gv).
-The code orders the four residues as (u_1, u_2, v_1, v_2), most significant
-first; this ordering, used for dependent pairs only, is frozen, since
-orbit counts are regression-locked.
+Triangle statistics read one table, the realized difference pairs (u, v) =
+(y - x, z - x) over (x, y, z) in E^3.  With A[x, u] = E(x + u) for x in E,
+the pair (u, v) is realized exactly when (A^T A)[u, v] > 0.  That product is
+formed in float32 BLAS, streamed in slabs of at most 2^20 pairs, so the one
+q^4 array held is a presence table of bytes; it is exact because its entries
+and partial sums count anchors, at most |E| <= q^2 < 2^24.  An independent
+pair is fixed up to O_2 by its Gram data (|u|, |v|, u.v) (Witt's theorem)
+and up to SO_2 by that data plus det(u, v); as 2 is invertible, the Gram
+data and the distance triple (|u|, |v|, |u - v|) determine each other, so
+signatures are counted as Gram codes.  One pass marks each realized pair's
+code Gram * q + det in a q^4 presence table, whose rows are the q^3 Gram
+codes: the signature counts, all and nondegenerate, and the SO count of
+independent pairs are counts over it.  The counts, with the realized
+dependent pairs, are cached per set content, so the four statistics of one
+set cost one pass.  Dependent pairs (det(u, v) = 0) are counted by a
+canonical form: the minimum, over group elements g, of the base-q code of
+(gu, gv).  The code orders the four residues as (u_1, u_2, v_1, v_2), most
+significant first; this ordering, used for dependent pairs only, is frozen,
+since orbit counts are regression-locked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from functools import lru_cache
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .counting import PointSet
+from .charsums import norm_values
+from .counting import PointSet, exact_matmul
 from .field import FieldElement, PrimeField
 from .fourier import BudgetError, CapacityError, PointD
 
 Scalar = Union[int, FieldElement]
 
 PAIR_CAPACITY = 10**8
+_SLAB_ENTRIES = 2**20  # realized-pair table entries formed per product
 DEFAULT_ORBIT_BUDGET = 10**10
 
 
@@ -414,30 +427,100 @@ def signature(x: PointD, y: PointD, z: PointD) -> DistanceTriple:
     return DistanceTriple((x - y).norm(), (x - z).norm(), (y - z).norm())
 
 
-def _realized_pairs(E: PointSet) -> Tuple[np.ndarray, np.ndarray]:
-    """The difference pairs (y - x, z - x) over (x, y, z) in E^3, each once.
+def _realized_slabs(q: int, indicator: bytes) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """The realized-pair table of a planar set, streamed in slabs of u_2 lines.
 
-    Returned as two aligned arrays of grid indices u, v (index x_1 + x_2 q),
-    read off a boolean q^2-by-q^2 table filled one anchor x at a time.
+    Yields (u2s, realized): realized[i q + u_1, v] is true exactly when some x
+    in E has x + u and x + v in E for u = (u_1, u2s[i]), i.e. (u, v) =
+    (y - x, z - x) for a triple of E^3.  Each slab, at most _SLAB_ENTRIES
+    pairs, is one exact float32 product (A^T A)[u, v], where A[x, u] =
+    E(x + u) for x in E.
     """
-    q = E.q
-    if q**4 > PAIR_CAPACITY:
-        raise CapacityError(f"pair table of size {q}^4 exceeds {PAIR_CAPACITY}")
-    idx = E.indices()
-    xs, ys = idx % q, idx // q
-    realized = np.zeros((q * q, q * q), dtype=bool)
-    for x, y in zip(xs, ys):
-        diff = ((xs - x) % q) + ((ys - y) % q) * q
-        realized[np.ix_(diff, diff)] = True
-    return np.nonzero(realized)
+    n = q * q
+    cube = np.frombuffer(indicator, dtype=np.uint8).reshape(q, q)  # cube[x_2, x_1]
+    x2, x1 = np.nonzero(cube)
+    # row x of A is the q x q window of the doubly tiled cube at offset x
+    windows = sliding_window_view(np.tile(cube.astype(np.float32), (2, 2)), (q, q))
+    A = windows[x2, x1].reshape(x1.size, n)
+    lines = max(1, _SLAB_ENTRIES // (q * n))
+    for first in range(0, q, lines):
+        u2s = np.arange(first, min(q, first + lines))
+        # each entry counts anchors, so every partial sum is at most |E|
+        product = exact_matmul(A[:, first * q:(first + lines) * q].T, A, bound=x1.size,
+                               dtype=np.float32)
+        yield u2s, product > 0
 
 
-def _pair_labels(iu: np.ndarray, iv: np.ndarray, q: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Per pair: the Gram code (|u| q + |v|) q + u.v, and det(u, v) mod q."""
-    u1, u2, v1, v2 = iu % q, iu // q, iv % q, iv // q
-    gram = (((u1 * u1 + u2 * u2) % q * q + (v1 * v1 + v2 * v2) % q) * q
-            + (u1 * v1 + u2 * v2) % q)
-    return gram, (u1 * v2 - u2 * v1) % q
+class _TriangleTable:
+    """The triangle statistics of one planar set, from one pass over its realized pairs.
+
+    Holds three label counts and the realized dependent pairs (at most about
+    q^3 of them); the canonical-form class count of the dependent pairs is
+    computed once per group, on first request.
+    """
+
+    __slots__ = ("q", "signatures_all", "signatures_nondeg", "independent_so",
+                 "dependent", "_dependent_orbits")
+
+    def __init__(self, q: int, indicator: bytes) -> None:
+        if q**4 > PAIR_CAPACITY:
+            raise CapacityError(f"pair table of size {q}^4 exceeds {PAIR_CAPACITY}")
+        r = np.arange(q, dtype=np.int64)
+        mul = (r[:, None] * r[None, :]) % q
+        mul, neg = mul.astype(np.uint8), ((-mul) % q).astype(np.uint8)
+        norms = norm_values(PrimeField(q), 2)
+        # the SO code ((|u| q + |v|) q + u.v) q + det(u, v), as a row and a
+        # column part plus the u.v and det digits
+        row_code, col_code = norms * q**3, norms * q**2
+        seen = np.zeros(q**4, dtype=bool)
+        dependent = []
+        for u2s, realized in _realized_slabs(q, indicator):
+            # u.v = u1 v1 + u2 v2 and det = u1 v2 - u2 v1 over (u2, u1, v2, v1),
+            # as uint8 sums below 2q <= 200 (q <= 100 under PAIR_CAPACITY),
+            # reduced as min(s, s - q): s - q wraps above s when s < q
+            dot = mul[u2s][:, None, :, None] + mul[None, :, None, :]
+            dot = np.minimum(dot, dot - np.uint8(q)).reshape(realized.shape)
+            det = mul[None, :, :, None] + neg[u2s][:, None, None, :]
+            det = np.minimum(det, det - np.uint8(q)).reshape(realized.shape)
+            u = (u2s[:, None] * q + np.arange(q)).reshape(-1)
+            code = row_code[u, None] + col_code[None, :] + (dot.astype(np.int64) * q + det)
+            seen[code[realized]] = True
+            iu, iv = np.nonzero(realized & (det == 0))
+            dependent.append((u[iu], iv))
+        # column 0 of a Gram code's row holds its dependent pairs, the other
+        # columns its independent pairs by det
+        by_gram = seen.reshape(q**3, q)
+        nondeg = by_gram[:, 1:].any(axis=1)
+        self.q = q
+        self.signatures_all = int(np.count_nonzero(nondeg | by_gram[:, 0]))
+        self.signatures_nondeg = int(np.count_nonzero(nondeg))
+        self.independent_so = int(np.count_nonzero(by_gram[:, 1:]))
+        self.dependent = tuple(np.concatenate(part).astype(np.int32) for part in zip(*dependent))
+        for part in self.dependent:
+            part.setflags(write=False)
+        self._dependent_orbits: Dict[str, int] = {}
+
+    def dependent_orbits(self, tag: str, mats: Sequence[Matrix2]) -> int:
+        """Classes of the dependent pairs under the group tag with elements mats."""
+        if tag not in self._dependent_orbits:
+            q = self.q
+            iu, iv = self.dependent
+            c0 = np.arange(q * q, dtype=np.int64) % q
+            c1 = np.arange(q * q, dtype=np.int64) // q
+            best = np.full(iu.size, q**4, dtype=np.int64)
+            for m00, m01, m10, m11 in mats:
+                img = ((m00 * c0 + m01 * c1) % q) + ((m10 * c0 + m11 * c1) % q) * q
+                # code orders (u1, u2, v1, v2) most significant first
+                gu, gv = img[iu], img[iv]
+                codes = ((gu % q) * q + gu // q) * (q * q) + ((gv % q) * q + gv // q)
+                best = np.minimum(best, codes)
+            self._dependent_orbits[tag] = int(np.unique(best).size)
+        return self._dependent_orbits[tag]
+
+
+@lru_cache(maxsize=8)
+def _triangle_table(q: int, indicator: bytes) -> _TriangleTable:
+    return _TriangleTable(q, indicator)
 
 
 def distinct_signature_count(E: PointSet, mode: str = "all") -> int:
@@ -445,16 +528,15 @@ def distinct_signature_count(E: PointSet, mode: str = "all") -> int:
 
     mode "all" ranges over every (x, y, z) in E^3; "nondegenerate" keeps only
     triples of non-collinear (hence pairwise distinct) points, the realized
-    pairs with det(u, v) != 0.  Counted as distinct Gram codes.
+    pairs with det(u, v) != 0.  Counted as distinct Gram codes, read from the
+    set's cached triangle table.
     """
     if E.d != 2:
         raise ValueError("signature counting is defined on the plane (d = 2)")
     if mode not in ("all", "nondegenerate"):
         raise ValueError(f"mode must be 'all' or 'nondegenerate', got {mode!r}")
-    gram, det = _pair_labels(*_realized_pairs(E), E.q)
-    if mode == "nondegenerate":
-        gram = gram[det != 0]
-    return int(np.unique(gram).size)
+    table = _triangle_table(E.q, E.indicator.tobytes())
+    return table.signatures_all if mode == "all" else table.signatures_nondeg
 
 
 def t3_orbit_count(
@@ -464,9 +546,11 @@ def t3_orbit_count(
 
     Independent realized pairs are counted by label (the Gram code for O,
     with det(u, v) for SO), dependent ones by the canonical form; no group
-    element mixes the two.  The work budget is charged with the
-    |E|^3 * |group| cost model of the canonical-form definition, which
-    upper-bounds both passes.
+    element mixes the two.  Both counts are read from the set's cached
+    triangle table.  The work budget is charged with the |E|^3 * |group| cost
+    model of the canonical-form definition, unchanged on purpose: charging
+    the table's |E| q^4 product instead would change which sweep rows read
+    `budget`, so it is a change of its own.
     """
     if E.d != 2:
         raise ValueError("orbit counting is defined on the plane (d = 2)")
@@ -475,21 +559,7 @@ def t3_orbit_count(
         raise BudgetError(
             f"orbit count needs {E.cardinality}^3 * {len(mats)} steps, budget {budget}"
         )
-    q = E.q
-    iu, iv = _realized_pairs(E)
-    gram, det = _pair_labels(iu, iv, q)
-    independent = det != 0
-    labels = gram[independent]
-    if group.upper() == "SO":
-        labels = labels * q + det[independent]
-    iu, iv = iu[~independent], iv[~independent]
-    c0 = np.arange(q * q, dtype=np.int64) % q
-    c1 = np.arange(q * q, dtype=np.int64) // q
-    best = np.full(iu.size, q**4, dtype=np.int64)
-    for m00, m01, m10, m11 in mats:
-        img = ((m00 * c0 + m01 * c1) % q) + ((m10 * c0 + m11 * c1) % q) * q
-        # code orders (u1, u2, v1, v2) most significant first
-        gu, gv = img[iu], img[iv]
-        codes = ((gu % q) * q + gu // q) * (q * q) + ((gv % q) * q + gv // q)
-        best = np.minimum(best, codes)
-    return int(np.unique(labels).size + np.unique(best).size)
+    tag = group.upper()
+    table = _triangle_table(E.q, E.indicator.tobytes())
+    independent = table.independent_so if tag == "SO" else table.signatures_nondeg
+    return independent + table.dependent_orbits(tag, mats)

@@ -42,6 +42,21 @@ from .fourier import GRID_CAPACITY, CapacityError, PointD, SpectralGrid, decode
 Scalar = Union[int, FieldElement]
 
 
+def exact_matmul(a: np.ndarray, b: np.ndarray, bound: int, dtype=np.float64) -> np.ndarray:
+    """The integer product a @ b, computed as a float BLAS product, as int64.
+
+    a and b hold integers and bound caps sum_k |a_ik| |b_kj| for every entry.
+    A float dtype represents every integer up to 2^(nmant + 1) exactly, so
+    below that cap each product and partial sum is exact in whatever order
+    BLAS adds them, and the result equals the int64 matmul.
+    """
+    limit = 2 ** (np.finfo(dtype).nmant + 1)
+    if not 0 <= bound < limit:
+        raise AssertionError(f"product bound {bound} is not exact in {np.dtype(dtype).name} "
+                             f"(limit {limit})")
+    return (a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)).astype(np.int64)
+
+
 class PointSet:
     """A nonempty subset E of F_q^d as a dense 0/1 indicator of length q^d."""
 
@@ -178,7 +193,7 @@ class HingeSweep:
     """Hinge counts for every nonzero radius pair of one set, batched.
 
     Profiles for all radii are stacked into one matrix, so every exact count
-    sum_{x in E} n_a(x) n_b(x) comes from a single integer matrix product and
+    sum_{x in E} n_a(x) n_b(x) comes from a single exact matrix product and
     every spectral value from one batched FFT.
     """
 
@@ -188,16 +203,20 @@ class HingeSweep:
         self.E = E
         q = E.q
         # Each (q - 1) x q^2 int64 stack is capped like a grid, so q <= 211.
-        # There every count is at most q^2 (q + 1)^2 and every numerator that
-        # ffgeom.bounds forms (exact q^2, sum n_a^2 q^2) at most q^4 (q + 1)^2
-        # < 2^47: no int64 wrap, and exact in float64.
+        # There every count is at most q^2 (q + 1)^2, the bound its float64
+        # product is checked against, and every numerator that ffgeom.bounds
+        # forms (exact q^2, sum n_a^2 q^2) at most q^4 (q + 1)^2 < 2^47: no
+        # int64 wrap, and exact in float64.
         if (q - 1) * q * q > GRID_CAPACITY:
             raise CapacityError(f"hinge profile stack of {(q - 1) * q * q} entries at q={q} "
                                 f"exceeds capacity {GRID_CAPACITY}")
         self.radii = np.arange(1, q, dtype=np.int64)
         self.profiles = np.stack([circle_profile(E, int(a)) for a in self.radii])
         self.masked = self.profiles * E.indicator.astype(np.int64)
-        self.exact = self.masked @ self.profiles.T
+        # masked vanishes off E, so masked @ profiles.T is the Gram matrix of
+        # the profiles restricted to E
+        on_e = self.profiles[:, E.indices()].astype(np.float64)
+        self.exact = exact_matmul(on_e, on_e.T, bound=q * q * (q + 1) ** 2)
         self.pair_counts = self.masked.sum(axis=1)
         self.sphere_sizes = sphere_size_table(E.field, 2)[1:q]
         self._norms = norm_values(E.field, 2)

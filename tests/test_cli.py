@@ -2,7 +2,12 @@
 
 import csv
 import hashlib
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -136,6 +141,25 @@ class TestTriangles:
         err = capsys.readouterr().err
         assert "signature table for |E|=25 needs 625 steps, budget 100" in err
         assert "orbit" not in err
+
+    def test_q97_ends_within_4_gib(self):
+        # a 471-point set at q = 97: the signature stage completes in bounded
+        # memory and the orbit stage is refused by the default budget
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ffgeom.cli", "triangles", "--q", "97",
+             "--density", "0.05", "--seed", "0"],
+            capture_output=True, text=True, env=env, timeout=300,
+            preexec_fn=cap_address_space,
+        )
+        assert proc.returncode in (0, 1), proc.stderr
+        assert "MemoryError" not in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestCounterexample:

@@ -2,11 +2,12 @@
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
 
+from ffgeom import congruence
 from ffgeom.congruence import (
     CongruenceWitness,
     DistanceTriple,
@@ -351,9 +352,9 @@ def anchor_loop_signature_count(E: PointSet, mode: str) -> int:
     return int(np.count_nonzero(presence))
 
 
-def full_group_orbit_count(E: PointSet, group: str) -> int:
-    """The earlier kernel: the minimal base-q code over every group image,
-    for every realized pair, independent or not."""
+def anchor_loop_pairs(E: PointSet) -> np.ndarray:
+    """The earlier realized-pair kernel: a boolean q^2-by-q^2 table of the
+    difference pairs (y - x, z - x), filled one anchor x at a time."""
     q = E.q
     idx = E.indices()
     xs, ys = idx % q, idx // q
@@ -361,7 +362,21 @@ def full_group_orbit_count(E: PointSet, group: str) -> int:
     for x, y in zip(xs, ys):
         diff = ((xs - x) % q) + ((ys - y) % q) * q
         realized[np.ix_(diff, diff)] = True
-    iu, iv = np.nonzero(realized)
+    return realized
+
+
+def product_pairs(E: PointSet) -> np.ndarray:
+    """The library's realized-pair table, its slabs stacked in u order."""
+    slabs = list(congruence._realized_slabs(E.q, E.indicator.tobytes()))
+    assert np.array_equal(np.concatenate([u2s for u2s, _ in slabs]), np.arange(E.q))
+    return np.concatenate([realized for _, realized in slabs])
+
+
+def full_group_orbit_count(E: PointSet, group: str) -> int:
+    """The earlier kernel: the minimal base-q code over every group image,
+    for every realized pair, independent or not."""
+    q = E.q
+    iu, iv = np.nonzero(anchor_loop_pairs(E))
     c0 = np.arange(q * q, dtype=np.int64) % q
     c1 = np.arange(q * q, dtype=np.int64) // q
     best = None
@@ -386,44 +401,145 @@ def kernel_statistics(E: PointSet):
     return four_statistics(E, distinct_signature_count, t3_orbit_count)
 
 
-class TestTriangleKernelOracles:
-    """The realized-pair kernel against the earlier kernels and brute force."""
+def earlier_statistics(E: PointSet):
+    return four_statistics(E, anchor_loop_signature_count, full_group_orbit_count)
+
+
+def subsets_of_the_q3_plane():
+    F = PrimeField(3)
+    for mask in range(1, 2**9):
+        yield mask, PointSet(F, 2, np.array([(mask >> i) & 1 for i in range(9)], dtype=np.uint8))
+
+
+def lines_through_origin(q: int, slope: int):
+    line = [(x, slope * x % q) for x in range(q)]
+    return [PointSet.from_points(PrimeField(q), 2, pts) for pts in (line, line[:3], line[1:])]
+
+
+LINES = [(5, 2), (5, 1), (7, 3)]
+DENSITIES = ("1/10", "3/10", "1/2", "1")
+
+
+class TestRealizedPairTable:
+    """The exact-product table against the anchor-loop kernel."""
+
+    def test_every_subset_of_the_q3_plane(self):
+        for mask, E in subsets_of_the_q3_plane():
+            assert np.array_equal(product_pairs(E), anchor_loop_pairs(E)), mask
 
     @pytest.mark.parametrize("q", (5, 7, 11, 13))
-    @pytest.mark.parametrize("rho", ("1/10", "3/10", "1/2", "1"))
+    @pytest.mark.parametrize("rho", DENSITIES)
+    def test_random_sets(self, q, rho):
+        for seed in range(3):
+            E = random_set(q, 2, Fraction(rho), seed)
+            assert np.array_equal(product_pairs(E), anchor_loop_pairs(E)), seed
+
+    @pytest.mark.parametrize("q,slope", LINES)
+    def test_lines_through_origin(self, q, slope):
+        for E in lines_through_origin(q, slope):
+            assert np.array_equal(product_pairs(E), anchor_loop_pairs(E))
+
+    @pytest.mark.parametrize("q,lines", [(7, 1), (7, 2), (13, 3), (13, 5)])
+    def test_several_slabs(self, monkeypatch, q, lines):
+        # below q = 32 the table is one slab; force slabs of a few u_2 lines,
+        # with a shorter last slab when lines does not divide q
+        monkeypatch.setattr(congruence, "_SLAB_ENTRIES", lines * q**3)
+        congruence._triangle_table.cache_clear()
+        try:
+            for seed in range(2):
+                E = random_set(q, 2, Fraction(1, 2), seed)
+                slabs = list(congruence._realized_slabs(q, E.indicator.tobytes()))
+                assert len(slabs) == -(-q // lines)
+                assert np.array_equal(product_pairs(E), anchor_loop_pairs(E))
+                assert kernel_statistics(E) == earlier_statistics(E)
+        finally:
+            congruence._triangle_table.cache_clear()
+
+
+class TestTriangleKernelOracles:
+    """The triangle table's statistics against the earlier kernels and brute force."""
+
+    @pytest.mark.parametrize("q", (5, 7, 11, 13))
+    @pytest.mark.parametrize("rho", DENSITIES)
     def test_random_sets_match_earlier_kernels(self, q, rho):
         for seed in range(3):
             E = random_set(q, 2, Fraction(rho), seed)
-            assert kernel_statistics(E) == four_statistics(
-                E, anchor_loop_signature_count, full_group_orbit_count
-            ), (q, rho, seed)
+            assert kernel_statistics(E) == earlier_statistics(E), (q, rho, seed)
 
     def test_every_subset_of_the_q3_plane(self):
-        F = PrimeField(3)
-        for mask in range(1, 2**9):
-            indicator = np.array([(mask >> i) & 1 for i in range(9)], dtype=np.uint8)
-            E = PointSet(F, 2, indicator)
+        for mask, E in subsets_of_the_q3_plane():
             assert kernel_statistics(E) == four_statistics(
                 E, brute_signature_count, brute_orbit_count
             ), mask
 
-    @pytest.mark.parametrize("q,slope", [(5, 2), (5, 1), (7, 3)])
+    @pytest.mark.parametrize("q,slope", LINES)
     def test_line_through_origin(self, q, slope):
         # every pair is dependent, so orbits come from the canonical-form
         # pass alone; y = 2x is isotropic at q = 5 (1 + 4 = 0), the others
         # are not
-        F = PrimeField(q)
         isotropic = (1 + slope * slope) % q == 0
         assert isotropic == ((q, slope) == (5, 2))
-        line = [(x, slope * x % q) for x in range(q)]
-        for pts in (line, line[:3], line[1:]):
-            E = PointSet.from_points(F, 2, pts)
+        for E in lines_through_origin(q, slope):
             stats = kernel_statistics(E)
             assert stats[1] == 0
             assert stats == four_statistics(E, brute_signature_count, brute_orbit_count)
-            assert stats == four_statistics(
-                E, anchor_loop_signature_count, full_group_orbit_count
-            )
+            assert stats == earlier_statistics(E)
+
+
+class TestTriangleTableCache:
+    """The four statistics share one cached table per set content."""
+
+    CALLS = (
+        lambda E: distinct_signature_count(E, "all"),
+        lambda E: distinct_signature_count(E, "nondegenerate"),
+        lambda E: t3_orbit_count(E, "SO"),
+        lambda E: t3_orbit_count(E, "O"),
+    )
+
+    @pytest.mark.parametrize("q,rho,seed", [(5, "1/2", 0), (7, "3/10", 1), (11, "1/10", 2)])
+    def test_any_call_order(self, q, rho, seed):
+        E = random_set(q, 2, Fraction(rho), seed)
+        expected = earlier_statistics(E)
+        for order in permutations(range(4)):
+            congruence._triangle_table.cache_clear()
+            got = {i: self.CALLS[i](E) for i in order}
+            assert tuple(got[i] for i in range(4)) == expected, order
+
+    def test_dependent_classes_only_for_the_group_asked(self):
+        E = random_set(7, 2, Fraction(1, 2), 3)
+        expected = earlier_statistics(E)
+        congruence._triangle_table.cache_clear()
+        assert t3_orbit_count(E, "SO") == expected[2]
+        table = congruence._triangle_table(E.q, E.indicator.tobytes())
+        assert set(table._dependent_orbits) == {"SO"}
+        assert t3_orbit_count(E, "O") == expected[3]
+        assert set(table._dependent_orbits) == {"SO", "O"}
+
+    def test_different_sets_do_not_share_counts(self):
+        # two sets of one size at one q, with different statistics
+        E1 = PointSet.from_points(PrimeField(7), 2, [(0, 0), (1, 0), (0, 2)])
+        E2 = PointSet.from_points(PrimeField(7), 2, [(0, 0), (1, 0), (2, 0)])
+        congruence._triangle_table.cache_clear()
+        first = kernel_statistics(E1)
+        second = kernel_statistics(E2)
+        assert first != second
+        assert first == earlier_statistics(E1)
+        assert second == earlier_statistics(E2)
+        assert kernel_statistics(E1) == first
+        assert congruence._triangle_table.cache_info().misses == 2
+
+    def test_equal_content_shares_counts(self):
+        E = random_set(11, 2, Fraction(3, 10), 4)
+        twin = PointSet(E.field, 2, E.indicator.copy())
+        congruence._triangle_table.cache_clear()
+        kernel_statistics(E)
+        info = congruence._triangle_table.cache_info()
+        assert kernel_statistics(twin) == kernel_statistics(E)
+        after = congruence._triangle_table.cache_info()
+        assert after.misses == info.misses == 1
+        assert after.hits == info.hits + 8
+        assert congruence._triangle_table(E.q, twin.indicator.tobytes()) is (
+            congruence._triangle_table(E.q, E.indicator.tobytes()))
 
 
 class TestSignatureCount:

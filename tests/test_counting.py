@@ -16,7 +16,14 @@ from hypothesis import strategies as st
 from ffgeom import bounds
 from ffgeom.bounds import hinge_energy_regime
 from ffgeom.charsums import Sphere, sphere_size_table
-from ffgeom.counting import HingeSweep, PointSet, circle_profile, hinge_energy_guaranteed
+from ffgeom.counting import (
+    HingeSweep,
+    PointSet,
+    circle_profile,
+    exact_matmul,
+    hinge_energy_guaranteed,
+)
+from ffgeom.experiments import random_set
 from ffgeom.field import PrimeField
 from ffgeom.fourier import CapacityError, PointD
 
@@ -276,6 +283,36 @@ def test_fluctuation_definition(q, size, seed):
         direct = sum((Fraction(int(v)) - mean) ** 2 for v in profile)
         assert Fraction(int(numers[a - 1]), q * q) == direct
         assert bounds.FLUCTUATION.holds(numers[a - 1], q, size) == (direct <= 4 * q * size)
+
+
+@pytest.mark.parametrize("dtype,bits", [(np.float32, 24), (np.float64, 53)])
+def test_exact_matmul_equals_integer_product(dtype, bits):
+    rng = np.random.default_rng(bits)
+    k, top = 64, 2 ** ((bits - 6) // 2)  # every |a_ik| |b_kj| summed over k stays < 2^bits
+    a = rng.integers(-top + 1, top, size=(9, k))
+    b = rng.integers(-top + 1, top, size=(k, 7))
+    bound = k * (top - 1) ** 2
+    assert bound < 2**bits
+    got = exact_matmul(a, b, bound=bound, dtype=dtype)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, a @ b)
+
+
+@pytest.mark.parametrize("dtype,bits", [(np.float32, 24), (np.float64, 53)])
+def test_exact_matmul_rejects_a_bound_past_the_mantissa(dtype, bits):
+    a = np.ones((2, 2), dtype=np.int64)
+    exact_matmul(a, a, bound=2**bits - 1, dtype=dtype)
+    with pytest.raises(AssertionError):
+        exact_matmul(a, a, bound=2**bits, dtype=dtype)
+
+
+@pytest.mark.parametrize("q", (3, 13, 101))
+@pytest.mark.parametrize("rho", ("1/2", "1"))
+def test_hinge_matrix_equals_integer_matmul(q, rho):
+    # the float64 BLAS product against the int64 matmul it replaced
+    sweep = HingeSweep(random_set(q, 2, Fraction(rho), seed=q))
+    assert sweep.exact.dtype == np.int64
+    assert np.array_equal(sweep.exact, sweep.masked @ sweep.profiles.T)
 
 
 class TestHingeSweep:
