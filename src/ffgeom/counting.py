@@ -51,7 +51,7 @@ def exact_matmul(a: np.ndarray, b: np.ndarray, bound: int, dtype=np.float64) -> 
     BLAS adds them, and the result equals the int64 matmul.
     """
     limit = 2 ** (np.finfo(dtype).nmant + 1)
-    if not 0 <= bound < limit:
+    if bound >= limit:
         raise AssertionError(f"product bound {bound} is not exact in {np.dtype(dtype).name} "
                              f"(limit {limit})")
     return (a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)).astype(np.int64)

@@ -441,7 +441,7 @@ class TestRealizedPairTable:
 
     @pytest.mark.parametrize("q,lines", [(7, 1), (7, 2), (13, 3), (13, 5)])
     def test_several_slabs(self, monkeypatch, q, lines):
-        # below q = 32 the table is one slab; force slabs of a few u_2 lines,
+        # up to q = 31 the table is one slab; force slabs of a few u_2 lines,
         # with a shorter last slab when lines does not divide q
         monkeypatch.setattr(congruence, "_SLAB_ENTRIES", lines * q**3)
         congruence._triangle_table.cache_clear()

@@ -309,7 +309,7 @@ def test_exact_matmul_rejects_a_bound_past_the_mantissa(dtype, bits):
 @pytest.mark.parametrize("q", (3, 13, 101))
 @pytest.mark.parametrize("rho", ("1/2", "1"))
 def test_hinge_matrix_equals_integer_matmul(q, rho):
-    # the float64 BLAS product against the int64 matmul it replaced
+    # the float64 BLAS product against the plain int64 matmul
     sweep = HingeSweep(random_set(q, 2, Fraction(rho), seed=q))
     assert sweep.exact.dtype == np.int64
     assert np.array_equal(sweep.exact, sweep.masked @ sweep.profiles.T)
