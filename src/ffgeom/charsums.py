@@ -16,6 +16,12 @@ transform; the oracle test pinning this is permanent.  t = 0 is always
 routed to the direct transform (the closed form's decay consequences are
 only claimed for t != 0).
 
+For t != 0 the right side depends on l only through the norm |l|, so it is
+evaluated once per norm value n in F_q (a (q - 1) x q table of phases
+n/(4j) + j t, summed over j) and then read off at every frequency through
+the grid's norm table: O(q^2 + q^d) per t rather than O(q^{d+1}).  The
+single-frequency sphere_fourier_closed reads the same per-norm table.
+
 Kloosterman sums K(a) = sum_{s != 0} chi(as + s^{-1}) psi(s) are evaluated
 directly; only the trivial and quadratic psi arise here (eta^d for d = 2, 3).
 """
@@ -218,23 +224,31 @@ def delta(l: Union[PointD, Tuple[int, ...]]) -> int:
     return 1 if all(int(c) == 0 for c in l) else 0
 
 
-def _closed_form_weights(field: PrimeField, t: int, d: int) -> Tuple[complex, np.ndarray, np.ndarray]:
-    """Shared pieces of the closed form: prefactor, per-j phase offsets, signs."""
+def _closed_form_by_norm(field: PrimeField, t: int, d: int) -> np.ndarray:
+    """Q^d q^{-(d+2)/2} sum_{j != 0} chi(n/(4j) + j t) eta^d(-j) for every n in F_q, t != 0.
+
+    Entry n is Shat_t(l) at every l with |l| = n, less the q^{-1} delta(l)
+    term.  One (q - 1) x q phase table, one chi gather and one sum over j:
+    O(q^2) per t, whatever d is.
+    """
     q = field.q
     prefactor = GaussConstant(field).Q**d * q ** (-(d + 2) / 2)
-    inv = inverse_table(field)
-    eta = legendre_table(field)
     j = np.arange(1, q, dtype=np.int64)
-    inv_4j = inv[(4 * j) % q]
-    jt = (j * t) % q
-    signs = eta[(q - j) % q].astype(np.float64) ** d
-    return prefactor, np.stack([inv_4j, jt]), signs
+    inv_4j = inverse_table(field)[(4 * j) % q]
+    signs = legendre_table(field)[(q - j) % q].astype(np.float64) ** d
+    n = np.arange(q, dtype=np.int64)
+    phases = (inv_4j[:, None] * n[None, :] + ((j * t) % q)[:, None]) % q
+    return (signs[:, None] * chi_table(q)[phases]).sum(axis=0) * prefactor
 
 
 def sphere_fourier_closed(
     field: PrimeField, t: Scalar, l: Union[PointD, Tuple[int, ...]], d: int = 2
 ) -> complex:
-    """Shat_t(l) for a single frequency l; t = 0 falls back to the direct DFT."""
+    """Shat_t(l) for a single frequency l; t = 0 falls back to the direct DFT.
+
+    For t != 0 this is the entry of the per-norm table at |l|, so it equals
+    sphere_fourier_grid at l exactly.
+    """
     tv = field.residue(t)
     if isinstance(l, PointD):
         d = l.d
@@ -245,29 +259,23 @@ def sphere_fourier_closed(
     if tv == 0:
         grid = sphere_fourier_grid(field, 0, d)
         return grid[l_coords]
-    q = field.q
-    norm_l = sum(c * c for c in l_coords) % q
-    prefactor, (inv_4j, jt), signs = _closed_form_weights(field, tv, d)
-    phases = (norm_l * inv_4j + jt) % q
-    jsum = complex(np.dot(signs, chi_table(q)[phases]))
-    value = prefactor * jsum
+    norm_l = sum(c * c for c in l_coords) % field.q
+    value = _closed_form_by_norm(field, tv, d)[norm_l]
     if delta(l_coords):
-        value += 1.0 / q
+        value += 1.0 / field.q
     return complex(value)
 
 
 def sphere_fourier_grid(field: PrimeField, t: Scalar, d: int = 2) -> SpectralGrid:
-    """Shat_t at every frequency: closed form for t != 0, direct DFT for t = 0."""
+    """Shat_t at every frequency: closed form for t != 0, direct DFT for t = 0.
+
+    For t != 0 the value at l depends on l only through |l|, so the closed
+    form is evaluated once per norm value and gathered by norm_values.
+    """
     tv = field.residue(t)
     if tv == 0:
         return forward(Sphere(field, 0, d).indicator())
     q = field.q
-    norms = norm_values(field, d)
-    prefactor, (inv_4j, jt), signs = _closed_form_weights(field, tv, d)
-    chi = chi_table(q)
-    values = np.zeros(q**d, dtype=np.complex128)
-    for k in range(q - 1):
-        values += signs[k] * chi[(norms * int(inv_4j[k]) + int(jt[k])) % q]
-    values *= prefactor
+    values = _closed_form_by_norm(field, tv, d)[norm_values(field, d)]
     values[0] += 1.0 / q
     return SpectralGrid(field, d, values)

@@ -1,8 +1,18 @@
 """Exact configuration counting on subsets of F_q^d.
 
 The workhorse is the circle profile n_a(x) = |E intersect S_a(x)|, the number
-of points of E at distance a from x, computed in integer arithmetic by
-accumulating shifted copies of E's indicator (one shift per point of S_a).
+of points of E at distance a from x, in exact integers.  For a planar set,
+circle_profile_stack builds the profiles of every radius at once in two
+stages.  With the cube's axis 0 holding x_1 and axis 1 holding x_0,
+
+    H[c, r, x_0]    = sum over z_0 with z_0^2 = c of E(r, x_0 - z_0),
+    n_a(x_1, x_0)   = sum over z_1 of H[a - z_1^2, x_1 - z_1, x_0]:
+
+q shifts of E along axis 1 give H, then q shifted views of H, one per z_1,
+are added into a q x q x q accumulator over (a, x_1, x_0): q^3 + q^4
+element adds in 2q array operations.  circle_profile, one shifted copy of E
+per point z of S_a, is the readable one-radius oracle the stack is tested
+against.
 HingeSweep stacks the profiles of every nonzero radius of a planar set and
 is the one kernel for the statistics built on them: pair counts
 sum_{x in E} n_a(x), hinge counts sum_{x in E} n_a(x) n_b(x) (the energies
@@ -135,7 +145,9 @@ def circle_profile(E: PointSet, a: Scalar) -> np.ndarray:
     """n_a(x) = |E intersect S_a(x)| at every grid point x, exact integers.
 
     One cyclic shift of E's indicator per point z of S_a: n_a(x) is the sum
-    over z of E(x - z).
+    over z of E(x - z).  This is the readable oracle for
+    circle_profile_stack, which builds every planar radius at once; no hot
+    path calls it.
     """
     sphere = Sphere(E.field, a, E.d)
     q, d = E.q, E.d
@@ -147,6 +159,32 @@ def circle_profile(E: PointSet, a: Scalar) -> np.ndarray:
         # roll by z along each axis: axis ax carries coordinate d-1-ax
         out += np.roll(cube, shift=tuple(reversed(z)), axis=axes)
     return out.reshape(-1)
+
+
+def circle_profile_stack(E: PointSet) -> np.ndarray:
+    """Row a - 1 is circle_profile(E, a), for every nonzero radius a of a planar set.
+
+    Exact integers as a (q - 1) x q^2 int64 array.  The two stages are in the
+    module docstring; both accumulate in int16 (see HingeSweep for the bound).
+    """
+    if E.d != 2:
+        raise ValueError("the profile stack is built for planar sets (d = 2)")
+    q = E.q
+    squares = (np.arange(q) ** 2) % q
+    cube = E.cube().astype(np.int16)
+    # H over (c, r, x_0), stored twice along r so that every shift in r is a view
+    h = np.zeros((q, 2 * q, q), dtype=np.int16)
+    for z0 in range(q):
+        h[squares[z0], :q] += np.roll(cube, z0, axis=1)
+    h[:, q:] = h[:, :q]
+    stack = np.zeros((q, q, q), dtype=np.int16)
+    for z1 in range(q):
+        # shifted[c, x_1] = H[c, x_1 - z_1]; row a takes row c = a - z_1^2 of it
+        shifted = h[:, q - z1 : 2 * q - z1]
+        s = int(squares[z1])
+        stack[s:] += shifted[: q - s]
+        stack[:s] += shifted[q - s :]
+    return stack[1:].reshape(q - 1, q * q).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -203,7 +241,10 @@ class HingeSweep:
         self.E = E
         q = E.q
         # Each (q - 1) x q^2 int64 stack is capped like a grid, so q <= 211.
-        # There every count is at most q^2 (q + 1)^2, the bound its float64
+        # There circle_profile_stack's int16 entries, partial sums of
+        # n_c(x) <= |S_c| <= 2q - 1 <= 421 (|S_0| = 2q - 1 when q = 1 mod 4,
+        # |S_c| <= q + 1 otherwise), stay far below 2^15.  Every count is at
+        # most q^2 (q + 1)^2, the bound its float64
         # product is checked against, and every numerator that ffgeom.bounds
         # forms (exact q^2, sum n_a^2 q^2) at most q^4 (q + 1)^2 < 2^47: no
         # int64 wrap, and exact in float64.
@@ -211,7 +252,7 @@ class HingeSweep:
             raise CapacityError(f"hinge profile stack of {(q - 1) * q * q} entries at q={q} "
                                 f"exceeds capacity {GRID_CAPACITY}")
         self.radii = np.arange(1, q, dtype=np.int64)
-        self.profiles = np.stack([circle_profile(E, int(a)) for a in self.radii])
+        self.profiles = circle_profile_stack(E)
         self.masked = self.profiles * E.indicator.astype(np.int64)
         # masked vanishes off E, so masked @ profiles.T is the Gram matrix of
         # the profiles restricted to E

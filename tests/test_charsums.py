@@ -133,15 +133,17 @@ def test_kloosterman_rejects_unknown_character():
         kloosterman(PrimeField(5), 1, "cubic")
 
 
-@pytest.mark.parametrize("q,d", [(5, 2), (7, 2), (5, 3)])
+@pytest.mark.parametrize("q,d", [(3, 2), (5, 2), (7, 2), (11, 2), (13, 2), (5, 3), (7, 3)])
 def test_sphere_fourier_closed_matches_dft(q, d):
+    # the per-norm grid against the direct DFT at every t != 0, and the
+    # single-frequency closed form against the grid at every frequency
     F = PrimeField(q)
     for t in range(1, q):
         direct = forward(Sphere(F, t, d).indicator()).values
         closed = sphere_fourier_grid(F, t, d).values
         assert np.max(np.abs(direct - closed)) < 1e-9
-        l = PointD(F, (1,) + (0,) * (d - 1))
-        assert abs(sphere_fourier_closed(F, t, l) - direct[l.encode()]) < 1e-9
+        for i in range(q**d):
+            assert sphere_fourier_closed(F, t, PointD.from_index(F, i, d)) == closed[i]
 
 
 def test_sphere_fourier_zero_mode_is_density():

@@ -20,6 +20,7 @@ from ffgeom.counting import (
     HingeSweep,
     PointSet,
     circle_profile,
+    circle_profile_stack,
     exact_matmul,
     hinge_energy_guaranteed,
 )
@@ -171,6 +172,47 @@ def test_circle_profile_total_is_cardinality_times_sphere():
     E = random_subset(7, 13, seed=0)
     for a in range(1, 7):
         assert circle_profile(E, a).sum() == 13 * Sphere(E.field, a, 2).count
+
+
+class TestCircleProfileStack:
+    """circle_profile_stack against one circle_profile call per radius."""
+
+    @staticmethod
+    def check(E: PointSet) -> None:
+        stack = circle_profile_stack(E)
+        oracle = np.stack([circle_profile(E, a) for a in range(1, E.q)])
+        assert stack.dtype == np.int64
+        assert stack.shape == (E.q - 1, E.q * E.q)
+        assert np.array_equal(stack, oracle)
+
+    def test_every_nonempty_subset_of_the_q3_plane(self):
+        F = PrimeField(3)
+        for mask in range(1, 2**9):
+            self.check(PointSet(F, 2, np.array([(mask >> i) & 1 for i in range(9)], dtype=np.uint8)))
+
+    @pytest.mark.parametrize("q", (5, 7, 11, 13, 17))
+    @pytest.mark.parametrize("rho", ("1/10", "1/2", "1"))
+    @pytest.mark.parametrize("seed", (0, 1))
+    def test_random_sets(self, q, rho, seed):
+        self.check(random_set(q, 2, Fraction(rho), seed=seed))
+
+    def test_isotropic_line(self):
+        # y = 2x at q = 5: |(x, 2x)| = 5x^2 = 0, so the line lies inside S_0 of each of its points
+        F = PrimeField(5)
+        self.check(PointSet.from_points(F, 2, [(x, 2 * x % 5) for x in range(5)]))
+
+    def test_rejects_higher_dimensions(self):
+        with pytest.raises(ValueError):
+            circle_profile_stack(PointSet.full_grid(PrimeField(3), 3))
+
+    def test_full_grid_at_the_capacity_limit(self):
+        # q = 211 is the largest q HingeSweep accepts; on the full grid n_a(x) = |S_a| at every
+        # x, the largest count (q + 1 = 212) the int16 accumulator holds in a returned row
+        q = 211
+        stack = circle_profile_stack(PointSet.full_grid(PrimeField(q), 2))
+        sizes = sphere_size_table(PrimeField(q), 2)[1:]
+        assert (sizes == q + 1).all()
+        assert (stack == sizes[:, None]).all()
 
 
 def test_every_nonempty_subset_of_the_q3_plane():
@@ -352,7 +394,7 @@ class TestHingeSweep:
 
     def test_capacity_guard_before_allocating(self, monkeypatch):
         # (q - 1) q^2 first exceeds GRID_CAPACITY at the prime 223 (211 still fits);
-        # a profile computed means the stack was being built
+        # a call to the stack builder means the stack was being built
         import ffgeom.counting as counting
 
         class Allocated(Exception):
@@ -361,7 +403,7 @@ class TestHingeSweep:
         def no_profiles(*args):
             raise Allocated
 
-        monkeypatch.setattr(counting, "circle_profile", no_profiles)
+        monkeypatch.setattr(counting, "circle_profile_stack", no_profiles)
         with pytest.raises(CapacityError):
             HingeSweep(PointSet.from_points(PrimeField(223), 2, [(0, 0)]))
         with pytest.raises(Allocated):
