@@ -122,6 +122,19 @@ def charge_signature_table(card: int, budget: int) -> None:
         )
 
 
+def charge_orbit_count(field: PrimeField, card: int, group: str, budget: int) -> None:
+    """Charge an orbit count's |E|^3 |G| steps, one per ordered triple and group
+    element, with |SO_2| = |S_1| and |O_2| twice that (group is "SO" or "O").
+
+    This is the cost model of the canonical-form definition, kept on purpose:
+    charging the triangle table's |E| q^4 product instead would change which
+    sweep rows read `budget`, so it is a change of its own.
+    """
+    order = sphere_size(field) * (1 if group == "SO" else 2)
+    if card**3 * order > budget:
+        raise BudgetError(f"orbit count needs {card}^3 * {order} steps, budget {budget}")
+
+
 def charge_hinge_sweep(q: int, budget: int) -> None:
     """Charge HingeSweep's q^4 steps (q - 1 radii, ~q shifts of q^2 cells each)."""
     if q**4 > budget:

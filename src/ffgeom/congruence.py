@@ -5,15 +5,15 @@ matrix ((a, -b), (b, a)); it has exactly q - eta(-1) elements.  Adding the
 reflections ((a, b), (b, -a)) gives the full orthogonal group of the form
 x^2 + y^2.
 
-`congruent` decides whether two non-degenerate simplices with equal pairwise
-norms are related by an isometry x -> Tx + tau with T^t T = I, and constructs
-one when they are.  For k = d the map on edge vectors is unique, so whether
-det T is +1 or -1 is a property of the pair; genuinely chiral pairs exist
-(mirror triangles), which is why the group argument exposes both SO and O.
-For k < d the partial map is extended one basis vector at a time; each
-extension step solves the linear constraints <w', u'_i> = <e_j, u_i> and the
-norm constraint |w'| = |e_j|, and backtracking over the finitely many
-solutions searches for a determinant +1 completion when SO is requested.
+`congruent` decides whether two non-degenerate simplices in the plane are
+related by an isometry x -> Tx + tau with T^t T = I, and constructs one by a
+single 2x2 solve T = V U^{-1}, where the columns of U and V are the edge
+vectors.  A segment u -> v is completed to a basis in closed form: off the
+null cone by Ju and Jv (J the quarter turn), which makes T the rotation
+taking u to v; on it by the conjugates, which makes T the only element of
+O_2 taking u to v.  For a triangle T is unique as well, so whether det T is
++1 or -1 is a property of the pair; genuinely chiral pairs exist (mirror
+triangles), which is why the group argument exposes both SO and O.
 
 Triangle statistics read one table, the realized difference pairs (u, v) =
 (y - x, z - x) over (x, y, z) in E^3.  With A[x, u] = E(x + u) for x in E,
@@ -27,28 +27,33 @@ data and the distance triple (|u|, |v|, |u - v|) determine each other, so
 signatures are counted as Gram codes.  One pass marks each realized pair's
 code Gram * q + det in a q^4 presence table, whose rows are the q^3 Gram
 codes: the signature counts, all and nondegenerate, and the SO count of
-independent pairs are counts over it.  The counts, with the realized
-dependent pairs, are cached per set content, so the four statistics of one
-set cost one pass.  Dependent pairs (det(u, v) = 0) are counted by a
-canonical form: the minimum, over group elements g, of the base-q code of
-(gu, gv).  The code orders the four residues as (u_1, u_2, v_1, v_2), most
-significant first; this ordering, used for dependent pairs only, is frozen,
-since orbit counts are regression-locked.
+independent pairs are counts over it.
+
+A dependent pair (det(u, v) = 0) is (0, 0), (0, w) or (w, lambda w) with
+w != 0, and its orbit is labelled in closed form by orbit(w), or by
+(orbit(w), lambda).  SO_2 acts simply transitively on each circle S_t with
+t != 0, so off the null cone orbit(w) is |w|.  An isotropic w != 0 (only for
+q = 1 mod 4, and then w_1 != 0) lies on one of the lines w_2 = +-i w_1,
+which SO_2 scales by all of F_q^* and the reflections swap: orbit(w) is the
+slope w_2 / w_1 for SO and one shared label for O.  The same pass marks
+these labels, and the five counts are cached per set content, so the four
+statistics of one set cost one pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .charsums import norm_values
+from . import bounds
+from .charsums import inverse_table, norm_values
 from .counting import PointSet, exact_matmul
 from .field import FieldElement, PrimeField
-from .fourier import BudgetError, CapacityError, PointD
+from .fourier import CapacityError, PointD
 
 Scalar = Union[int, FieldElement]
 
@@ -128,6 +133,7 @@ def so2_elements(field: PrimeField) -> List[Rotation]:
 
 
 Matrix2 = Tuple[int, int, int, int]
+Vector2 = Tuple[int, int]
 
 
 def rotation_matrices(field: PrimeField) -> List[Matrix2]:
@@ -146,100 +152,21 @@ def orthogonal_matrices(field: PrimeField) -> List[Matrix2]:
     return out
 
 
-def group_matrices(field: PrimeField, group: str) -> List[Matrix2]:
+def _group_tag(group: str) -> str:
     tag = group.upper()
-    if tag == "SO":
+    if tag not in ("SO", "O"):
+        raise ValueError(f"group must be 'SO' or 'O', got {group!r}")
+    return tag
+
+
+def group_matrices(field: PrimeField, group: str) -> List[Matrix2]:
+    if _group_tag(group) == "SO":
         return rotation_matrices(field)
-    if tag == "O":
-        return orthogonal_matrices(field)
-    raise ValueError(f"group must be 'SO' or 'O', got {group!r}")
-
-
-# -- exact linear algebra mod q ------------------------------------------------
-
-
-def _row_reduce(
-    rows: Sequence[Sequence[int]], field: PrimeField, ncols: int
-) -> Tuple[List[List[int]], List[int], int]:
-    """Gauss-Jordan elimination mod q on the first ncols columns.
-
-    Returns the reduced rows (the pivot rows first, each pivot scaled to 1
-    and cleared from every other row), the pivot columns, and the
-    determinant of the first ncols columns, which is meaningful when there
-    are exactly ncols rows (0 as soon as a column has no pivot).
-    """
-    q = field.q
-    mat = [[v % q for v in r] for r in rows]
-    pivots: List[int] = []
-    det = 1
-    for col in range(ncols):
-        rank = len(pivots)
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot is None:
-            det = 0
-            continue
-        if pivot != rank:
-            mat[rank], mat[pivot] = mat[pivot], mat[rank]
-            det = -det
-        det = det * mat[rank][col] % q
-        inv = field.inv(mat[rank][col])
-        mat[rank] = [v * inv % q for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [(v - factor * p) % q for v, p in zip(mat[r], mat[rank])]
-        pivots.append(col)
-    return mat, pivots, det
-
-
-def _rank(rows: Sequence[Sequence[int]], field: PrimeField) -> int:
-    return len(_row_reduce(rows, field, len(rows[0]) if rows else 0)[1])
-
-
-def _det_mod(rows: Sequence[Sequence[int]], field: PrimeField) -> int:
-    return _row_reduce(rows, field, len(rows))[2]
-
-
-def _matrix_inverse(rows: Sequence[Sequence[int]], field: PrimeField) -> List[List[int]]:
-    n = len(rows)
-    aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
-    mat, pivots, _ = _row_reduce(aug, field, n)
-    if len(pivots) < n:
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in mat]
-
-
-def _matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], q: int) -> List[List[int]]:
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(len(b))) % q for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
-
-
-def _solve_affine(
-    rows: List[List[int]], rhs: List[int], field: PrimeField, n: int
-) -> Optional[Tuple[List[int], List[List[int]]]]:
-    """All solutions in F_q^n of rows . w = rhs as particular + span(basis)."""
-    q = field.q
-    aug, pivots, _ = _row_reduce([list(r) + [c] for r, c in zip(rows, rhs)], field, n)
-    if any(row[n] for row in aug[len(pivots):]):
-        return None
-    particular = [0] * n
-    for r, col in enumerate(pivots):
-        particular[col] = aug[r][n]
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * n
-        vec[fc] = 1
-        for r, col in enumerate(pivots):
-            vec[col] = (-aug[r][fc]) % q
-        basis.append(vec)
-    return particular, basis
+    return orthogonal_matrices(field)
 
 
 class Simplex:
-    """Vertices V_0 .. V_k in F_q^d, k <= d, with exact degeneracy detection."""
+    """Vertices V_0 .. V_k in the plane F_q^2, k <= 2, with exact degeneracy detection."""
 
     __slots__ = ("field", "vertices", "d", "k")
 
@@ -252,6 +179,8 @@ class Simplex:
         for v in verts[1:]:
             if v.field != self.field or v.d != self.d:
                 raise ValueError("vertices live in different spaces")
+        if self.d != 2:
+            raise ValueError(f"simplices are defined in the plane (d = 2), got d = {self.d}")
         self.vertices = verts
         self.k = len(verts) - 1
         if self.k > self.d:
@@ -263,10 +192,11 @@ class Simplex:
 
     def is_nondegenerate(self) -> bool:
         """Whether V_1 - V_0, ..., V_k - V_0 are linearly independent."""
-        if self.k == 0:
-            return True
-        rows = [list(u.as_ints()) for u in self.edge_vectors()]
-        return _rank(rows, self.field) == self.k
+        edges = [u.as_ints() for u in self.edge_vectors()]
+        if self.k == 2:
+            (a, b), (c, d) = edges
+            return (a * d - b * c) % self.field.q != 0
+        return all(any(u) for u in edges)
 
     def pairwise_norms(self) -> Tuple[int, ...]:
         """|V_i - V_j| for i < j, in lexicographic (i, j) order."""
@@ -301,112 +231,86 @@ class CongruenceWitness:
         return PointD(field, image)
 
 
-def _is_orthogonal(matrix: Sequence[Sequence[int]], field: PrimeField) -> bool:
+def _columns(first: Vector2, second: Vector2) -> Matrix2:
+    return (first[0], second[0], first[1], second[1])
+
+
+def _matmul2(a: Matrix2, b: Matrix2, q: int) -> Matrix2:
+    return (
+        (a[0] * b[0] + a[1] * b[2]) % q,
+        (a[0] * b[1] + a[1] * b[3]) % q,
+        (a[2] * b[0] + a[3] * b[2]) % q,
+        (a[2] * b[1] + a[3] * b[3]) % q,
+    )
+
+
+def _det2(m: Matrix2, q: int) -> int:
+    return (m[0] * m[3] - m[1] * m[2]) % q
+
+
+def _bases(us: List[Vector2], vs: List[Vector2], field: PrimeField) -> Tuple[Matrix2, Matrix2]:
+    """U and V for T = V U^{-1}: the edge vectors us of one simplex and vs of
+    another as columns, completed to bases of the plane.
+
+    A triangle's edges are a basis already, and a point's bases are the
+    identity.  A segment u -> v with |u| = |v| is completed in closed form so
+    that T is orthogonal.  Off the null cone the second columns are Ju and
+    Jv, J the quarter turn (x, y) -> (-y, x), and T is the rotation taking u
+    to v, which serves SO and O alike.  An isotropic u != 0 has both
+    coordinates nonzero, so u and its conjugate (u_1, -u_2) are a basis;
+    pairing it with (u_1 / v_1)^2 times the conjugate of v keeps
+    <Tu, Tu'> = <u, u'> = 2 u_1^2, and T is the only element of O_2 taking u
+    to v, so det T decides SO.
+    """
+    if len(us) == 2:
+        return _columns(*us), _columns(*vs)
+    if not us:
+        return (1, 0, 0, 1), (1, 0, 0, 1)
     q = field.q
-    d = len(matrix)
-    transpose = [[matrix[j][i] for j in range(d)] for i in range(d)]
-    prod = _matmul(transpose, matrix, q)
-    return all(prod[i][j] == (1 if i == j else 0) for i in range(d) for j in range(d))
+    (u1, u2), (v1, v2) = us[0], vs[0]
+    if (u1 * u1 + u2 * u2) % q:
+        return _columns(us[0], ((-u2) % q, u1)), _columns(vs[0], ((-v2) % q, v1))
+    c = (u1 * field.inv(v1)) ** 2 % q
+    return _columns(us[0], (u1, (-u2) % q)), _columns(vs[0], (c * v1 % q, (-c * v2) % q))
 
 
-def congruent(
-    P: Simplex, P2: Simplex, group: str = "SO", budget: int = 10**6
-) -> Optional[CongruenceWitness]:
+def congruent(P: Simplex, P2: Simplex, group: str = "SO") -> Optional[CongruenceWitness]:
     """An isometry carrying P onto P2 vertexwise, or None.
 
-    Requires both simplices non-degenerate with matching k and d.  Equal
-    pairwise norms are necessary; when they hold, a form-preserving linear
-    extension always exists, and for group "SO" the backtracking search
-    looks for a completion with determinant +1 (for k = d there is exactly
-    one map, so its determinant decides).
+    Requires both simplices non-degenerate with the same number of vertices.
+    Equal pairwise norms are necessary, and sufficient for O_2: as 2 is
+    invertible they fix the Gram matrix of the edge vectors.  The linear part
+    is one 2x2 solve, T = V U^{-1} for the bases of `_bases`.  A segment off
+    the null cone always has a rotation; otherwise T is unique and, for
+    group "SO", its determinant decides.
     """
-    tag = group.upper()
-    if tag not in ("SO", "O"):
-        raise ValueError(f"group must be 'SO' or 'O', got {group!r}")
-    if P.field != P2.field or P.d != P2.d or P.k != P2.k:
+    tag = _group_tag(group)
+    if P.field != P2.field or P.k != P2.k:
         raise ValueError("simplices are not comparable")
     if not P.is_nondegenerate() or not P2.is_nondegenerate():
         raise ValueError("congruence test requires non-degenerate simplices")
     if P.pairwise_norms() != P2.pairwise_norms():
         return None
 
-    field, q, d = P.field, P.field.q, P.d
-    us = [list(u.as_ints()) for u in P.edge_vectors()]
-    vs = [list(u.as_ints()) for u in P2.edge_vectors()]
-
-    # Complete the source side to a basis with standard basis vectors.
-    extensions: List[List[int]] = []
-    for j in range(d):
-        if len(us) + len(extensions) == d:
-            break
-        e = [1 if i == j else 0 for i in range(d)]
-        if _rank(us + extensions + [e], field) == len(us) + len(extensions) + 1:
-            extensions.append(e)
-
-    def inner(x: Sequence[int], y: Sequence[int]) -> int:
-        return sum(a * b for a, b in zip(x, y)) % q
-
-    want_det = None if tag == "O" else 1
-    work = [0]
-
-    def backtrack(images: List[List[int]], level: int) -> Optional[List[List[int]]]:
-        if level == len(extensions):
-            # Columns are u_i -> image_i; T = V . U^{-1}.
-            ucols = us + extensions
-            U = [[ucols[c][r] for c in range(d)] for r in range(d)]
-            V = [[images[c][r] for c in range(d)] for r in range(d)]
-            T = _matmul(V, _matrix_inverse(U, field), q)
-            det = _det_mod(T, field)
-            sign = 1 if det == 1 else -1
-            if want_det is not None and sign != want_det:
-                return None
-            return T
-        e = extensions[level]
-        target_norm = inner(e, e)
-        rows = [list(v) for v in images]
-        rhs = [inner(e, u) for u in us + extensions[:level]]
-        solved = _solve_affine(rows, rhs, field, d)
-        if solved is None:
-            return None
-        particular, basis = solved
-        free_dim = len(basis)
-        count = q**free_dim
-        work[0] += count
-        if work[0] > budget:
-            raise BudgetError(
-                f"congruence extension search exceeded budget {budget}"
-            )
-        for idx in range(count):
-            w = list(particular)
-            rem = idx
-            for vec in basis:
-                rem, digit = divmod(rem, q)
-                if digit:
-                    w = [(a + digit * b) % q for a, b in zip(w, vec)]
-            if inner(w, w) != target_norm:
-                continue
-            result = backtrack(images + [w], level + 1)
-            if result is not None:
-                return result
+    field, q = P.field, P.field.q
+    U, V = _bases([u.as_ints() for u in P.edge_vectors()],
+                  [v.as_ints() for v in P2.edge_vectors()], field)
+    ud = field.inv(_det2(U, q))
+    U_inv = (U[3] * ud % q, -U[1] * ud % q, -U[2] * ud % q, U[0] * ud % q)
+    T = _matmul2(V, U_inv, q)
+    # explicit raises, so the checks also run under python -O
+    if _matmul2((T[0], T[2], T[1], T[3]), T, q) != (1, 0, 0, 1):
+        raise AssertionError("constructed map failed orthogonality")
+    det = 1 if _det2(T, q) == 1 else -1
+    if tag == "SO" and det != 1:
         return None
-
-    T = backtrack(list(vs), 0)
-    if T is None:
-        return None
-    assert _is_orthogonal(T, field), "constructed map failed orthogonality"
-    det = _det_mod(T, field)
-    sign = 1 if det == 1 else -1
-    v0, w0 = P.vertices[0].as_ints(), P2.vertices[0].as_ints()
-    tau = PointD(
-        field,
-        [
-            (w0[i] - sum(T[i][j] * v0[j] for j in range(d))) % q
-            for i in range(d)
-        ],
-    )
-    witness = CongruenceWitness(matrix=tuple(tuple(row) for row in T), tau=tau, det=sign)
+    (a, b), (c, d) = T[:2], T[2:]
+    (x, y), (x2, y2) = P.vertices[0].as_ints(), P2.vertices[0].as_ints()
+    tau = PointD(field, (x2 - a * x - b * y, y2 - c * x - d * y))
+    witness = CongruenceWitness(matrix=((a, b), (c, d)), tau=tau, det=det)
     for src, dst in zip(P.vertices, P2.vertices):
-        assert witness.apply(src) == dst, "constructed map failed to transport a vertex"
+        if witness.apply(src) != dst:
+            raise AssertionError("constructed map failed to transport a vertex")
     return witness
 
 
@@ -454,26 +358,34 @@ def _realized_slabs(q: int, indicator: bytes) -> Iterator[Tuple[np.ndarray, np.n
 class _TriangleTable:
     """The triangle statistics of one planar set, from one pass over its realized pairs.
 
-    Holds three label counts and the realized dependent pairs (at most about
-    q^3 of them); the canonical-form class count of the dependent pairs is
-    computed once per group, on first request.
+    Five counts: the signatures, all and nondegenerate; the SO classes of
+    independent pairs; and the SO and O classes of dependent pairs.
     """
 
-    __slots__ = ("q", "signatures_all", "signatures_nondeg", "independent_so",
-                 "dependent", "_dependent_orbits")
+    __slots__ = ("signatures_all", "signatures_nondeg", "independent_so",
+                 "dependent_so", "dependent_o")
 
     def __init__(self, q: int, indicator: bytes) -> None:
         if q**4 > PAIR_CAPACITY:
             raise CapacityError(f"pair table of size {q}^4 exceeds {PAIR_CAPACITY}")
+        field = PrimeField(q)
         r = np.arange(q, dtype=np.int64)
-        mul = (r[:, None] * r[None, :]) % q
-        mul, neg = mul.astype(np.uint8), ((-mul) % q).astype(np.uint8)
-        norms = norm_values(PrimeField(q), 2)
+        prod = (r[:, None] * r[None, :]) % q
+        mul, neg = prod.astype(np.uint8), ((-prod) % q).astype(np.uint8)
+        norms = norm_values(field, 2)
         # the SO code ((|u| q + |v|) q + u.v) q + det(u, v), as a row and a
         # column part plus the u.v and det digits
         row_code, col_code = norms * q**3, norms * q**2
         seen = np.zeros(q**4, dtype=bool)
-        dependent = []
+        # orbit(w) for SO (row 0) and O (row 1), below 2q: 0 for w = 0, |w|
+        # off the null cone, q + w_2 / w_1 (SO) or q (O) for isotropic w != 0
+        w = np.arange(q * q)
+        isotropic = (norms == 0) & (w > 0)
+        slope = inverse_table(field)[w % q] * (w // q) % q
+        orbit = np.stack([np.where(isotropic, q + slope, norms), np.where(isotropic, q, norms)])
+        # a dependent pair's label: orbit(v) for (0, v), below 2q, and
+        # orbit(u) 2q + lambda for (u, lambda u) with u != 0, at least 2q
+        dependent = np.zeros((2, 4 * q * q), dtype=bool)
         for u2s, realized in _realized_slabs(q, indicator):
             # u.v = u1 v1 + u2 v2 and det = u1 v2 - u2 v1 over (u2, u1, v2, v1),
             # as uint8 sums below 2q <= 200 (q <= 100 under PAIR_CAPACITY),
@@ -485,37 +397,24 @@ class _TriangleTable:
             u = (u2s[:, None] * q + np.arange(q)).reshape(-1)
             code = row_code[u, None] + col_code[None, :] + (dot.astype(np.int64) * q + det)
             seen[code[realized]] = True
-            iu, iv = np.nonzero(realized & (det == 0))
-            dependent.append((u[iu], iv))
+            # each dependent (u, v) with u != 0 is (u, lambda u) for exactly
+            # one lambda; line[i, lambda] is the index of lambda u.  Row u = 0
+            # is read as the (0, v) pairs instead.
+            line = (prod[None, :, :] + prod[u2s][:, None, :] * q).reshape(u.size, q)
+            on_line = np.take_along_axis(realized, line, axis=1)
+            on_line[u == 0] = False
+            labels = orbit[:, u, None] * (2 * q) + r
+            dependent[[[0], [1]], labels[:, on_line]] = True
+            if u2s[0] == 0:
+                dependent[[[0], [1]], orbit[:, realized[0]]] = True
         # column 0 of a Gram code's row holds its dependent pairs, the other
         # columns its independent pairs by det
         by_gram = seen.reshape(q**3, q)
         nondeg = by_gram[:, 1:].any(axis=1)
-        self.q = q
         self.signatures_all = int(np.count_nonzero(nondeg | by_gram[:, 0]))
         self.signatures_nondeg = int(np.count_nonzero(nondeg))
         self.independent_so = int(np.count_nonzero(by_gram[:, 1:]))
-        self.dependent = tuple(np.concatenate(part).astype(np.int32) for part in zip(*dependent))
-        for part in self.dependent:
-            part.setflags(write=False)
-        self._dependent_orbits: Dict[str, int] = {}
-
-    def dependent_orbits(self, tag: str, mats: Sequence[Matrix2]) -> int:
-        """Classes of the dependent pairs under the group tag with elements mats."""
-        if tag not in self._dependent_orbits:
-            q = self.q
-            iu, iv = self.dependent
-            c0 = np.arange(q * q, dtype=np.int64) % q
-            c1 = np.arange(q * q, dtype=np.int64) // q
-            best = np.full(iu.size, q**4, dtype=np.int64)
-            for m00, m01, m10, m11 in mats:
-                img = ((m00 * c0 + m01 * c1) % q) + ((m10 * c0 + m11 * c1) % q) * q
-                # code orders (u1, u2, v1, v2) most significant first
-                gu, gv = img[iu], img[iv]
-                codes = ((gu % q) * q + gu // q) * (q * q) + ((gv % q) * q + gv // q)
-                best = np.minimum(best, codes)
-            self._dependent_orbits[tag] = int(np.unique(best).size)
-        return self._dependent_orbits[tag]
+        self.dependent_so, self.dependent_o = map(int, np.count_nonzero(dependent, axis=1))
 
 
 @lru_cache(maxsize=8)
@@ -545,21 +444,15 @@ def t3_orbit_count(
     """Exact number of orbits of E^3 under translations and the chosen group.
 
     Independent realized pairs are counted by label (the Gram code for O,
-    with det(u, v) for SO), dependent ones by the canonical form; no group
-    element mixes the two.  Both counts are read from the set's cached
-    triangle table.  The work budget is charged with the |E|^3 * |group| cost
-    model of the canonical-form definition, unchanged on purpose: charging
-    the table's |E| q^4 product instead would change which sweep rows read
-    `budget`, so it is a change of its own.
+    with det(u, v) for SO), dependent ones by their closed-form labels; no
+    group element mixes the two.  Both counts are read from the set's cached
+    triangle table, after `bounds.charge_orbit_count` charges the budget.
     """
     if E.d != 2:
         raise ValueError("orbit counting is defined on the plane (d = 2)")
-    mats = group_matrices(E.field, group)
-    if E.cardinality**3 * len(mats) > budget:
-        raise BudgetError(
-            f"orbit count needs {E.cardinality}^3 * {len(mats)} steps, budget {budget}"
-        )
-    tag = group.upper()
+    tag = _group_tag(group)
+    bounds.charge_orbit_count(E.field, E.cardinality, tag, budget)
     table = _triangle_table(E.q, E.indicator.tobytes())
-    independent = table.independent_so if tag == "SO" else table.signatures_nondeg
-    return independent + table.dependent_orbits(tag, mats)
+    if tag == "SO":
+        return table.independent_so + table.dependent_so
+    return table.signatures_nondeg + table.dependent_o

@@ -79,6 +79,17 @@ def test_signature_table_charge():
         bounds.charge_signature_table(25, 624)
 
 
+def test_orbit_count_charge():
+    # |E|^3 |G| with |SO_2| = q - eta(-1): 4 at q = 5 and 8 at q = 7, |O_2| twice that
+    for q, order in ((5, 4), (7, 8)):
+        F = PrimeField(q)
+        for group, size in (("SO", order), ("O", 2 * order)):
+            bounds.charge_orbit_count(F, 3, group, 27 * size)
+            with pytest.raises(BudgetError,
+                               match=rf"^orbit count needs 3\^3 \* {size} steps, budget {27 * size - 1}$"):
+                bounds.charge_orbit_count(F, 3, group, 27 * size - 1)
+
+
 def test_hinge_sweep_charge():
     bounds.charge_hinge_sweep(13, 13**4)
     with pytest.raises(BudgetError, match="budget"):

@@ -1,4 +1,4 @@
-"""Planar rotation groups, simplex congruence search, and orbit counting."""
+"""Planar rotation groups, simplex congruence, and orbit counting."""
 
 import random
 from fractions import Fraction
@@ -140,6 +140,12 @@ class TestSimplex:
         with pytest.raises(ValueError):
             Simplex([pt(F, 0, 0), pt(F, 1, 0), pt(F, 0, 1), pt(F, 1, 1)])
 
+    def test_plane_only(self):
+        F = PrimeField(5)
+        for d in (1, 3):
+            with pytest.raises(ValueError, match="plane"):
+                Simplex([PointD(F, (0,) * d), PointD(F, (1,) + (0,) * (d - 1))])
+
 
 class TestCongruent:
     def test_mirror_pair_splits_the_groups(self):
@@ -208,13 +214,19 @@ class TestCongruent:
         with pytest.raises(ValueError):
             congruent(Simplex([pt(F, 0, 0), pt(F, 1, 0)]), Simplex([pt(F, 0, 0), pt(F, 1, 0)]), group="SU")
 
-    def test_budget_exhaustion(self):
-        # a segment leaves one basis vector to place, q candidate images
+    def test_checks_are_live(self, monkeypatch):
+        # the checks raise explicitly, so a wrong completion trips them even
+        # under python -O
         F = PrimeField(5)
         a = Simplex([pt(F, 0, 0), pt(F, 1, 0)])
         b = Simplex([pt(F, 0, 0), pt(F, 0, 1)])
-        with pytest.raises(BudgetError):
-            congruent(a, b, group="SO", budget=1)
+        monkeypatch.setattr(congruence, "_bases", lambda us, vs, field: ((1, 0, 0, 1), (2, 0, 0, 2)))
+        with pytest.raises(AssertionError, match="orthogonality"):
+            congruent(a, b)
+        # T = I is orthogonal but leaves the edge (1, 0) where it is
+        monkeypatch.setattr(congruence, "_bases", lambda us, vs, field: ((1, 0, 0, 1),) * 2)
+        with pytest.raises(AssertionError, match="transport a vertex"):
+            congruent(a, b)
 
     @pytest.mark.parametrize("q", (5, 7))
     def test_planted_isometries_recovered(self, q):
@@ -273,6 +285,71 @@ class TestCongruent:
                 assert w is not None
             else:
                 assert w is None
+
+
+class TestCongruentOracle:
+    """congruent against enumeration over group_matrices: a witness exists
+    exactly when some g in the group carries P's edge vectors onto P2's, and
+    the witness's linear part is such a g."""
+
+    @staticmethod
+    def check(sources, targets, group):
+        for P in sources:
+            q = P.field.q
+            carriers = {}
+            for m in group_matrices(P.field, group):
+                edges = tuple(apply_mat(m, u.as_ints(), q) for u in P.edge_vectors())
+                carriers.setdefault(edges, set()).add(m)
+            for P2 in targets:
+                fits = carriers.get(tuple(v.as_ints() for v in P2.edge_vectors()), set())
+                w = congruent(P, P2, group)
+                assert (w is not None) == bool(fits), (P, P2, group)
+                if w is not None:
+                    assert w.matrix[0] + w.matrix[1] in fits, (P, P2, group)
+
+    @pytest.mark.parametrize("group", ("SO", "O"))
+    @pytest.mark.parametrize("q", (5, 7, 13))
+    def test_every_segment_pair(self, q, group):
+        # every pair of edge vectors; isotropic ones exist at q = 5 and 13
+        F = PrimeField(q)
+        edges = [(x, y) for x in range(q) for y in range(q) if (x, y) != (0, 0)]
+        sources = [Simplex([pt(F, 0, 0), pt(F, *u)]) for u in edges]
+        targets = [Simplex([pt(F, 1, 2), pt(F, 1 + v[0], 2 + v[1])]) for v in edges]
+        self.check(sources, targets, group)
+
+    @pytest.mark.parametrize("group", ("SO", "O"))
+    def test_every_ordered_triangle_pair_of_the_q3_plane(self, group):
+        # both answers commute with translating P, so the sources are the
+        # ordered triangles starting at the origin: every pair up to that
+        F = PrimeField(3)
+        grid = [pt(F, x, y) for x in range(3) for y in range(3)]
+        triangles = [s for s in map(Simplex, permutations(grid, 3)) if s.is_nondegenerate()]
+        assert len(triangles) == 9 * 8 * 6
+        sources = [s for s in triangles if s.vertices[0].is_zero()]
+        assert len(sources) == 8 * 6
+        self.check(sources, triangles, group)
+
+    @pytest.mark.parametrize("group", ("SO", "O"))
+    @pytest.mark.parametrize("q", (5, 7))
+    def test_seeded_triangle_samples(self, q, group):
+        # random pairs rarely share a distance triple, so each source also
+        # meets a planted image g P + shift, g drawn from the full group
+        F = PrimeField(q)
+        mats = orthogonal_matrices(F)
+        rng = random.Random(200 + q)
+
+        def triangle():
+            while True:
+                s = Simplex([pt(F, rng.randrange(q), rng.randrange(q)) for _ in range(3)])
+                if s.is_nondegenerate():
+                    return s
+
+        for _ in range(200):
+            P = triangle()
+            m, shift = rng.choice(mats), (rng.randrange(q), rng.randrange(q))
+            planted = Simplex([pt(F, *(c + t for c, t in zip(apply_mat(m, v.as_ints(), q), shift)))
+                               for v in P.vertices])
+            self.check([P], [planted, triangle()], group)
 
 
 class TestSignature:
@@ -416,7 +493,9 @@ def lines_through_origin(q: int, slope: int):
     return [PointSet.from_points(PrimeField(q), 2, pts) for pts in (line, line[:3], line[1:])]
 
 
-LINES = [(5, 2), (5, 1), (7, 3)]
+# y = 2x at q = 5, 5x at q = 13 and 4x at q = 17 are isotropic (slope^2 = -1)
+LINES = [(5, 2), (5, 1), (7, 3), (13, 5), (17, 4)]
+ISOTROPIC_LINES = {(5, 2), (13, 5), (17, 4)}
 DENSITIES = ("1/10", "3/10", "1/2", "1")
 
 
@@ -474,16 +553,26 @@ class TestTriangleKernelOracles:
 
     @pytest.mark.parametrize("q,slope", LINES)
     def test_line_through_origin(self, q, slope):
-        # every pair is dependent, so orbits come from the canonical-form
-        # pass alone; y = 2x is isotropic at q = 5 (1 + 4 = 0), the others
-        # are not
+        # every pair is dependent, so orbits come from the dependent labels
+        # alone; on an isotropic line SO labels each point by the line's slope
         isotropic = (1 + slope * slope) % q == 0
-        assert isotropic == ((q, slope) == (5, 2))
+        assert isotropic == ((q, slope) in ISOTROPIC_LINES)
         for E in lines_through_origin(q, slope):
             stats = kernel_statistics(E)
             assert stats[1] == 0
             assert stats == four_statistics(E, brute_signature_count, brute_orbit_count)
             assert stats == earlier_statistics(E)
+
+    @pytest.mark.parametrize("q,slope", sorted(ISOTROPIC_LINES))
+    def test_both_isotropic_lines(self, q, slope):
+        # differences along y = ix and y = -ix: SO tells the two lines apart
+        # by slope, O merges them
+        E = PointSet.from_points(PrimeField(q), 2,
+                                 [(x, s * x % q) for x in range(q) for s in (slope, q - slope)])
+        congruence._triangle_table.cache_clear()
+        assert kernel_statistics(E) == earlier_statistics(E)
+        table = congruence._triangle_table(E.q, E.indicator.tobytes())
+        assert table.dependent_so > table.dependent_o
 
 
 class TestTriangleTableCache:
@@ -504,16 +593,6 @@ class TestTriangleTableCache:
             congruence._triangle_table.cache_clear()
             got = {i: self.CALLS[i](E) for i in order}
             assert tuple(got[i] for i in range(4)) == expected, order
-
-    def test_dependent_classes_only_for_the_group_asked(self):
-        E = random_set(7, 2, Fraction(1, 2), 3)
-        expected = earlier_statistics(E)
-        congruence._triangle_table.cache_clear()
-        assert t3_orbit_count(E, "SO") == expected[2]
-        table = congruence._triangle_table(E.q, E.indicator.tobytes())
-        assert set(table._dependent_orbits) == {"SO"}
-        assert t3_orbit_count(E, "O") == expected[3]
-        assert set(table._dependent_orbits) == {"SO", "O"}
 
     def test_different_sets_do_not_share_counts(self):
         # two sets of one size at one q, with different statistics
