@@ -62,11 +62,16 @@ def _squares_mask(q: int) -> np.ndarray:
     return mask
 
 
+@lru_cache(maxsize=64)
 def legendre_table(field: PrimeField) -> np.ndarray:
-    """eta as an int8 array over residues: 0 at 0, +1 at squares, -1 else."""
+    """eta as an int8 array over residues: 0 at 0, +1 at squares, -1 else.
+
+    The returned array is cached and marked read-only; copy before mutating.
+    """
     q = field.q
     table = np.where(_squares_mask(q), np.int8(1), np.int8(-1))
     table[0] = 0
+    table.setflags(write=False)
     return table
 
 

@@ -23,8 +23,9 @@ import argparse
 import io
 import os
 import sys
-from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
+
+import numpy as np
 
 from . import bounds
 from . import experiments as exp
@@ -148,18 +149,18 @@ def _run_hinges(config: ExperimentConfig, stream: TextIO) -> List[List[str]]:
         E = random_set(q, 2, rho, seed)
         hs = HingeSweep(E)
         card = E.cardinality
-        asserted = bounds.density_in_hinge_regime(q, rho)
         numer = hs.remainder_numers()
         main = hs.exact * q**2 - numer  # q^2 I(a, b)
-        holds = bounds.HINGE_REMAINDER.holds(numer, q, card)
-        for a in range(1, q):
-            for b in range(1, q):
-                n_ab = int(numer[a - 1, b - 1])
-                out.row((q, card, a, b, int(hs.exact[a - 1, b - 1]),
-                         float(Fraction(int(main[a - 1, b - 1]), q**2)),
-                         float(Fraction(n_ab, q**2)),
-                         bounds.HINGE_REMAINDER.value(n_ab, q, card)),
-                        violated=asserted and not holds[a - 1, b - 1])
+        violated = ~bounds.HINGE_REMAINDER.holds(numer, q, card)
+        violated &= bounds.density_in_hinge_regime(q, rho)
+        # int64 values below 2^53 divided in float64: correctly rounded, so each
+        # equals float(Fraction(...)) and prints as _fmt would print it
+        a, b = np.indices(numer.shape) + 1
+        columns = (a, b, hs.exact, main / q**2, numer / q**2,
+                   np.abs(numer) / bounds.HINGE_REMAINDER.unit(q, card))
+        fmt = f"{q},{card},%d,%d,%d,%.12g,%.12g,%.12g"
+        out.lines([fmt % row for row in zip(*(c.ravel().tolist() for c in columns))],
+                  violated.ravel())
     return out.violations
 
 

@@ -26,11 +26,27 @@ The Fourier route exists to verify the counting identity
 where Dhat_a(m,0) = q^{-2} fhat(m) and f(x) = E(x) n_a(x).  The source
 identity is stated without explicit conjugates; the placement above (conjugate
 on the f factor, equivalently on Ehat by realness of the total) is the one
-that reproduces the integer count.  HingeSweep.fourier_counts evaluates it
-for every radius pair, and its tests against the brute-force hinge count
-(every nonempty subset of F_3^2, random subsets of F_5^2) are the permanent
-pin of that placement.  Since f is real this equals
+that reproduces the integer count.  Since f is real this equals
 q^4 sum_m fhat(-m) Ehat(m) Shat_b(m).
+
+HingeSweep.fourier_counts evaluates it for every radius pair per norm class
+of frequencies.  Shat_b is real and depends on m != 0 only through |m|, so
+the classes are {m != 0 : |m| = n} for each n in F_q, plus the origin as a
+class of its own, q + 1 in all.  The terms at m and -m are complex
+conjugates, so the sum is real and runs over the rfftn half spectrum (m_0 in
+0 .. (q - 1)/2), with weight 1 on the column m_0 = 0 and 2 elsewhere.  With
+G[a, k] = the weighted sum of Re(conj(fhat_a(m)) Ehat(m)) over the class k,
+
+    hinge(a,b) = q^4 sum_k G[a, k] T[b, k],
+
+where T[b, k] is Shat_b at any frequency of class k: a (q - 1) x (q + 1)
+product instead of a sum over all q^2 frequencies.  T depends only on q.
+_sphere_class_table builds it once per q from the direct DFT of the sphere
+indicators, not from the closed form of ffgeom.charsums, and checks every
+frequency against its class entry.  The tests compare the result with the
+full-spectrum complex sum over every nonempty subset of F_3^2 and random
+sets up to q = 101, and with the brute-force hinge count; those tests are
+the permanent pin of the conjugate placement.
 
 Main-term/remainder splits are kept as exact rationals so bound checks never
 touch floating point.
@@ -39,6 +55,7 @@ touch floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Union
 
@@ -50,6 +67,9 @@ from .field import FieldElement, PrimeField
 from .fourier import GRID_CAPACITY, CapacityError, PointD, SpectralGrid, decode
 
 Scalar = Union[int, FieldElement]
+
+# radii per sphere-transform chunk of _sphere_class_table: about this many grid values
+_CLASS_TABLE_CHUNK = 2**20
 
 
 def exact_matmul(a: np.ndarray, b: np.ndarray, bound: int, dtype=np.float64) -> np.ndarray:
@@ -187,6 +207,51 @@ def circle_profile_stack(E: PointSet) -> np.ndarray:
     return stack[1:].reshape(q - 1, q * q).astype(np.int64)
 
 
+def _half_spectrum_classes(q: int) -> np.ndarray:
+    """The norm class of every frequency of a planar rfftn half spectrum.
+
+    A q x (q // 2 + 1) array over (m_1, m_0): class |m| for m != 0, and class
+    q for the origin.
+    """
+    classes = norm_values(PrimeField(q), 2).reshape(q, q)[:, : q // 2 + 1].copy()
+    classes[0, 0] = q
+    return classes
+
+
+@lru_cache(maxsize=8)
+def _sphere_class_table(q: int) -> np.ndarray:
+    """T[b - 1, k] = Shat_b(m) for any frequency m of class k, b = 1 .. q - 1.
+
+    A (q - 1) x (q + 1) float64 table over the classes of
+    _half_spectrum_classes.  Shat_b depends on m != 0 only through |m| (the
+    Gauss-sum closed form in ffgeom.charsums), but the table is read off the
+    direct DFT of the sphere indicators instead, so that the spectral check
+    stays independent of that closed form.  Every frequency of the half
+    spectrum is checked against its class entry.  The nonzero isotropic class
+    is empty when q = 3 mod 4 and its column stays 0.  The spheres are
+    transformed a few radii at a time, never all (q - 1) q^2 values at once.
+
+    The returned array is cached and marked read-only; copy before mutating.
+    """
+    norms = norm_values(PrimeField(q), 2).reshape(q, q)
+    classes = _half_spectrum_classes(q).ravel()
+    present, first = np.unique(classes, return_index=True)
+    table = np.zeros((q - 1, q + 1))
+    step = max(1, _CLASS_TABLE_CHUNK // (q * q))
+    for start in range(1, q, step):
+        rows = table[start - 1 : start - 1 + step]  # radii start, start + 1, ...
+        radii = np.arange(start, start + len(rows))
+        spheres = (norms[None, :, :] == radii[:, None, None]).astype(np.float64)
+        shat = np.fft.rfftn(spheres, axes=(1, 2)).reshape(len(rows), -1) / q**2
+        rows[:, present] = shat[:, first].real
+        err = np.abs(shat - rows[:, classes]).max()
+        if not err <= 1e-12:
+            raise AssertionError(f"sphere transform at q={q}, radii {radii[0]}..{radii[-1]} "
+                                 f"is not constant on norm classes (off by {err})")
+    table.setflags(write=False)
+    return table
+
+
 @dataclass(frozen=True)
 class HingeReport:
     """A hinge count with its Fourier-side value and main/remainder split."""
@@ -231,8 +296,9 @@ class HingeSweep:
     """Hinge counts for every nonzero radius pair of one set, batched.
 
     Profiles for all radii are stacked into one matrix, so every exact count
-    sum_{x in E} n_a(x) n_b(x) comes from a single exact matrix product and
-    every spectral value from one batched FFT.
+    sum_{x in E} n_a(x) n_b(x) comes from a single exact matrix product, and
+    every spectral value from one batched real FFT of the profiles, binned by
+    norm class and multiplied by the per-q sphere class table.
     """
 
     def __init__(self, E: PointSet) -> None:
@@ -251,7 +317,6 @@ class HingeSweep:
         if (q - 1) * q * q > GRID_CAPACITY:
             raise CapacityError(f"hinge profile stack of {(q - 1) * q * q} entries at q={q} "
                                 f"exceeds capacity {GRID_CAPACITY}")
-        self.radii = np.arange(1, q, dtype=np.int64)
         self.profiles = circle_profile_stack(E)
         self.masked = self.profiles * E.indicator.astype(np.int64)
         # masked vanishes off E, so masked @ profiles.T is the Gram matrix of
@@ -260,23 +325,32 @@ class HingeSweep:
         self.exact = exact_matmul(on_e, on_e.T, bound=q * q * (q + 1) ** 2)
         self.pair_counts = self.masked.sum(axis=1)
         self.sphere_sizes = sphere_size_table(E.field, 2)[1:q]
-        self._norms = norm_values(E.field, 2)
         self._fourier: Union[np.ndarray, None] = None
 
     def fourier_counts(self) -> np.ndarray:
-        """The spectral-identity value for every radius pair, as a complex matrix."""
+        """The spectral-identity value for every radius pair, as a real float64 matrix.
+
+        Evaluated per norm class (see the module docstring): real FFTs of the
+        profiles restricted to E and of E give Re(conj(fhat_a) Ehat) on the
+        half spectrum, one bincount sums it by class into G, and the value is
+        q^4 G @ T^T with T from _sphere_class_table.  Since m and -m pair up,
+        nothing imaginary is dropped: the full complex sum is real too.
+        """
         if self._fourier is None:
             q = self.E.q
-            scale = 1.0 / q**2
-
-            def batch_forward(rows: np.ndarray) -> np.ndarray:
-                cubes = rows.astype(np.complex128).reshape(-1, q, q)
-                return np.fft.fftn(cubes, axes=(1, 2)).reshape(-1, q * q) * scale
-
-            fhat = batch_forward(self.masked)
-            ehat = batch_forward(self.E.indicator[None, :])[0]
-            shat = batch_forward((self._norms[None, :] == self.radii[:, None]))
-            self._fourier = q**4 * ((np.conj(fhat) * ehat) @ shat.T)
+            h = q // 2 + 1
+            # unnormalized transforms: their q^2 q^2 cancels the identity's q^4
+            fhat = np.fft.rfftn(self.masked.reshape(q - 1, q, q).astype(np.float64), axes=(1, 2))
+            ehat = np.fft.rfftn(self.E.cube().astype(np.float64))
+            # column m_0 = 0 holds its own negatives; every other m_0 stands for -m too
+            ehat[:, 1:] *= 2
+            fhat *= np.conj(ehat)
+            terms = fhat.real.reshape(q - 1, q * h)
+            codes = np.arange(q - 1)[:, None] * (q + 1) + _half_spectrum_classes(q).ravel()
+            g = np.bincount(codes.ravel(), weights=terms.ravel(), minlength=(q - 1) * (q + 1))
+            # sum_k G[a, k] T[b, k] in einsum's own loop: for a product this small,
+            # waking the BLAS threads left idle by the FFTs costs more than the product
+            self._fourier = np.einsum("ak,bk->ab", g.reshape(q - 1, q + 1), _sphere_class_table(q))
         return self._fourier
 
     def report(self, a: int, b: int, with_fourier: bool = True) -> HingeReport:

@@ -326,6 +326,7 @@ class CsvSink:
     """CSV with a header and LF endings; keeps the rows that violated a bound."""
 
     def __init__(self, stream: IO[str], columns: Sequence[str]) -> None:
+        self._stream = stream
         self._writer = csv.writer(stream, lineterminator="\n")
         self._writer.writerow(columns)
         self.violations: List[List[str]] = []
@@ -335,6 +336,12 @@ class CsvSink:
         self._writer.writerow(record)
         if violated:
             self.violations.append(record)
+
+    def lines(self, lines: Sequence[str], violated: Sequence[bool]) -> None:
+        """Rows already formatted as CSV text, without line ends, whose fields
+        need no quoting; the violated ones are kept as records like row's."""
+        self._stream.write("".join(line + "\n" for line in lines))
+        self.violations += [line.split(",") for line, bad in zip(lines, violated) if bad]
 
 
 def _cell_rows(config: ExperimentConfig, q: int, rho: Fraction, seed: int) -> List[SweepRow]:

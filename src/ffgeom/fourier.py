@@ -16,6 +16,7 @@ per-axis path.  They must agree to 1e-9; tests enforce this.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -73,9 +74,15 @@ def coordinate_table(q: int, d: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=64)
 def chi_table(q: int) -> np.ndarray:
-    """chi(k) = e^{2 pi i k / q} for k = 0 .. q-1."""
-    return np.exp(2j * np.pi * np.arange(q) / q)
+    """chi(k) = e^{2 pi i k / q} for k = 0 .. q-1.
+
+    The returned array is cached and marked read-only; copy before mutating.
+    """
+    table = np.exp(2j * np.pi * np.arange(q) / q)
+    table.setflags(write=False)
+    return table
 
 
 class PointD:

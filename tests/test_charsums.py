@@ -22,7 +22,7 @@ from ffgeom.charsums import (
     sphere_size_table,
 )
 from ffgeom.field import PrimeField
-from ffgeom.fourier import PointD, SpectralGrid, forward
+from ffgeom.fourier import PointD, SpectralGrid, chi_table, forward
 
 PRIMES_TO_31 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -79,6 +79,22 @@ def test_inverse_table_and_legendre_table():
             assert inv[a] * a % q == 1
             assert leg[a] == F.legendre(a)
         assert leg[0] == 0
+
+
+@pytest.mark.parametrize("q", (5, 13, 31, 1009))
+def test_cached_tables_are_shared_and_read_only(q):
+    F = PrimeField(q)
+    for table, again, fresh in (
+        (inverse_table(F), inverse_table(PrimeField(q)), None),
+        (legendre_table(F), legendre_table(PrimeField(q)), [F.legendre(a) for a in range(q)]),
+        (chi_table(q), chi_table(q), [cmath.exp(2j * math.pi * k / q) for k in range(q)]),
+    ):
+        assert again is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = table[1]
+        if fresh is not None:
+            assert np.allclose(table, fresh, rtol=0, atol=1e-12)
 
 
 def test_gauss_sum_at_zero_is_q():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ffgeom import cli
+from ffgeom import bounds, cli
 from ffgeom.cli import main
 from ffgeom.counting import HingeSweep
 from ffgeom.experiments import random_set
@@ -85,6 +85,20 @@ class TestHinges:
             assert float(row[5]) == pytest.approx(float(rep.main_term))
             assert float(row[6]) == pytest.approx(float(rep.remainder))
             assert float(row[7]) == pytest.approx(rep.bound_ratio)
+
+    def test_violation_exits_two_with_stderr_rows(self, capsys, monkeypatch):
+        # rho^2 q = 67/4 puts the set in the regime; with constant 0 every row
+        # violates (no remainder is 0 here), and the printed table is unchanged
+        argv = ["hinges", "--q", "67", "--density", "0.5", "--seed", "0"]
+        assert main(argv) == 0
+        clean = capsys.readouterr().out
+        remainder = bounds.HINGE_REMAINDER
+        monkeypatch.setattr(bounds, "HINGE_REMAINDER",
+                            bounds.Bound(remainder.statistic, 0, remainder.unit))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == clean
+        assert captured.err.splitlines() == clean.splitlines()[1:]
 
     def test_budget_guard_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "out.csv"

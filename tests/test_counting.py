@@ -2,7 +2,9 @@
 
 HingeSweep is the one kernel for pair counts, hinge counts, energies and the
 spectral hinge identity.  Its oracles below work from the list of points
-alone and share no code with the library path.
+alone and share no code with the library path, except full_spectrum_counts:
+the spectral identity summed over every frequency, from HingeSweep's own
+profiles, the oracle of the per-norm-class evaluation.
 """
 
 from fractions import Fraction
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffgeom import bounds
+from ffgeom import bounds, counting
 from ffgeom.bounds import hinge_energy_regime
 from ffgeom.charsums import Sphere, sphere_size_table
 from ffgeom.counting import (
@@ -83,6 +85,39 @@ def check_against_definitions(E: PointSet) -> None:
     fourier = hs.fourier_counts()
     assert np.rint(fourier.real).astype(np.int64).tolist() == hinges.tolist()
     assert np.abs(fourier - hinges).max() <= 1e-6 * (1 + hinges.max())
+    check_against_full_spectrum(hs)
+
+
+def full_spectrum_counts(hs: HingeSweep) -> np.ndarray:
+    """The spectral hinge identity summed over all q^2 frequencies, as a complex matrix.
+
+    Full complex FFTs of the profiles on E, of E and of every sphere, and one
+    (q - 1) x q^2 x (q - 1) product: no norm classes and no half spectrum.  It
+    starts from hs.masked, the profiles on E, which circle_profile checks.
+    """
+    q = hs.E.q
+    scale = 1.0 / q**2
+
+    def batch_forward(rows: np.ndarray) -> np.ndarray:
+        cubes = rows.astype(np.complex128).reshape(-1, q, q)
+        return np.fft.fftn(cubes, axes=(1, 2)).reshape(-1, q * q) * scale
+
+    norms = np.array([PointD.from_index(hs.E.field, i, 2).norm().value for i in range(q * q)])
+    fhat = batch_forward(hs.masked)
+    ehat = batch_forward(hs.E.indicator[None, :])[0]
+    shat = batch_forward(norms[None, :] == np.arange(1, q)[:, None])
+    return q**4 * ((np.conj(fhat) * ehat) @ shat.T)
+
+
+def check_against_full_spectrum(hs: HingeSweep) -> None:
+    """The per-class kernel and the full-spectrum oracle both round to the exact
+    counts and agree within 1e-6 (1 + max)."""
+    fourier, oracle = hs.fourier_counts(), full_spectrum_counts(hs)
+    assert fourier.dtype == np.float64 and fourier.shape == hs.exact.shape
+    assert np.array_equal(np.rint(fourier), hs.exact)
+    assert np.array_equal(np.rint(oracle.real), hs.exact)
+    assert np.abs(oracle.imag).max() <= 1e-6 * (1 + hs.exact.max())
+    assert np.abs(fourier - oracle).max() <= 1e-6 * (1 + np.abs(oracle).max())
 
 
 def fluctuation_numers(hs: HingeSweep) -> np.ndarray:
@@ -415,6 +450,51 @@ class TestHingeSweep:
             sweep.report(0, 1)
         with pytest.raises(ValueError):
             sweep.report(1, 5)
+
+
+class TestSpectralClasses:
+    """HingeSweep.fourier_counts, evaluated per norm class, against the full-spectrum
+    oracle.  The whole F_3^2 population runs through check_against_definitions."""
+
+    @pytest.mark.parametrize("q", (5, 7, 11, 13, 17, 19))
+    @pytest.mark.parametrize("rho", ("1/10", "1/2", "1"))
+    @pytest.mark.parametrize("seed", (0, 1))
+    def test_random_sets(self, q, rho, seed):
+        check_against_full_spectrum(HingeSweep(random_set(q, 2, Fraction(rho), seed=seed)))
+
+    def test_half_density_at_q101(self):
+        check_against_full_spectrum(HingeSweep(random_set(101, 2, Fraction(1, 2), seed=0)))
+
+    @pytest.mark.parametrize("q", (3, 5, 7, 13))
+    def test_class_table(self, q):
+        table = counting._sphere_class_table(q)
+        assert table.shape == (q - 1, q + 1) and table.dtype == np.float64
+        assert not table.flags.writeable
+        assert counting._sphere_class_table(q) is table
+        # the origin's entry is |S_b| / q^2; nonzero isotropic vectors exist iff q = 1 mod 4
+        sizes = sphere_size_table(PrimeField(q), 2)[1:]
+        assert np.allclose(table[:, q], sizes / q**2, rtol=0, atol=1e-15)
+        assert (q % 4 == 1) == bool(np.any(table[:, 0]))
+
+    @pytest.mark.parametrize("q", (5, 13))
+    def test_merging_the_origin_into_class_0_is_caught(self, q, monkeypatch):
+        # Only at q = 1 mod 4 does class 0 hold nonzero frequencies for the origin to spoil.
+        classes = counting._half_spectrum_classes
+
+        def merged_classes(q):
+            out = classes(q)
+            out[0, 0] = 0
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(counting, "_half_spectrum_classes", merged_classes)
+            with pytest.raises(AssertionError, match="not constant on norm classes"):
+                counting._sphere_class_table.__wrapped__(q)
+        merged_table = counting._sphere_class_table(q).copy()
+        merged_table[:, 0] = merged_table[:, q]
+        monkeypatch.setattr(counting, "_sphere_class_table", lambda q: merged_table)
+        with pytest.raises(AssertionError):
+            check_against_full_spectrum(HingeSweep(random_set(q, 2, Fraction(1, 2), seed=0)))
 
 
 def test_hinge_report_split():
