@@ -4,9 +4,9 @@ __version__ = "0.1.0"
 
 from .charsums import GaussConstant, Sphere
 from .circles import CircleSystem, CounterexampleSet, MidpointReport
-from .congruence import CongruenceWitness, Rotation, Simplex
+from .congruence import CongruenceWitness, Simplex
 from .constants import SIGNATURE_RATIO_FLOOR
-from .counting import HingeReport, HingeSweep, PointSet
+from .counting import HingeSweep, PointSet
 from .experiments import (
     ExperimentConfig,
     PointsetFormatError,
@@ -27,14 +27,12 @@ __all__ = [
     "ExperimentConfig",
     "FieldElement",
     "GaussConstant",
-    "HingeReport",
     "HingeSweep",
     "MidpointReport",
     "PointD",
     "PointSet",
     "PointsetFormatError",
     "PrimeField",
-    "Rotation",
     "SIGNATURE_RATIO_FLOOR",
     "Simplex",
     "SpectralGrid",

@@ -1,8 +1,8 @@
 """Every exact bound ffgeom asserts, with its regime and printed ratio, stated once.
 
-The sweep, the CLI, HingeSweep, HingeReport and the scripts read the
-statements below; none of them restates a bound.  (The character-sum table
-checks |G(j)| = sqrt(q) and the Weil bound in floating point, with its own
+The sweep, the CLI, HingeSweep and the scripts read the statements below;
+none of them restates a bound.  (The character-sum table checks
+|G(j)| = sqrt(q) and the Weil bound in floating point, with its own
 tolerance.)
 
     hinge remainder  |R(a,b)| <= 8 q|E|, R = hinge(a,b) - |D_a| |E| |S_b| / q^2,
@@ -10,6 +10,8 @@ tolerance.)
     pair deviation   |pairs(t) - |E|^2 |S_t| / q^2| <= 2 sqrt(q) |E|
     fluctuation      sum_x (n_a(x) - |E| |S_a| / q^2)^2 <= 4 q|E|
     hinge energy     sum_{x in E} n_a(x)^2 <= 8 q|E|, asserted for |E|^2 <= 8 q^3
+                     (hinge_energy_regime); it provably follows from the
+                     fluctuation bound only where hinge_energy_guaranteed holds
     sphere size      |S_t| = q - eta(-1) for t != 0 in the plane
     triangle chain   signatures <= orbits_O <= orbits_SO
 
@@ -90,6 +92,21 @@ def density_in_hinge_regime(q: int, rho: Fraction) -> bool:
 def hinge_energy_regime(q: int, cardinality: int) -> bool:
     """Whether |E| <= sqrt(8) q^{3/2}, the stated scope of the energy bound."""
     return cardinality**2 <= 8 * q**3
+
+
+def hinge_energy_guaranteed(q: int, cardinality: int, sphere_size: int) -> bool:
+    """Whether the 8q|E| energy bound provably follows from the fluctuation bound.
+
+    Splitting n_a = A + B with A = |E||S_a|/q^2 and applying Cauchy-Schwarz to
+    the cross term gives sum_{x in E} n_a^2 <= |E| (A + 2 sqrt(q))^2, so the
+    bound is guaranteed once (A + 2 sqrt(q))^2 <= 8q.  That condition, cleared
+    of square roots: with s = |E||S_a|, it is 4q^5 >= s^2 and
+    16 s^2 q^5 <= (4q^5 - s^2)^2.  This is strictly smaller than the
+    sqrt(8) q^{3/2} regime (roughly |E| <= 0.83 q^{5/2}/|S_a|).
+    """
+    s = cardinality * sphere_size
+    margin = 4 * q**5 - s * s
+    return margin >= 0 and 16 * s * s * q**5 <= margin * margin
 
 
 def sphere_size(field: PrimeField) -> int:

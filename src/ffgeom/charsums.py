@@ -156,11 +156,6 @@ class Sphere:
         return f"Sphere(q={self.q}, d={self.d}, t={self.t.value}, count={self.count})"
 
 
-def sphere_points(field: PrimeField, t: Scalar, d: int) -> Sphere:
-    """Exact enumeration of S_t; for d=2 and t != 0 the count is q - eta(-1)."""
-    return Sphere(field, t, d)
-
-
 def sphere_size_table(field: PrimeField, d: int) -> np.ndarray:
     """|S_t| for every t, via one pass over the grid's norm values."""
     return np.bincount(norm_values(field, d), minlength=field.q)
@@ -247,9 +242,10 @@ def _closed_form_by_norm(field: PrimeField, t: int, d: int) -> np.ndarray:
 
 
 def sphere_fourier_closed(
-    field: PrimeField, t: Scalar, l: Union[PointD, Tuple[int, ...]], d: int = 2
+    field: PrimeField, t: Scalar, l: Union[PointD, Tuple[int, ...]]
 ) -> complex:
-    """Shat_t(l) for a single frequency l; t = 0 falls back to the direct DFT.
+    """Shat_t(l) for a single frequency l of F_q^d, d = len(l); t = 0 falls
+    back to the direct DFT.
 
     For t != 0 this is the entry of the per-norm table at |l|, so it equals
     sphere_fourier_grid at l exactly.

@@ -36,7 +36,6 @@ from typing import List, Tuple, Union
 
 import numpy as np
 
-from .bounds import sphere_size
 from .charsums import legendre_table, norm_values
 from .counting import PointSet
 from .field import FieldElement, PrimeField
@@ -205,13 +204,6 @@ def sum_two_squares_count(field: PrimeField, u: Scalar) -> int:
     r = np.arange(q, dtype=np.int64)
     per_class = np.bincount((r * r) % q, minlength=q)
     return int(np.dot(per_class, per_class[(uv - r) % q]))
-
-
-def sum_two_squares_closed(field: PrimeField, u: Scalar) -> int:
-    """The closed form of ffgeom.bounds.sphere_size, valid for u != 0."""
-    if field.residue(u) == 0:
-        raise ValueError("the closed form is only claimed for u != 0")
-    return sphere_size(field)
 
 
 def parallelogram_check(x: PointD, y: PointD) -> Tuple[FieldElement, FieldElement]:

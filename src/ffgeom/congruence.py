@@ -1,9 +1,10 @@
-"""Planar rotations, simplex congruence, and triangle-class statistics.
+"""Planar group matrices, simplex congruence, and triangle-class statistics.
 
-SO_2(F_q) is parametrized by pairs (a, b) with a^2 + b^2 = 1 acting as the
-matrix ((a, -b), (b, a)); it has exactly q - eta(-1) elements.  Adding the
-reflections ((a, b), (b, -a)) gives the full orthogonal group of the form
-x^2 + y^2.
+SO_2(F_q) is parametrized by the unit circle S_1: each point (a, b) with
+a^2 + b^2 = 1 is the rotation ((a, -b), (b, a)), so |SO_2| = |S_1| =
+q - eta(-1).  The reflections ((a, b), (b, -a)), one per point of S_1,
+complete the full orthogonal group O_2 of the form x^2 + y^2.
+`group_matrices` reads both off the circle's norm table.
 
 `congruent` decides whether two non-degenerate simplices in the plane are
 related by an isometry x -> Tx + tau with T^t T = I, and constructs one by a
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -52,104 +53,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import bounds
 from .charsums import inverse_table, norm_values
 from .counting import PointSet, exact_matmul
-from .field import FieldElement, PrimeField
+from .field import PrimeField
 from .fourier import CapacityError, PointD
-
-Scalar = Union[int, FieldElement]
 
 PAIR_CAPACITY = 10**8
 _SLAB_ENTRIES = 2**20  # realized-pair table entries formed per product
 DEFAULT_ORBIT_BUDGET = 10**10
 
-
-class Rotation:
-    """An element (a, b) of SO_2(F_q): the matrix ((a, -b), (b, a))."""
-
-    __slots__ = ("field", "a", "b")
-
-    def __init__(self, field: PrimeField, a: Scalar, b: Scalar) -> None:
-        self.field = field
-        self.a = field.element(a)
-        self.b = field.element(b)
-        if (self.a * self.a + self.b * self.b).value != 1:
-            raise ValueError(
-                f"({self.a.value}, {self.b.value}) is not on the unit circle mod {field.q}"
-            )
-
-    def matrix(self) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-        q = self.field.q
-        a, b = self.a.value, self.b.value
-        return ((a, (q - b) % q), (b, a))
-
-    @property
-    def det(self) -> int:
-        return 1
-
-    def apply(self, point: PointD) -> PointD:
-        if point.d != 2 or point.field != self.field:
-            raise ValueError("rotation acts on points of the same plane")
-        x1, x2 = point.coords
-        return PointD(self.field, (self.a * x1 - self.b * x2, self.b * x1 + self.a * x2))
-
-    __call__ = apply
-
-    def compose(self, other: "Rotation") -> "Rotation":
-        """self after other; the group law is complex multiplication."""
-        if other.field != self.field:
-            raise ValueError("rotations over different fields")
-        a = self.a * other.a - self.b * other.b
-        b = self.a * other.b + self.b * other.a
-        return Rotation(self.field, a, b)
-
-    def inverse(self) -> "Rotation":
-        return Rotation(self.field, self.a, -self.b)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Rotation):
-            return NotImplemented
-        return (
-            other.field == self.field
-            and other.a.value == self.a.value
-            and other.b.value == self.b.value
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field.q, self.a.value, self.b.value))
-
-    def __repr__(self) -> str:
-        return f"Rotation({self.a.value}, {self.b.value}; q={self.field.q})"
-
-
-def so2_elements(field: PrimeField) -> List[Rotation]:
-    """All of SO_2(F_q), in lexicographic (a, b) order; size q - eta(-1)."""
-    out = []
-    for a in range(field.q):
-        roots = field.sqrt((1 - a * a) % field.q)
-        if roots is None:
-            continue
-        for b in roots:
-            out.append(Rotation(field, a, b))
-    return out
-
-
 Matrix2 = Tuple[int, int, int, int]
 Vector2 = Tuple[int, int]
-
-
-def rotation_matrices(field: PrimeField) -> List[Matrix2]:
-    """SO_2 as row-major 2x2 matrices (m00, m01, m10, m11)."""
-    q = field.q
-    return [(r.a.value, (q - r.b.value) % q, r.b.value, r.a.value) for r in so2_elements(field)]
-
-
-def orthogonal_matrices(field: PrimeField) -> List[Matrix2]:
-    """The full orthogonal group: rotations plus reflections ((a, b), (b, -a))."""
-    q = field.q
-    out = rotation_matrices(field)
-    for r in so2_elements(field):
-        a, b = r.a.value, r.b.value
-        out.append((a, b, b, (q - a) % q))
-    return out
 
 
 def _group_tag(group: str) -> str:
@@ -160,9 +72,21 @@ def _group_tag(group: str) -> str:
 
 
 def group_matrices(field: PrimeField, group: str) -> List[Matrix2]:
-    if _group_tag(group) == "SO":
-        return rotation_matrices(field)
-    return orthogonal_matrices(field)
+    """SO_2 or O_2 as row-major 2x2 matrices (m00, m01, m10, m11), read off S_1.
+
+    Each point (a, b) of the unit circle a^2 + b^2 = 1, in lexicographic
+    order, gives the rotation (a, -b, b, a); for O the reflections
+    (a, b, b, -a) follow in the same order.  Past the grid capacity the
+    circle's norm table raises CapacityError.
+    """
+    tag = _group_tag(group)
+    q = field.q
+    # norm_values is indexed x_1 q + x_0; transposed, nonzero walks (a, b) in order
+    a, b = (c.tolist() for c in np.nonzero(norm_values(field, 2).reshape(q, q).T == 1))
+    out = [(x, (q - y) % q, y, x) for x, y in zip(a, b)]
+    if tag == "O":
+        out += [(x, y, y, (q - x) % q) for x, y in zip(a, b)]
+    return out
 
 
 class Simplex:
@@ -312,23 +236,6 @@ def congruent(P: Simplex, P2: Simplex, group: str = "SO") -> Optional[Congruence
         if witness.apply(src) != dst:
             raise AssertionError("constructed map failed to transport a vertex")
     return witness
-
-
-@dataclass(frozen=True)
-class DistanceTriple:
-    """(|x-y|, |x-z|, |y-z|) in the fixed role order."""
-
-    a: FieldElement
-    b: FieldElement
-    c: FieldElement
-
-    def as_ints(self) -> Tuple[int, int, int]:
-        return (self.a.value, self.b.value, self.c.value)
-
-
-def signature(x: PointD, y: PointD, z: PointD) -> DistanceTriple:
-    """The congruence invariant of the ordered triple (x, y, z)."""
-    return DistanceTriple((x - y).norm(), (x - z).norm(), (y - z).norm())
 
 
 def _realized_slabs(q: int, indicator: bytes) -> Iterator[Tuple[np.ndarray, np.ndarray]]:

@@ -47,14 +47,10 @@ frequency against its class entry.  The tests compare the result with the
 full-spectrum complex sum over every nonempty subset of F_3^2 and random
 sets up to q = 101, and with the brute-force hinge count; those tests are
 the permanent pin of the conjugate placement.
-
-Main-term/remainder splits are kept as exact rationals so bound checks never
-touch floating point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Union
@@ -252,46 +248,6 @@ def _sphere_class_table(q: int) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True)
-class HingeReport:
-    """A hinge count with its Fourier-side value and main/remainder split."""
-
-    q: int
-    cardinality: int
-    a: FieldElement
-    b: FieldElement
-    exact_count: int
-    fourier_count: complex
-    pair_count_a: int
-    sphere_size_b: int
-
-    @property
-    def main_term(self) -> Fraction:
-        """I = |D_a| |E| |S_b| q^{-2}, with the exact pair count |D_a|."""
-        return Fraction(self.pair_count_a * self.cardinality * self.sphere_size_b, self.q**2)
-
-    @property
-    def remainder(self) -> Fraction:
-        return Fraction(self.exact_count) - self.main_term
-
-    @property
-    def bound_ratio(self) -> float:
-        """|R| / (q |E|), the value bounds.HINGE_REMAINDER bounds."""
-        return bounds.HINGE_REMAINDER.value(self.remainder * self.q**2, self.q, self.cardinality)
-
-    def remainder_bound_holds(self) -> bool:
-        """bounds.HINGE_REMAINDER on this pair, in exact integers."""
-        return bounds.HINGE_REMAINDER.holds(self.remainder * self.q**2, self.q, self.cardinality)
-
-    def fourier_matches(self, tol: float = 1e-6) -> bool:
-        value = self.fourier_count
-        return (
-            abs(value.imag) <= tol * (1 + abs(value.real))
-            and round(value.real) == self.exact_count
-            and abs(value.real - self.exact_count) <= tol * (1 + self.exact_count)
-        )
-
-
 class HingeSweep:
     """Hinge counts for every nonzero radius pair of one set, batched.
 
@@ -353,22 +309,6 @@ class HingeSweep:
             self._fourier = np.einsum("ak,bk->ab", g.reshape(q - 1, q + 1), _sphere_class_table(q))
         return self._fourier
 
-    def report(self, a: int, b: int, with_fourier: bool = True) -> HingeReport:
-        q = self.E.q
-        if not (1 <= a < q and 1 <= b < q):
-            raise ValueError("radii must be nonzero residues")
-        fourier = complex(self.fourier_counts()[a - 1, b - 1]) if with_fourier else complex(0)
-        return HingeReport(
-            q=q,
-            cardinality=self.E.cardinality,
-            a=self.E.field.element(a),
-            b=self.E.field.element(b),
-            exact_count=int(self.exact[a - 1, b - 1]),
-            fourier_count=fourier,
-            pair_count_a=int(self.pair_counts[a - 1]),
-            sphere_size_b=int(self.sphere_sizes[b - 1]),
-        )
-
     def remainder_numers(self) -> np.ndarray:
         """q^2 R(a, b) for every radius pair, exact signed integers."""
         E = self.E
@@ -386,17 +326,3 @@ class HingeSweep:
         ok = bounds.HINGE_REMAINDER.holds(self.remainder_numers(), self.E.q, self.E.cardinality)
         return [(int(a + 1), int(b + 1)) for a, b in np.argwhere(~ok)]
 
-
-def hinge_energy_guaranteed(q: int, cardinality: int, sphere_size: int) -> bool:
-    """Whether the 8q|E| energy bound provably follows from the fluctuation bound.
-
-    Splitting n_a = A + B with A = |E||S_a|/q^2 and applying Cauchy-Schwarz to
-    the cross term gives sum_{x in E} n_a^2 <= |E| (A + 2 sqrt(q))^2, so the
-    bound is guaranteed once (A + 2 sqrt(q))^2 <= 8q.  That condition, cleared
-    of square roots: with s = |E||S_a|, it is 4q^5 >= s^2 and
-    16 s^2 q^5 <= (4q^5 - s^2)^2.  This is strictly smaller than the
-    sqrt(8) q^{3/2} regime (roughly |E| <= 0.83 q^{5/2}/|S_a|).
-    """
-    s = cardinality * sphere_size
-    margin = 4 * q**5 - s * s
-    return margin >= 0 and 16 * s * s * q**5 <= margin * margin

@@ -39,7 +39,7 @@ from ffgeom.congruence import (
     Simplex,
     congruent,
     distinct_signature_count,
-    orthogonal_matrices,
+    group_matrices,
     t3_orbit_count,
 )
 from ffgeom.constants import SIGNATURE_RATIO_FLOOR
@@ -369,7 +369,7 @@ def test_criterion_14_planted_isometry_recovery(record_property):
     tally = {1: 0, -1: 0}
     for q in (5, 7):
         F = PrimeField(q)
-        mats = orthogonal_matrices(F)
+        mats = group_matrices(F, "O")
         rng = random.Random(1000 + q)
         solved = 0
         while solved < 200:

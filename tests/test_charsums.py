@@ -18,7 +18,6 @@ from ffgeom.charsums import (
     norm_values,
     sphere_fourier_closed,
     sphere_fourier_grid,
-    sphere_points,
     sphere_size_table,
 )
 from ffgeom.field import PrimeField
@@ -29,7 +28,7 @@ PRIMES_TO_31 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 def test_sphere_q5_t1_hand_enumeration():
     F = PrimeField(5)
-    pts = [p.as_ints() for p in sphere_points(F, 1, 2).points]
+    pts = [p.as_ints() for p in Sphere(F, 1, 2).points]
     assert pts == [(0, 1), (0, 4), (1, 0), (4, 0)]
     assert Sphere(F, 1, 2).count == 4
 

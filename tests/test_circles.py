@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffgeom import circles
+from ffgeom.bounds import sphere_size
 from ffgeom.charsums import Sphere
 from ffgeom.circles import (
     CircleSystem,
@@ -18,7 +19,6 @@ from ffgeom.circles import (
     midpoint_exclusion_check,
     parallelogram_check,
     representable_c_values,
-    sum_two_squares_closed,
     sum_two_squares_count,
 )
 from ffgeom.field import PrimeField
@@ -189,11 +189,10 @@ def test_representable_values_checks_are_live(monkeypatch, w):
 
 @pytest.mark.parametrize("q", (5, 7, 11, 13, 17))
 def test_sum_two_squares_closed_form(q):
+    # the closed form q - eta(-1) of bounds.sphere_size, claimed for u != 0
     F = PrimeField(q)
     for u in range(1, q):
-        assert sum_two_squares_count(F, u) == sum_two_squares_closed(F, u)
-    with pytest.raises(ValueError):
-        sum_two_squares_closed(F, 0)
+        assert sum_two_squares_count(F, u) == sphere_size(F)
 
 
 def test_sum_two_squares_at_zero():

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import ffgeom
 from ffgeom import bounds, cli
 from ffgeom.cli import main
 from ffgeom.counting import HingeSweep
@@ -78,13 +79,16 @@ class TestHinges:
         assert len(rows) == 1 + 16
         E = random_set(5, 2, Fraction(1, 2), 0)
         hs = HingeSweep(E)
+        card = E.cardinality
         for row in rows[1:]:
             a, b = int(row[2]), int(row[3])
-            rep = hs.report(a, b, with_fourier=False)
-            assert int(row[4]) == rep.exact_count
-            assert float(row[5]) == pytest.approx(float(rep.main_term))
-            assert float(row[6]) == pytest.approx(float(rep.remainder))
-            assert float(row[7]) == pytest.approx(rep.bound_ratio)
+            # I = |D_a| |E| |S_b| / q^2, R = hinge(a, b) - I, ratio |R| / (q |E|)
+            exact = int(hs.exact[a - 1, b - 1])
+            main = Fraction(int(hs.pair_counts[a - 1]) * card * int(hs.sphere_sizes[b - 1]), 25)
+            assert int(row[4]) == exact
+            assert float(row[5]) == pytest.approx(float(main))
+            assert float(row[6]) == pytest.approx(float(exact - main))
+            assert float(row[7]) == pytest.approx(float(abs(exact - main) / (5 * card)))
 
     def test_violation_exits_two_with_stderr_rows(self, capsys, monkeypatch):
         # rho^2 q = 67/4 puts the set in the regime; with constant 0 every row
@@ -365,3 +369,11 @@ def test_stdout_bytes_pinned(capsys, argv, digest):
     assert main(argv.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_public_names_resolve():
+    # every exported name is importable; the removed scalar layers stay out
+    for name in ffgeom.__all__:
+        assert hasattr(ffgeom, name), name
+    assert "HingeReport" not in ffgeom.__all__
+    assert "Rotation" not in ffgeom.__all__

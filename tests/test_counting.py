@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffgeom import bounds, counting
-from ffgeom.bounds import hinge_energy_regime
+from ffgeom.bounds import hinge_energy_guaranteed, hinge_energy_regime
 from ffgeom.charsums import Sphere, sphere_size_table
 from ffgeom.counting import (
     HingeSweep,
@@ -24,7 +24,6 @@ from ffgeom.counting import (
     circle_profile,
     circle_profile_stack,
     exact_matmul,
-    hinge_energy_guaranteed,
 )
 from ffgeom.experiments import random_set
 from ffgeom.field import PrimeField
@@ -118,6 +117,19 @@ def check_against_full_spectrum(hs: HingeSweep) -> None:
     assert np.array_equal(np.rint(oracle.real), hs.exact)
     assert np.abs(oracle.imag).max() <= 1e-6 * (1 + hs.exact.max())
     assert np.abs(fourier - oracle).max() <= 1e-6 * (1 + np.abs(oracle).max())
+
+
+def fourier_matches(value: float, exact: int) -> bool:
+    """A spectral value rounds to the exact count and lies within 1e-6 (1 + exact) of it."""
+    return round(value) == exact and abs(value - exact) <= 1e-6 * (1 + exact)
+
+
+def remainder_split(hs: HingeSweep, a: int, b: int):
+    """(I, R) for radii a, b as Fractions, from HingeSweep's arrays: the main
+    term I = |D_a| |E| |S_b| / q^2 and the remainder R = hinge(a, b) - I."""
+    q, card = hs.E.q, hs.E.cardinality
+    main = Fraction(int(hs.pair_counts[a - 1]) * card * int(hs.sphere_sizes[b - 1]), q * q)
+    return main, int(hs.exact[a - 1, b - 1]) - main
 
 
 def fluctuation_numers(hs: HingeSweep) -> np.ndarray:
@@ -263,7 +275,7 @@ def test_hinge_hand_example():
     #   origin row (0,1,1,4,4), arms see the origin plus one isotropic mate
     hs = HingeSweep(l_shape())
     for (a, b), count in {(1, 4): 8, (4, 1): 8, (1, 1): 8, (2, 3): 0}.items():
-        assert hs.report(a, b, with_fourier=False).exact_count == count
+        assert hs.exact[a - 1, b - 1] == count
 
 
 def test_pair_hand_example():
@@ -299,12 +311,11 @@ def test_fourier_route_agrees_with_exact(q, size, seed):
     hinges = brute_hinge(E)
     sweep = HingeSweep(E)
     for a, b in [(1, 1), (1, q - 1), (2, 3)]:
-        report = sweep.report(a, b)
-        assert report.exact_count == hinges[a, b]
-        assert report.fourier_matches()
-        assert abs(report.fourier_count - report.exact_count) < 1e-6 * (
-            1 + report.exact_count
-        )
+        exact = int(sweep.exact[a - 1, b - 1])
+        value = float(sweep.fourier_counts()[a - 1, b - 1])
+        assert exact == hinges[a, b]
+        assert fourier_matches(value, exact)
+        assert abs(value - exact) < 1e-6 * (1 + exact)
 
 
 def test_pair_partition_over_all_distances():
@@ -411,20 +422,14 @@ class TestHingeSweep:
         assert sweep.sphere_sizes.tolist() == sphere_size_table(E.field, 2)[1:].tolist()
 
     def test_max_ratio_and_violations_consistent(self):
-        E = random_subset(13, 70, seed=17)
-        sweep = HingeSweep(E)
-        ratios = [
-            sweep.report(a, b, with_fourier=False).bound_ratio
-            for a in range(1, 13)
-            for b in range(1, 13)
-        ]
+        # |R| / (q |E|) and the bound |R| <= 8 q |E|, from exact remainders
+        q, card = 13, 70
+        sweep = HingeSweep(random_subset(q, card, seed=17))
+        radii = [(a, b) for a in range(1, q) for b in range(1, q)]
+        remainders = [abs(remainder_split(sweep, a, b)[1]) for a, b in radii]
+        ratios = [float(r / (q * card)) for r in remainders]
         assert sweep.max_remainder_ratio() == pytest.approx(max(ratios))
-        expected = [
-            (a, b)
-            for a in range(1, 13)
-            for b in range(1, 13)
-            if not sweep.report(a, b, with_fourier=False).remainder_bound_holds()
-        ]
+        expected = [ab for ab, r in zip(radii, remainders) if not r <= 8 * q * card]
         assert sweep.remainder_violations() == expected
 
     def test_capacity_guard_before_allocating(self, monkeypatch):
@@ -443,13 +448,6 @@ class TestHingeSweep:
             HingeSweep(PointSet.from_points(PrimeField(223), 2, [(0, 0)]))
         with pytest.raises(Allocated):
             HingeSweep(PointSet.from_points(PrimeField(211), 2, [(0, 0)]))
-
-    def test_report_rejects_zero_radius(self):
-        sweep = HingeSweep(random_subset(5, 6, seed=18))
-        with pytest.raises(ValueError):
-            sweep.report(0, 1)
-        with pytest.raises(ValueError):
-            sweep.report(1, 5)
 
 
 class TestSpectralClasses:
@@ -498,11 +496,17 @@ class TestSpectralClasses:
 
 
 def test_hinge_report_split():
-    E = random_subset(11, 40, seed=19)
-    r = HingeSweep(E).report(2, 5)
-    assert r.main_term == Fraction(r.pair_count_a * 40 * r.sphere_size_b, 121)
-    assert r.remainder == r.exact_count - r.main_term
-    assert r.bound_ratio == pytest.approx(abs(float(r.remainder)) / (11 * 40))
+    # the main term and remainder at (a, b) = (2, 5), and the library's q^2 R
+    # and printed ratio against them
+    hs = HingeSweep(random_subset(11, 40, seed=19))
+    main, remainder = remainder_split(hs, 2, 5)
+    assert main == Fraction(int(hs.pair_counts[1]) * 40 * int(hs.sphere_sizes[4]), 121)
+    assert remainder == int(hs.exact[1, 4]) - main
+    numer = hs.remainder_numers()[1, 4]
+    assert Fraction(int(numer), 121) == remainder
+    assert bounds.HINGE_REMAINDER.value(numer, 11, 40) == pytest.approx(
+        abs(float(remainder)) / (11 * 40)
+    )
 
 
 def test_energy_regime_threshold():
@@ -548,6 +552,6 @@ def test_hinge_routes_agree_hypothesis(indices, a, b):
     hinges = brute_hinge(E)[1:, 1:]
     sweep = HingeSweep(E)
     assert np.rint(sweep.fourier_counts().real).astype(np.int64).tolist() == hinges.tolist()
-    report = sweep.report(a, b)
-    assert report.exact_count == hinges[a - 1, b - 1]
-    assert report.fourier_matches()
+    exact = int(sweep.exact[a - 1, b - 1])
+    assert exact == hinges[a - 1, b - 1]
+    assert fourier_matches(float(sweep.fourier_counts()[a - 1, b - 1]), exact)
