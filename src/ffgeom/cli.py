@@ -23,6 +23,7 @@ import argparse
 import io
 import os
 import sys
+from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
@@ -48,7 +49,9 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
+    # built once per process: parse_args keeps no state between calls
     parser = _Parser(prog="ffgeom", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     specs = (

@@ -38,14 +38,15 @@ q = 1 mod 4, and then w_1 != 0) lies on one of the lines w_2 = +-i w_1,
 which SO_2 scales by all of F_q^* and the reflections swap: orbit(w) is the
 slope w_2 / w_1 for SO and one shared label for O.  The same pass marks
 these labels, and the five counts are cached per set content, so the four
-statistics of one set cost one pass.
+statistics of one set cost one pass.  The codes and labels themselves do not
+depend on the set: they are built once per (q, slab) and shared by every set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -262,6 +263,59 @@ def _realized_slabs(q: int, indicator: bytes) -> Iterator[Tuple[np.ndarray, np.n
         yield u2s, product > 0
 
 
+class _Slab(NamedTuple):
+    """The arrays of one slab that do not depend on the set, read-only.
+
+    Rows run over u = (u_1, u_2) for the slab's u_2 lines, as in
+    `_realized_slabs`.
+    """
+
+    code: np.ndarray  # the SO code of (u, v), columns over v
+    line: np.ndarray  # line[i, lambda]: the column of lambda u
+    labels: np.ndarray  # the label of (u, lambda u), SO in row 0 and O in row 1
+    orbit: np.ndarray  # orbit(w) over the grid, SO in row 0 and O in row 1
+
+
+@lru_cache(maxsize=4)
+def _slab(q: int, first: int, stop: int) -> _Slab:
+    """The `_Slab` of the u_2 lines first .. stop - 1 at modulus q."""
+    field = PrimeField(q)
+    r = np.arange(q, dtype=np.int64)
+    prod = (r[:, None] * r[None, :]) % q
+    mul, neg = prod.astype(np.uint8), ((-prod) % q).astype(np.uint8)
+    norms = norm_values(field, 2)
+    u2s = np.arange(first, stop)
+    u = (u2s[:, None] * q + r).reshape(-1)
+    # u.v = u1 v1 + u2 v2 and det = u1 v2 - u2 v1 over (u2, u1, v2, v1),
+    # as uint8 sums below 2q <= 200 (q <= 100 under PAIR_CAPACITY),
+    # reduced as min(s, s - q): s - q wraps above s when s < q
+    dot = mul[u2s][:, None, :, None] + mul[None, :, None, :]
+    dot = np.minimum(dot, dot - np.uint8(q)).reshape(u.size, q * q)
+    det = mul[None, :, :, None] + neg[u2s][:, None, None, :]
+    det = np.minimum(det, det - np.uint8(q)).reshape(u.size, q * q)
+    # the SO code ((|u| q + |v|) q + u.v) q + det(u, v) is below
+    # q^4 <= PAIR_CAPACITY < 2^31, so int32 holds it
+    code = (norms[u, None] * q**3 + norms[None, :] * q**2
+            + (dot.astype(np.int64) * q + det)).astype(np.int32)
+    # each dependent (u, v) with u != 0 is (u, lambda u) for exactly one
+    # lambda; line[i, lambda] is the index of lambda u, below q^2
+    line = (prod[None, :, :] + prod[u2s][:, None, :] * q).reshape(u.size, q).astype(np.int32)
+    # orbit(w), below 2q: 0 for w = 0, |w| off the null cone, q + w_2 / w_1
+    # (SO) or q (O) for isotropic w != 0
+    w = np.arange(q * q)
+    isotropic = (norms == 0) & (w > 0)
+    slope = inverse_table(field)[w % q] * (w // q) % q
+    orbit = np.stack([np.where(isotropic, q + slope, norms), np.where(isotropic, q, norms)])
+    # a dependent pair's label: orbit(v) for (0, v), below 2q, and
+    # orbit(u) 2q + lambda for (u, lambda u) with u != 0, at least 2q and
+    # below 4q^2
+    labels = (orbit[:, u, None] * (2 * q) + r).astype(np.int32)
+    slab = _Slab(code, line, labels, orbit)
+    for array in slab:
+        array.flags.writeable = False
+    return slab
+
+
 class _TriangleTable:
     """The triangle statistics of one planar set, from one pass over its realized pairs.
 
@@ -275,45 +329,17 @@ class _TriangleTable:
     def __init__(self, q: int, indicator: bytes) -> None:
         if q**4 > PAIR_CAPACITY:
             raise CapacityError(f"pair table of size {q}^4 exceeds {PAIR_CAPACITY}")
-        field = PrimeField(q)
-        r = np.arange(q, dtype=np.int64)
-        prod = (r[:, None] * r[None, :]) % q
-        mul, neg = prod.astype(np.uint8), ((-prod) % q).astype(np.uint8)
-        norms = norm_values(field, 2)
-        # the SO code ((|u| q + |v|) q + u.v) q + det(u, v), as a row and a
-        # column part plus the u.v and det digits
-        row_code, col_code = norms * q**3, norms * q**2
         seen = np.zeros(q**4, dtype=bool)
-        # orbit(w) for SO (row 0) and O (row 1), below 2q: 0 for w = 0, |w|
-        # off the null cone, q + w_2 / w_1 (SO) or q (O) for isotropic w != 0
-        w = np.arange(q * q)
-        isotropic = (norms == 0) & (w > 0)
-        slope = inverse_table(field)[w % q] * (w // q) % q
-        orbit = np.stack([np.where(isotropic, q + slope, norms), np.where(isotropic, q, norms)])
-        # a dependent pair's label: orbit(v) for (0, v), below 2q, and
-        # orbit(u) 2q + lambda for (u, lambda u) with u != 0, at least 2q
         dependent = np.zeros((2, 4 * q * q), dtype=bool)
         for u2s, realized in _realized_slabs(q, indicator):
-            # u.v = u1 v1 + u2 v2 and det = u1 v2 - u2 v1 over (u2, u1, v2, v1),
-            # as uint8 sums below 2q <= 200 (q <= 100 under PAIR_CAPACITY),
-            # reduced as min(s, s - q): s - q wraps above s when s < q
-            dot = mul[u2s][:, None, :, None] + mul[None, :, None, :]
-            dot = np.minimum(dot, dot - np.uint8(q)).reshape(realized.shape)
-            det = mul[None, :, :, None] + neg[u2s][:, None, None, :]
-            det = np.minimum(det, det - np.uint8(q)).reshape(realized.shape)
-            u = (u2s[:, None] * q + np.arange(q)).reshape(-1)
-            code = row_code[u, None] + col_code[None, :] + (dot.astype(np.int64) * q + det)
-            seen[code[realized]] = True
-            # each dependent (u, v) with u != 0 is (u, lambda u) for exactly
-            # one lambda; line[i, lambda] is the index of lambda u.  Row u = 0
-            # is read as the (0, v) pairs instead.
-            line = (prod[None, :, :] + prod[u2s][:, None, :] * q).reshape(u.size, q)
-            on_line = np.take_along_axis(realized, line, axis=1)
-            on_line[u == 0] = False
-            labels = orbit[:, u, None] * (2 * q) + r
-            dependent[[[0], [1]], labels[:, on_line]] = True
+            slab = _slab(q, int(u2s[0]), int(u2s[-1]) + 1)
+            seen[slab.code[realized]] = True
+            on_line = np.take_along_axis(realized, slab.line, axis=1)
             if u2s[0] == 0:
-                dependent[[[0], [1]], orbit[:, realized[0]]] = True
+                # row u = 0 is read as the (0, v) pairs instead
+                on_line[0] = False
+                dependent[[[0], [1]], slab.orbit[:, realized[0]]] = True
+            dependent[[[0], [1]], slab.labels[:, on_line]] = True
         # column 0 of a Gram code's row holds its dependent pairs, the other
         # columns its independent pairs by det
         by_gram = seen.reshape(q**3, q)

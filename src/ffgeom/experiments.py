@@ -257,6 +257,16 @@ def _parse_density_list(text: str) -> Tuple[Fraction, ...]:
     return tuple(_as_density(tok.strip()) for tok in text.split(",") if tok.strip())
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _parse_bool(key: str, text: str) -> bool:
+    try:
+        return _BOOLEANS[text.lower()]
+    except KeyError:
+        raise ValueError(f"{key} must be one of 1/true/yes/0/false/no, got {text!r}") from None
+
+
 _CONFIG_KEYS = (
     "mode",
     "q",
@@ -291,7 +301,7 @@ def config_from_pairs(mode: str, pairs: Dict[str, str]) -> ExperimentConfig:
     if "samples" in pairs:
         kwargs["samples"] = int(pairs["samples"])
     if "exhaustive" in pairs:
-        kwargs["exhaustive"] = pairs["exhaustive"].lower() in ("1", "true", "yes")
+        kwargs["exhaustive"] = _parse_bool("exhaustive", pairs["exhaustive"])
     return ExperimentConfig(**kwargs)  # type: ignore[arg-type]
 
 

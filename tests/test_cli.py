@@ -13,6 +13,7 @@ import pytest
 
 import ffgeom
 from ffgeom import bounds, cli
+from ffgeom.circles import midpoint_exclusion_check
 from ffgeom.cli import main
 from ffgeom.counting import HingeSweep
 from ffgeom.experiments import random_set
@@ -198,6 +199,14 @@ class TestCounterexample:
         assert code == 0
         assert rows[1][6] == "0"
 
+    def test_misspelt_exhaustive_in_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("q = 257\nexhaustive = ture\n")
+        assert main(["counterexample", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert "exhaustive" in captured.err
+        assert captured.out == ""
+
     def test_small_modulus_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "out.csv"
         code = main(["counterexample", "--q", "251", "--out", str(out)])
@@ -369,6 +378,41 @@ def test_stdout_bytes_pinned(capsys, argv, digest):
     assert main(argv.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestParserReuse:
+    """One parser serves every main() call in a process."""
+
+    def test_exhaustive_does_not_carry_over(self, monkeypatch, capsys):
+        modes = []
+
+        def recording_check(cs, **kwargs):
+            modes.append(kwargs["exhaustive"])
+            return midpoint_exclusion_check(cs, **kwargs)
+
+        monkeypatch.setattr(cli, "midpoint_exclusion_check", recording_check)
+        assert main(["counterexample", "--q", "257", "--exhaustive"]) == 0
+        assert main(["counterexample", "--q", "257"]) == 0
+        assert modes == [True, False]
+        capsys.readouterr()
+
+    def test_usage_error_leaves_the_parser_as_fresh(self, capsys):
+        argv = ["triangles", "--q", "7", "--density", "0.5", "--seed", "0"]
+        cli._build_parser.cache_clear()
+        assert main(argv) == 0
+        fresh = capsys.readouterr().out
+        assert main(["triangles", "--group", "both"]) == 1
+        assert main(["triangles", "--q"]) == 1
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == fresh
+
+    def test_built_once(self, capsys):
+        cli._build_parser.cache_clear()
+        for argv in (["spheres", "--q", "5"], ["waffles"], ["charsum", "--q", "5"]):
+            main(argv)
+        assert cli._build_parser.cache_info().misses == 1
+        capsys.readouterr()
 
 
 def test_public_names_resolve():

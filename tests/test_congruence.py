@@ -565,6 +565,48 @@ class TestRealizedPairTable:
             congruence._triangle_table.cache_clear()
 
 
+def table_counts(E: PointSet):
+    """The five counts of a table built now, past the per-set cache."""
+    table = congruence._TriangleTable(E.q, E.indicator.tobytes())
+    return tuple(getattr(table, name) for name in table.__slots__)
+
+
+class TestSlabCache:
+    """The set-independent slab arrays, built once per (q, slab) and shared."""
+
+    def test_arrays_are_read_only(self):
+        congruence._slab.cache_clear()
+        slab = congruence._slab(7, 0, 7)
+        assert slab.code.dtype == np.int32
+        assert slab.code.shape == (7**2, 7**2)
+        for array in slab:
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 0
+
+    @pytest.mark.parametrize("q", (13, 17, 19))
+    def test_warm_counts_equal_cold_counts(self, q):
+        sets = [random_set(q, 2, Fraction(rho), seed)
+                for rho in DENSITIES for seed in range(2)]
+        congruence._slab.cache_clear()
+        warm = [table_counts(E) for E in sets]
+        assert congruence._slab.cache_info().misses == 1
+        cold = []
+        for E in sets:
+            congruence._slab.cache_clear()
+            cold.append(table_counts(E))
+        assert warm == cold
+
+    @pytest.mark.parametrize("q,lines", [(7, 1), (7, 2), (13, 3), (13, 5)])
+    def test_slab_bounds_are_part_of_the_key(self, monkeypatch, q, lines):
+        E = random_set(q, 2, Fraction(1, 2), 0)
+        congruence._slab.cache_clear()
+        whole = table_counts(E)
+        monkeypatch.setattr(congruence, "_SLAB_ENTRIES", lines * q**3)
+        warm = table_counts(E)
+        congruence._slab.cache_clear()
+        assert table_counts(E) == warm == whole
+
+
 class TestTriangleKernelOracles:
     """The triangle table's statistics against the earlier kernels and brute force."""
 

@@ -180,6 +180,17 @@ class TestConfigFile:
         assert cfg.budget == 500
         assert cfg.exhaustive is True
 
+    @pytest.mark.parametrize("text,value", [
+        ("1", True), ("true", True), ("YES", True), ("0", False), ("False", False), ("no", False),
+    ])
+    def test_exhaustive_values(self, text, value):
+        assert config_from_pairs("counterexample", {"exhaustive": text}).exhaustive is value
+
+    @pytest.mark.parametrize("text", ["ture", "", "2", "on"])
+    def test_exhaustive_rejects_other_values(self, text):
+        with pytest.raises(ValueError, match="exhaustive"):
+            config_from_pairs("counterexample", {"exhaustive": text})
+
     def test_config_rejects_unknown_key(self):
         with pytest.raises(ValueError):
             config_from_pairs("sweep", {"qq": "13"})
