@@ -574,7 +574,7 @@ def table_counts(E: PointSet):
 class TestSlabCache:
     """The set-independent slab arrays, built once per (q, slab) and shared."""
 
-    def test_arrays_are_read_only(self):
+    def test_read_only_with_int32_code(self):
         congruence._slab.cache_clear()
         slab = congruence._slab(7, 0, 7)
         assert slab.code.dtype == np.int32
