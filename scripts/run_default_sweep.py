@@ -17,7 +17,7 @@ def main() -> int:
     ap.add_argument("--out", type=str, default=None, help="CSV path (default stdout)")
     args = ap.parse_args()
 
-    config = ExperimentConfig(mode="sweep")
+    config = ExperimentConfig()
     if args.out is None:
         result = run_sweep(config, sys.stdout)
     else:

@@ -131,6 +131,9 @@ def signature_ratio(signatures: int, q: int, rho: Fraction) -> float:
     return float(Fraction(signatures) / (rho * q**3))
 
 
+DEFAULT_BUDGET = 10**10  # elementary steps each charge below may spend
+
+
 def charge_signature_table(card: int, budget: int) -> None:
     """Charge a signature count's |E|^2 steps, one per ordered pair of points."""
     if card * card > budget:

@@ -36,6 +36,7 @@ from typing import List, Tuple, Union
 
 import numpy as np
 
+from . import bounds
 from .charsums import legendre_table, norm_values
 from .counting import PointSet
 from .field import FieldElement, PrimeField
@@ -286,31 +287,28 @@ def midpoint_exclusion_check(
     samples: int = 10**4,
     seed: int = 0,
     exhaustive: bool = False,
-    budget: int = 10**10,
+    budget: int = bounds.DEFAULT_BUDGET,
 ) -> MidpointReport:
     """Verify that no pair x, y in E with |x - y| outside the sumset has its
     midpoint in E.  Applicable pairs are those whose difference norm avoids
     the sumset; violations counts applicable pairs whose midpoint lies in E.
+
+    Sampled pairs are index pairs (i, j) drawn in turn as randrange(n) from
+    a Random(seed); the exhaustive check takes every ordered pair.
     """
     E = cs.E
-    field = cs.field
-    q = field.q
+    q = cs.field.q
     idx = E.indices()
     xs, ys = idx % q, idx // q
     n = idx.size
-    inv2 = field.inv(2)
-    norms = norm_values(field, 2)
-    indicator = E.indicator
+    inv2 = cs.field.inv(2)
 
-    def check_pair(i: int, j: int) -> Tuple[bool, bool]:
-        dxe = (int(xs[i]) - int(xs[j])) % q
-        dye = (int(ys[i]) - int(ys[j])) % q
-        dist = (dxe * dxe + dye * dye) % q
-        if cs.sumset[dist]:
-            return False, False
-        mx = (int(xs[i]) + int(xs[j])) * inv2 % q
-        my = (int(ys[i]) + int(ys[j])) * inv2 % q
-        return True, bool(indicator[mx + my * q])
+    def scan(x, y, x2, y2) -> Tuple[int, int]:
+        """(applicable, violations) over the pairs (x, y), (x2, y2), broadcast."""
+        dx, dy = (x - x2) % q, (y - y2) % q
+        outside = ~cs.sumset[(dx * dx + dy * dy) % q]
+        mid = (x + x2) * inv2 % q + (y + y2) * inv2 % q * q
+        return int(np.count_nonzero(outside)), int(np.count_nonzero(outside & E.indicator[mid]))
 
     applicable = 0
     violations = 0
@@ -318,26 +316,17 @@ def midpoint_exclusion_check(
         if n * n > budget:
             raise BudgetError(f"exhaustive midpoint check needs {n}^2 pairs, budget {budget}")
         pairs_checked = n * n
-        # vectorized full scan, one row per left endpoint
-        inv2_np = np.int64(inv2)
+        # one row per left endpoint; an n x n block would hold n^2 int64s at once
         for i in range(n):
-            dxe = (int(xs[i]) - xs) % q
-            dye = (int(ys[i]) - ys) % q
-            dist = (dxe * dxe + dye * dye) % q
-            outside = ~cs.sumset[dist]
-            applicable += int(np.count_nonzero(outside))
-            mx = (int(xs[i]) + xs[outside]) * inv2_np % q
-            my = (int(ys[i]) + ys[outside]) * inv2_np % q
-            violations += int(indicator[mx + my * q].sum())
+            app, viol = scan(xs[i], ys[i], xs, ys)
+            applicable += app
+            violations += viol
     else:
         rng = random.Random(seed)
         pairs_checked = samples
-        for _ in range(samples):
-            i = rng.randrange(n)
-            j = rng.randrange(n)
-            app, viol = check_pair(i, j)
-            applicable += app
-            violations += viol
+        draws = np.fromiter((rng.randrange(n) for _ in range(2 * samples)), np.int64, 2 * samples)
+        i, j = draws[0::2], draws[1::2]
+        applicable, violations = scan(xs[i], ys[i], xs[j], ys[j])
     return MidpointReport(
         pairs_checked=pairs_checked,
         applicable=applicable,

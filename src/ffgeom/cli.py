@@ -11,10 +11,12 @@ Exit codes: 0 all asserted inequalities held, 2 an asserted bound failed
 whose statements carry a density or size hypothesis are only asserted
 inside that regime; out-of-regime rows are still emitted.
 
-Flag values override config-file entries, which override defaults.  The
---group flag restricts which orbit statistics are computed; modes that do
-not use a flag accept and ignore it, so one config file can drive several
-subcommands.
+Flags and config files share one table of run settings
+(experiments.CONFIG_KEYS): each flag is the config key of the same name, and
+any other key in a file is refused.  Flag values override config-file
+entries, which override defaults.  The --group flag restricts which orbit
+statistics are computed; subcommands that do not use a setting accept and
+ignore it, so one config file can drive several subcommands.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import io
 import os
 import sys
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
+from typing import Iterator, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
@@ -79,25 +81,13 @@ def _build_parser() -> _Parser:
 
 
 def _gather_config(args: argparse.Namespace) -> ExperimentConfig:
-    pairs: Dict[str, str] = {}
-    if args.config:
-        pairs.update(exp.parse_config_file(args.config))
-    flag_values = (
-        ("q", args.q),
-        ("density", args.density),
-        ("seed", args.seed),
-        ("out", args.out),
-        ("budget", args.budget),
-        ("group", args.group),
-        ("samples", getattr(args, "samples", None)),
-    )
-    for key, value in flag_values:
-        if value is not None:
+    pairs = exp.parse_config_file(args.config) if args.config else {}
+    for key in exp.CONFIG_KEYS:
+        # a flag this subcommand lacks reads None; a store_true left unset, False
+        value = getattr(args, key, None)
+        if value is not None and value is not False:
             pairs[key] = str(value)
-    if getattr(args, "exhaustive", False):
-        pairs["exhaustive"] = "true"
-    pairs["mode"] = args.command
-    return exp.config_from_pairs(args.command, pairs)
+    return exp.config_from_pairs(pairs)
 
 
 def _sphere_checks(field: PrimeField) -> Iterator[Tuple[int, int, Optional[int], str]]:
@@ -175,12 +165,9 @@ def _run_triangles(config: ExperimentConfig, stream: TextIO) -> List[List[str]]:
         bounds.charge_signature_table(E.cardinality, config.budget)
         sig_all = distinct_signature_count(E, mode="all")
         sig_nd = distinct_signature_count(E, mode="nondegenerate")
-        orbits_so: Optional[int] = None
-        orbits_o: Optional[int] = None
-        if config.group in ("so", "both"):
-            orbits_so = t3_orbit_count(E, group="SO", budget=config.budget)
-        if config.group in ("o", "both"):
-            orbits_o = t3_orbit_count(E, group="O", budget=config.budget)
+        orbits = {tag: t3_orbit_count(E, group=tag, budget=config.budget)
+                  for tag in exp.GROUPS[config.group]}
+        orbits_so, orbits_o = orbits.get("SO"), orbits.get("O")
         out.row((q, E.cardinality, float(rho), sig_all, sig_nd, orbits_so, orbits_o,
                  bounds.signature_ratio(sig_all, q, rho)),
                 violated=not bounds.triangle_chain_holds(sig_all, orbits_o, orbits_so))

@@ -59,7 +59,6 @@ from .fourier import CapacityError, PointD
 
 PAIR_CAPACITY = 10**8
 _SLAB_ENTRIES = 2**20  # realized-pair table entries formed per product
-DEFAULT_ORBIT_BUDGET = 10**10
 
 Matrix2 = Tuple[int, int, int, int]
 Vector2 = Tuple[int, int]
@@ -372,7 +371,7 @@ def distinct_signature_count(E: PointSet, mode: str = "all") -> int:
 
 
 def t3_orbit_count(
-    E: PointSet, group: str = "SO", budget: int = DEFAULT_ORBIT_BUDGET
+    E: PointSet, group: str = "SO", budget: int = bounds.DEFAULT_BUDGET
 ) -> int:
     """Exact number of orbits of E^3 under translations and the chosen group.
 

@@ -32,7 +32,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import IO, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -45,13 +45,12 @@ from .fourier import BudgetError, CapacityError, _check_grid_size, decode, encod
 
 POINTSET_MAGIC = "ffgeom-pointset v1"
 
-MODES = ("hinges", "triangles", "spheres", "charsum", "counterexample", "sweep")
-GROUPS = ("so", "o", "both")
+# each --group value and the orbit groups it computes, in emission order
+GROUPS = {"so": ("SO",), "o": ("O",), "both": ("SO", "O")}
 
 DEFAULT_QS = (13, 17, 19)
 DEFAULT_DENSITIES = (Fraction(3, 10), Fraction(1, 2))
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
-DEFAULT_BUDGET = 10**10
 
 SWEEP_COLUMNS = (
     "q",
@@ -190,23 +189,24 @@ def load_pointset(path: str) -> PointSet:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One harness invocation: mode plus the (q, rho, seed) grid it visits."""
+    """One harness invocation: the (q, rho, seed) grid it visits and its limits."""
 
-    mode: str
     qs: Tuple[int, ...] = DEFAULT_QS
     densities: Tuple[Fraction, ...] = DEFAULT_DENSITIES
     seeds: Tuple[int, ...] = DEFAULT_SEEDS
     out: Optional[str] = None
-    budget: int = DEFAULT_BUDGET
+    budget: int = bounds.DEFAULT_BUDGET
     group: str = "both"
     samples: int = 10**4
     exhaustive: bool = False
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if not self.qs:
             raise ValueError("at least one modulus is required")
+        if not self.densities:
+            raise ValueError("at least one density is required")
+        if not self.seeds:
+            raise ValueError("at least one seed is required")
         for q in self.qs:
             PrimeField(q)
         for rho in self.densities:
@@ -217,7 +217,7 @@ class ExperimentConfig:
         if self.budget <= 0:
             raise ValueError("work budget must be positive")
         if self.group not in GROUPS:
-            raise ValueError(f"group must be one of {GROUPS}, got {self.group!r}")
+            raise ValueError(f"group must be one of {tuple(GROUPS)}, got {self.group!r}")
         if self.samples <= 0:
             raise ValueError("sample count must be positive")
 
@@ -260,48 +260,38 @@ def _parse_density_list(text: str) -> Tuple[Fraction, ...]:
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
-def _parse_bool(key: str, text: str) -> bool:
+def _parse_bool(text: str) -> bool:
     try:
         return _BOOLEANS[text.lower()]
     except KeyError:
-        raise ValueError(f"{key} must be one of 1/true/yes/0/false/no, got {text!r}") from None
+        raise ValueError(f"expected one of 1/true/yes/0/false/no, got {text!r}") from None
 
 
-_CONFIG_KEYS = (
-    "mode",
-    "q",
-    "density",
-    "seed",
-    "out",
-    "budget",
-    "group",
-    "samples",
-    "exhaustive",
-)
+# every run setting, for config files and CLI flags alike:
+# key -> (ExperimentConfig field, parser of the key's text)
+CONFIG_KEYS: Dict[str, Tuple[str, Callable[[str], object]]] = {
+    "q": ("qs", _parse_int_list),
+    "density": ("densities", _parse_density_list),
+    "seed": ("seeds", _parse_int_list),
+    "out": ("out", str),
+    "budget": ("budget", int),
+    "group": ("group", str.lower),
+    "samples": ("samples", int),
+    "exhaustive": ("exhaustive", _parse_bool),
+}
 
 
-def config_from_pairs(mode: str, pairs: Dict[str, str]) -> ExperimentConfig:
-    """Build a config from raw string overrides (file entries or CLI flags)."""
-    for key in pairs:
-        if key not in _CONFIG_KEYS:
+def config_from_pairs(pairs: Dict[str, str]) -> ExperimentConfig:
+    """Build a config from raw string settings (file entries or CLI flags)."""
+    kwargs: Dict[str, object] = {}
+    for key, text in pairs.items():
+        if key not in CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
-    kwargs: Dict[str, object] = {"mode": pairs.get("mode", mode)}
-    if "q" in pairs:
-        kwargs["qs"] = _parse_int_list(pairs["q"])
-    if "density" in pairs:
-        kwargs["densities"] = _parse_density_list(pairs["density"])
-    if "seed" in pairs:
-        kwargs["seeds"] = _parse_int_list(pairs["seed"])
-    if "out" in pairs:
-        kwargs["out"] = pairs["out"]
-    if "budget" in pairs:
-        kwargs["budget"] = int(pairs["budget"])
-    if "group" in pairs:
-        kwargs["group"] = pairs["group"].lower()
-    if "samples" in pairs:
-        kwargs["samples"] = int(pairs["samples"])
-    if "exhaustive" in pairs:
-        kwargs["exhaustive"] = _parse_bool("exhaustive", pairs["exhaustive"])
+        field, parse = CONFIG_KEYS[key]
+        try:
+            kwargs[field] = parse(text)
+        except ValueError as err:
+            raise ValueError(f"{key}: {err}") from None
     return ExperimentConfig(**kwargs)  # type: ignore[arg-type]
 
 
@@ -378,11 +368,8 @@ def _cell_rows(config: ExperimentConfig, q: int, rho: Fraction, seed: int) -> Li
         rows.append(budget_row("signatures_all"))
         rows.append(budget_row("signatures_nondeg"))
 
-    for stat, tag in (("orbits_so", "SO"), ("orbits_o", "O")):
-        if config.group == "so" and stat == "orbits_o":
-            continue
-        if config.group == "o" and stat == "orbits_so":
-            continue
+    for tag in GROUPS[config.group]:
+        stat = f"orbits_{tag.lower()}"
         if sig_all is None:
             rows.append(budget_row(stat))
             continue

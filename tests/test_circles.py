@@ -262,7 +262,36 @@ class TestCounterexample:
             assert abs(signed) <= q // 8
 
 
+def replay_sampled_pairs(cs: CounterexampleSet, samples: int, seed: int):
+    """(applicable, violations) by the definition, pair by pair, over the index
+    pairs (i, j) drawn in turn as randrange(|E|) from Random(seed)."""
+    pts = cs.E.points()
+    rng = random.Random(seed)
+    inv2 = cs.field.inv(2)
+    applicable = violations = 0
+    for _ in range(samples):
+        x = pts[rng.randrange(len(pts))]
+        y = pts[rng.randrange(len(pts))]
+        if cs.sumset[(x - y).norm().value]:
+            continue
+        applicable += 1
+        mid = PointD(cs.field, [inv2 * (a + b) for a, b in zip(x.as_ints(), y.as_ints())])
+        violations += mid in cs.E
+    return applicable, violations
+
+
 class TestMidpointExclusion:
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("empty_sumset", [False, True])
+    def test_sampled_report_matches_pair_replay(self, seed, empty_sumset):
+        cs = build_counterexample(PrimeField(257))
+        if empty_sumset:
+            # every pair applies, so x = y and other midpoints in E count as violations
+            cs = CounterexampleSet(cs.field, cs.A, cs.E, np.zeros(cs.q, dtype=bool))
+        r = midpoint_exclusion_check(cs, samples=1500, seed=seed)
+        assert (r.applicable, r.violations) == replay_sampled_pairs(cs, 1500, seed)
+        assert r.violations > 0 if empty_sumset else r.violations == 0
+
     def test_sampled_run_is_clean_and_deterministic(self):
         cs = build_counterexample(PrimeField(257))
         r1 = midpoint_exclusion_check(cs, samples=2000, seed=0)

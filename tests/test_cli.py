@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line harness through main()."""
 
+import argparse
 import csv
 import hashlib
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import ffgeom
-from ffgeom import bounds, cli
+from ffgeom import bounds, cli, experiments
 from ffgeom.circles import midpoint_exclusion_check
 from ffgeom.cli import main
 from ffgeom.counting import HingeSweep
@@ -275,6 +276,17 @@ class TestUsageErrors:
         assert not out.exists()
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv,setting", [
+        ("counterexample --q 257 --seed ,", "seed"),
+        ("sweep --q 5 --seed ,", "seed"),
+        ("triangles --q 5 --density ,", "density"),
+    ])
+    def test_empty_grid_list(self, capsys, argv, setting):
+        assert main(argv.split()) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"at least one {setting} is required" in captured.err
+
     def test_bad_group_value(self, capsys):
         assert main(["triangles", "--group", "both"]) == 1
         capsys.readouterr()
@@ -324,12 +336,14 @@ class TestConfigPrecedence:
         assert code == 0
         assert {r[0] for r in rows[1:]} == {"7"}
 
-    def test_subcommand_overrides_config_mode(self, tmp_path):
+    def test_mode_key_is_refused(self, tmp_path, capsys):
+        # the subcommand picks what runs, so a file's mode is refused, not ignored
         cfg = tmp_path / "run.cfg"
         cfg.write_text("mode = hinges\nq = 5\n")
-        code, rows = run_to_file(tmp_path, ["spheres", "--config", str(cfg)])
-        assert code == 0
-        assert rows[0][:3] == ["q", "d", "t"]
+        assert main(["spheres", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown config key 'mode'" in captured.err
 
     def test_out_flag_overrides_config_out(self, tmp_path):
         decoy = tmp_path / "decoy.csv"
@@ -340,6 +354,67 @@ class TestConfigPrecedence:
         assert code == 0
         assert real.exists()
         assert not decoy.exists()
+
+
+# one value per run setting, as a flag and as config-file text, and a second
+# value that the flag brings when both are given; --exhaustive can only say true
+SETTINGS = {
+    "q": ("5,7", "11"),
+    "density": ("0.3,0.5", "1"),
+    "seed": ("3", "4,5"),
+    "out": ("first.csv", "second.csv"),
+    "budget": ("1000", "2000"),
+    "group": ("so", "o"),
+    "samples": ("50", "60"),
+    "exhaustive": ("false", "true"),
+}
+
+
+def subcommand_flags():
+    """(subcommand, config key) for every flag but --config of every subcommand."""
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return [(name, action.dest) for name, sp in sub.choices.items()
+            for action in sp._actions if action.option_strings
+            and action.dest not in ("help", "config")]
+
+
+def flag_argv(key, text):
+    if key == "exhaustive":
+        return ["--exhaustive"] if text == "true" else []
+    return [f"--{key}", text]
+
+
+def gathered(argv):
+    return cli._gather_config(cli._build_parser().parse_args(argv))
+
+
+class TestSettingsTable:
+    """Flags and config files read one table of keys."""
+
+    def test_every_key_has_a_case(self):
+        assert set(SETTINGS) == set(experiments.CONFIG_KEYS)
+
+    def test_every_flag_is_a_table_key(self):
+        assert {key for _, key in subcommand_flags()} <= set(experiments.CONFIG_KEYS)
+
+    @pytest.mark.parametrize("command,key", subcommand_flags())
+    def test_flag_and_file_agree(self, tmp_path, command, key):
+        text = SETTINGS[key][1]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {text}\n")
+        from_file = gathered([command, "--config", str(cfg)])
+        assert from_file == gathered([command] + flag_argv(key, text))
+        assert from_file != experiments.ExperimentConfig()
+
+    @pytest.mark.parametrize("command,key", subcommand_flags())
+    def test_flag_overrides_file(self, tmp_path, command, key):
+        in_file, in_flag = SETTINGS[key]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {in_file}\n")
+        both = gathered([command, "--config", str(cfg)] + flag_argv(key, in_flag))
+        assert both == gathered([command] + flag_argv(key, in_flag))
+        assert both != gathered([command, "--config", str(cfg)])
 
 
 def test_stdout_path(capsys):

@@ -168,11 +168,9 @@ class TestConfigFile:
 
     def test_config_from_pairs(self):
         cfg = config_from_pairs(
-            "sweep",
             {"q": "13,17", "density": "0.3, 0.5", "seed": "0,1", "group": "SO",
              "budget": "500", "exhaustive": "true"},
         )
-        assert cfg.mode == "sweep"
         assert cfg.qs == (13, 17)
         assert cfg.densities == (Fraction(3, 10), Fraction(1, 2))
         assert cfg.seeds == (0, 1)
@@ -184,25 +182,36 @@ class TestConfigFile:
         ("1", True), ("true", True), ("YES", True), ("0", False), ("False", False), ("no", False),
     ])
     def test_exhaustive_values(self, text, value):
-        assert config_from_pairs("counterexample", {"exhaustive": text}).exhaustive is value
+        assert config_from_pairs({"exhaustive": text}).exhaustive is value
 
     @pytest.mark.parametrize("text", ["ture", "", "2", "on"])
     def test_exhaustive_rejects_other_values(self, text):
         with pytest.raises(ValueError, match="exhaustive"):
-            config_from_pairs("counterexample", {"exhaustive": text})
+            config_from_pairs({"exhaustive": text})
 
     def test_config_rejects_unknown_key(self):
         with pytest.raises(ValueError):
-            config_from_pairs("sweep", {"qq": "13"})
+            config_from_pairs({"qq": "13"})
 
-    def test_mode_in_pairs_wins(self):
-        cfg = config_from_pairs("sweep", {"mode": "hinges"})
-        assert cfg.mode == "hinges"
+    def test_mode_key_is_unknown(self):
+        # the subcommand picks what runs; a mode setting would be dead
+        with pytest.raises(ValueError, match="unknown config key 'mode'"):
+            config_from_pairs({"mode": "hinges"})
+
+    @pytest.mark.parametrize("key,text", [("budget", "lots"), ("density", "1.5")])
+    def test_parse_error_names_its_key(self, key, text):
+        with pytest.raises(ValueError, match=f"^{key}: "):
+            config_from_pairs({key: text})
+
+    @pytest.mark.parametrize("key", ["density", "seed"])
+    def test_empty_grid_list_is_refused(self, key):
+        with pytest.raises(ValueError, match=f"at least one {key} is required"):
+            config_from_pairs({key: ","})
 
 
 class TestExperimentConfig:
     def test_defaults(self):
-        cfg = ExperimentConfig(mode="sweep")
+        cfg = ExperimentConfig()
         assert cfg.qs == DEFAULT_QS
         assert cfg.densities == DEFAULT_DENSITIES
         assert cfg.seeds == DEFAULT_SEEDS
@@ -210,7 +219,7 @@ class TestExperimentConfig:
 
     def test_cell_order(self):
         cfg = ExperimentConfig(
-            mode="sweep", qs=(5, 7), densities=(Fraction(1, 2),), seeds=(0, 1)
+            qs=(5, 7), densities=(Fraction(1, 2),), seeds=(0, 1)
         )
         assert list(cfg.cells()) == [
             (5, Fraction(1, 2), 0),
@@ -222,15 +231,16 @@ class TestExperimentConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"mode": "dance"},
-            {"mode": "sweep", "qs": ()},
-            {"mode": "sweep", "qs": (4,)},
-            {"mode": "sweep", "densities": (Fraction(3, 2),)},
-            {"mode": "sweep", "seeds": (-1,)},
-            {"mode": "sweep", "seeds": (2**64,)},
-            {"mode": "sweep", "budget": 0},
-            {"mode": "sweep", "group": "su"},
-            {"mode": "sweep", "samples": 0},
+            {"densities": ()},
+            {"qs": ()},
+            {"qs": (4,)},
+            {"densities": (Fraction(3, 2),)},
+            {"seeds": (-1,)},
+            {"seeds": (2**64,)},
+            {"budget": 0},
+            {"group": "su"},
+            {"samples": 0},
+            {"seeds": ()},
         ],
     )
     def test_validation(self, kwargs):
@@ -248,7 +258,7 @@ def test_density_regime_threshold():
 
 def one_cell_config(**kwargs):
     defaults = dict(
-        mode="sweep", qs=(5,), densities=(Fraction(1, 2),), seeds=(0,), budget=10**10
+        qs=(5,), densities=(Fraction(1, 2),), seeds=(0,), budget=10**10
     )
     defaults.update(kwargs)
     return ExperimentConfig(**defaults)
@@ -336,7 +346,7 @@ class TestSweep:
         # schema or grid changes
         golden = pathlib.Path(__file__).parent / "data" / "golden_sweep.csv"
         buf = io.StringIO()
-        run_sweep(ExperimentConfig(mode="sweep"), buf)
+        run_sweep(ExperimentConfig(), buf)
         assert buf.getvalue() == golden.read_text()
 
     def test_values_replay_against_direct_computation(self):
