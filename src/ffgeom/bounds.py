@@ -159,3 +159,9 @@ def charge_hinge_sweep(q: int, budget: int) -> None:
     """Charge HingeSweep's q^4 steps (q - 1 radii, ~q shifts of q^2 cells each)."""
     if q**4 > budget:
         raise BudgetError(f"hinge table at q={q} needs {q**4} steps, budget {budget}")
+
+
+def charge_midpoint_pairs(card: int, budget: int) -> None:
+    """Charge an exhaustive midpoint check's |E|^2 steps, one per ordered pair."""
+    if card * card > budget:
+        raise BudgetError(f"exhaustive midpoint check needs {card}^2 pairs, budget {budget}")

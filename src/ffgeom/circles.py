@@ -23,7 +23,9 @@ The midpoint-avoiding set is a union of circles with radii in A, the positive
 multiples of 8 up to q/32.  For x, y in it whose difference norm lies outside
 the sumset 2A + 2A - 4A, the midpoint (x+y)/2 cannot land back in the set:
 the parallelogram identity forces |x - y| = 2|x| + 2|y| - 4|(x+y)/2| into the
-sumset otherwise.
+sumset otherwise.  midpoint_exclusion_check tests this on pairs of points by
+gathers from tables of length 2q - 1, indexed by coordinate differences and
+sums (squares d^2 mod q, halves s/2 mod q), so no pair is reduced mod q.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from . import bounds
 from .charsums import legendre_table, norm_values
 from .counting import PointSet
 from .field import FieldElement, PrimeField
-from .fourier import GRID_CAPACITY, BudgetError, CapacityError, PointD
+from .fourier import GRID_CAPACITY, CapacityError, PointD
 
 Scalar = Union[int, FieldElement]
 
@@ -301,24 +303,32 @@ def midpoint_exclusion_check(
     idx = E.indices()
     xs, ys = idx % q, idx // q
     n = idx.size
-    inv2 = cs.field.inv(2)
+    if exhaustive:
+        bounds.charge_midpoint_pairs(n, budget)
+    # a difference of two residues, shifted by q - 1, and a sum of two lie in
+    # [0, 2q - 2], and a sum of two squares mod q in [0, 2q - 2], so gathers
+    # from these tables replace every per-pair reduction mod q
+    d = np.arange(1 - q, q, dtype=np.int64)
+    sq = d * d % q
+    outside = np.tile(~cs.sumset, 2)
+    half = np.arange(2 * q - 1, dtype=np.int64) * cs.field.inv(2) % q
+    member = E.indicator.view(bool)
 
     def scan(x, y, x2, y2) -> Tuple[int, int]:
         """(applicable, violations) over the pairs (x, y), (x2, y2), broadcast."""
-        dx, dy = (x - x2) % q, (y - y2) % q
-        outside = ~cs.sumset[(dx * dx + dy * dy) % q]
-        mid = (x + x2) * inv2 % q + (y + y2) * inv2 % q * q
-        return int(np.count_nonzero(outside)), int(np.count_nonzero(outside & E.indicator[mid]))
+        out = outside[sq[x + (q - 1) - x2] + sq[y + (q - 1) - y2]]
+        mid = half[x + x2] + q * half[y + y2]
+        return int(np.count_nonzero(out)), int(np.count_nonzero(out & member[mid]))
 
     applicable = 0
     violations = 0
     if exhaustive:
-        if n * n > budget:
-            raise BudgetError(f"exhaustive midpoint check needs {n}^2 pairs, budget {budget}")
         pairs_checked = n * n
-        # one row per left endpoint; an n x n block would hold n^2 int64s at once
-        for i in range(n):
-            app, viol = scan(xs[i], ys[i], xs, ys)
+        # blocks of rows x all n columns hold about 2^15 int64s per temporary,
+        # small enough to stay in cache
+        rows = max(1, 2**15 // n)
+        for i in range(0, n, rows):
+            app, viol = scan(xs[i:i + rows, None], ys[i:i + rows, None], xs, ys)
             applicable += app
             violations += viol
     else:

@@ -96,7 +96,10 @@ Density = Union[Fraction, float, int, str]
 
 def _as_density(rho: Density) -> Fraction:
     # float densities go through their decimal literal, so 0.3 means 3/10
-    frac = Fraction(str(rho)) if isinstance(rho, float) else Fraction(rho)
+    try:
+        frac = Fraction(str(rho)) if isinstance(rho, float) else Fraction(rho)
+    except ZeroDivisionError:
+        raise ValueError(f"density must have a nonzero denominator, got {rho!r}") from None
     if not 0 < frac <= 1:
         raise ValueError(f"density must lie in (0, 1], got {frac}")
     return frac

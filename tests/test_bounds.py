@@ -94,3 +94,10 @@ def test_hinge_sweep_charge():
     bounds.charge_hinge_sweep(13, 13**4)
     with pytest.raises(BudgetError, match="budget"):
         bounds.charge_hinge_sweep(13, 13**4 - 1)
+
+
+def test_midpoint_pairs_charge():
+    bounds.charge_midpoint_pairs(256, 256**2)
+    with pytest.raises(BudgetError,
+                       match=r"^exhaustive midpoint check needs 256\^2 pairs, budget 65535$"):
+        bounds.charge_midpoint_pairs(256, 256**2 - 1)

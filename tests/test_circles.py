@@ -1,6 +1,7 @@
 """Circle intersection, two-square counts, and the small-sumset circle union."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from ffgeom.circles import (
     representable_c_values,
     sum_two_squares_count,
 )
+from ffgeom.experiments import random_set
 from ffgeom.field import PrimeField
 from ffgeom.fourier import BudgetError, CapacityError, PointD
 
@@ -280,14 +282,60 @@ def replay_sampled_pairs(cs: CounterexampleSet, samples: int, seed: int):
     return applicable, violations
 
 
+def every_pair_oracle(cs: CounterexampleSet):
+    """(applicable, violations) by the definition over every ordered pair of E,
+    in plain ints: the difference norm avoids the sumset, and the midpoint
+    ((x + x')/2, (y + y')/2) lies in E."""
+    q = cs.q
+    inv2 = pow(2, -1, q)
+    pts = [p.as_ints() for p in cs.E.points()]
+    members = set(pts)
+    sumset = {int(v) for v in np.flatnonzero(cs.sumset)}
+    applicable = violations = 0
+    for x, y in pts:
+        for x2, y2 in pts:
+            if ((x - x2) ** 2 + (y - y2) ** 2) % q in sumset:
+                continue
+            applicable += 1
+            violations += ((x + x2) * inv2 % q, (y + y2) * inv2 % q) in members
+    return applicable, violations
+
+
+def midpoint_case(name: str) -> CounterexampleSet:
+    """The built set at q = 257, the same with an empty sumset, or the built
+    sumset over 300 seeded random points: no union of circles, not rotation
+    invariant, and 300 rows split into blocks of 2^15 // 300 = 109 rows
+    leave a partial last block."""
+    cs = build_counterexample(PrimeField(257))
+    if name == "empty_sumset":
+        # every pair applies, so x = y and other midpoints in E count as violations
+        return CounterexampleSet(cs.field, cs.A, cs.E, np.zeros(cs.q, dtype=bool))
+    if name == "off_circle":
+        E = random_set(257, 2, Fraction(300, 257**2), seed=3)
+        assert E.cardinality == 300
+        return CounterexampleSet(cs.field, cs.A, E, cs.sumset)
+    return cs
+
+
 class TestMidpointExclusion:
+    @pytest.mark.parametrize("name", ["built", "empty_sumset", "off_circle"])
+    def test_exhaustive_report_matches_every_pair_oracle(self, name):
+        cs = midpoint_case(name)
+        r = midpoint_exclusion_check(cs, exhaustive=True)
+        assert r.pairs_checked == cs.E.cardinality**2
+        assert (r.applicable, r.violations) == every_pair_oracle(cs)
+        assert r.violations == 0 if name == "built" else r.violations > 0
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_sampled_off_circle_report_matches_pair_replay(self, seed):
+        cs = midpoint_case("off_circle")
+        r = midpoint_exclusion_check(cs, samples=1500, seed=seed)
+        assert (r.applicable, r.violations) == replay_sampled_pairs(cs, 1500, seed)
+
     @pytest.mark.parametrize("seed", [0, 7])
     @pytest.mark.parametrize("empty_sumset", [False, True])
     def test_sampled_report_matches_pair_replay(self, seed, empty_sumset):
-        cs = build_counterexample(PrimeField(257))
-        if empty_sumset:
-            # every pair applies, so x = y and other midpoints in E count as violations
-            cs = CounterexampleSet(cs.field, cs.A, cs.E, np.zeros(cs.q, dtype=bool))
+        cs = midpoint_case("empty_sumset" if empty_sumset else "built")
         r = midpoint_exclusion_check(cs, samples=1500, seed=seed)
         assert (r.applicable, r.violations) == replay_sampled_pairs(cs, 1500, seed)
         assert r.violations > 0 if empty_sumset else r.violations == 0
@@ -314,6 +362,9 @@ class TestMidpointExclusion:
         cs = build_counterexample(PrimeField(257))
         with pytest.raises(BudgetError):
             midpoint_exclusion_check(cs, exhaustive=True, budget=10)
+        with pytest.raises(BudgetError, match=r"^exhaustive midpoint check needs 256\^2 pairs"):
+            midpoint_exclusion_check(cs, exhaustive=True, budget=256**2 - 1)
+        assert midpoint_exclusion_check(cs, exhaustive=True, budget=256**2).applicable == 65280
 
     def test_applicable_pairs_have_midpoints_outside(self):
         # replay the definition on a few concrete pairs

@@ -287,6 +287,22 @@ class TestUsageErrors:
         assert captured.out == ""
         assert f"at least one {setting} is required" in captured.err
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_zero_denominator_density(self, tmp_path, capsys, source):
+        argv = ["sweep", "--q", "5"]
+        if source == "flag":
+            argv += ["--density", "1/0"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("density = 1/0\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ffgeom: error: density: ")
+        assert "'1/0'" in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_bad_group_value(self, capsys):
         assert main(["triangles", "--group", "both"]) == 1
         capsys.readouterr()
