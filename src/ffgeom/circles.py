@@ -305,9 +305,9 @@ def midpoint_exclusion_check(
     n = idx.size
     if exhaustive:
         bounds.charge_midpoint_pairs(n, budget)
-    # a difference of two residues, shifted by q - 1, and a sum of two lie in
-    # [0, 2q - 2], and a sum of two squares mod q in [0, 2q - 2], so gathers
-    # from these tables replace every per-pair reduction mod q
+    # coordinate differences shifted by q - 1, coordinate sums and sums of two
+    # squares mod q all lie in [0, 2q - 2], so gathers from these tables
+    # replace every per-pair reduction mod q
     d = np.arange(1 - q, q, dtype=np.int64)
     sq = d * d % q
     outside = np.tile(~cs.sumset, 2)
