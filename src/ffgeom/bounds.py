@@ -19,6 +19,9 @@ All of them are stated for sets E in the plane F_q^2, the only setting the
 counting kernel (counting.HingeSweep) computes.  Each of the first four is a
 `Bound`, decided in integers; floating point enters only the value and ratio
 it prints.
+
+The charges at the end are the work budget's one cost model: the CLI runners
+and the sweep charge each stage before it runs; kernels guard only memory.
 """
 
 from __future__ import annotations
@@ -165,3 +168,9 @@ def charge_midpoint_pairs(card: int, budget: int) -> None:
     """Charge an exhaustive midpoint check's |E|^2 steps, one per ordered pair."""
     if card * card > budget:
         raise BudgetError(f"exhaustive midpoint check needs {card}^2 pairs, budget {budget}")
+
+
+def charge_midpoint_samples(samples: int, budget: int) -> None:
+    """Charge a sampled midpoint check's steps, one per sampled pair."""
+    if samples > budget:
+        raise BudgetError(f"sampled midpoint check needs {samples} pairs, budget {budget}")

@@ -35,14 +35,7 @@ from typing import List, Tuple, Union
 import numpy as np
 
 from .field import FieldElement, PrimeField
-from .fourier import (
-    GRID_CAPACITY,
-    CapacityError,
-    PointD,
-    SpectralGrid,
-    chi_table,
-    forward,
-)
+from .fourier import PointD, SpectralGrid, _check_grid_size, chi_table, forward
 
 Scalar = Union[int, FieldElement]
 
@@ -97,10 +90,7 @@ def norm_values(field: PrimeField, d: int) -> np.ndarray:
     The returned array is cached and marked read-only; copy before mutating.
     """
     q = field.q
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    if q**d > GRID_CAPACITY:
-        raise CapacityError(f"grid of size {q}^{d} exceeds capacity {GRID_CAPACITY}")
+    _check_grid_size(q, d)
     squares = (np.arange(q, dtype=np.int64) ** 2) % q
     norms = squares.copy()
     for _ in range(d - 1):

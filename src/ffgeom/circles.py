@@ -14,10 +14,11 @@ because there the quadratic's discriminant is D divided by the square (2w_2)^2.
 
 intersect_circles solves one system with scalar arithmetic and is the
 readable reference.  representable_c_values solves the systems for every c in
-F_q at once with numpy: the same two elimination branches, square roots read
-from a per-q table, and the same checks (solution count against the class of
-D, every point against both circle equations), applied to all c together.
-The tests hold the batched path equal to the scalar one.
+F_q at once with numpy: the w_1 != 0 branch alone (for w_1 = 0 the witness's
+coordinates are swapped, an isometry), square roots from a per-q table, and
+the same checks (solution count against the class of D, every point against
+both circle equations), applied to all c together.  The tests hold the
+batched path equal to the scalar one.
 
 The midpoint-avoiding set is a union of circles with radii in A, the positive
 multiples of 8 up to q/32.  For x, y in it whose difference norm lies outside
@@ -38,7 +39,6 @@ from typing import List, Tuple, Union
 
 import numpy as np
 
-from . import bounds
 from .charsums import legendre_table, norm_values
 from .counting import PointSet
 from .field import FieldElement, PrimeField
@@ -151,8 +151,9 @@ def representable_c_values(
     w must lie on the sphere of squared-radius a about the origin, a != 0.
     The subset with c != 0 has at least (q - 3) / 2 members for b != 0.
 
-    Every c in F_q is solved in one numpy pass along the elimination branch
-    intersect_circles takes for this w.  As there, the solution count must
+    Every c in F_q is solved in one numpy pass along intersect_circles'
+    w_1 != 0 elimination branch, with w's coordinates swapped when w_1 = 0
+    (the swap is an isometry fixing 0).  As there, the solution count must
     match the square class of 4ab - (a + b - c)^2 and every point must lie
     on both circles; a failed check raises AssertionError.  Raises
     CapacityError for q > GRID_CAPACITY, before any O(q) table exists.
@@ -168,20 +169,15 @@ def representable_c_values(
         raise CapacityError(f"per-residue tables at q={q} exceed capacity {GRID_CAPACITY}")
     # residues stay below q <= 10^7, so every product below is far from 2^63
     w1, w2 = w.as_ints()
+    if w1 == 0:
+        w1, w2 = w2, w1
     c = np.arange(q, dtype=np.int64)
     k = (av + bv - c) * field.inv(2) % q
-    roots = _sqrt_table(q)
-    # row j of S, T is the point built from root j of the branch's quadratic
-    if w1 != 0:
-        r = roots[(av * bv - k * k) % q]
-        R = np.stack((r, (q - r) % q))
-        T = (k * w2 + w1 * R) % q * field.inv(av) % q
-        S = (k - T * w2) % q * field.inv(w1) % q
-    else:
-        t = k * field.inv(w2) % q
-        r = roots[(bv - t * t) % q]
-        S = np.stack((r, (q - r) % q))
-        T = np.broadcast_to(t, S.shape)
+    # row j of S, T is the point built from root j of the quadratic
+    r = _sqrt_table(q)[(av * bv - k * k) % q]
+    R = np.stack((r, (q - r) % q))
+    T = (k * w2 + w1 * R) % q * field.inv(av) % q
+    S = (k - T * w2) % q * field.inv(w1) % q
     has_root = r >= 0
     # a double root yields one point, so count distinct points, not roots
     count = has_root * (1 + ((S[0] != S[1]) | (T[0] != T[1])))
@@ -191,12 +187,12 @@ def representable_c_values(
     if not np.array_equal(count, expected):
         bad = np.flatnonzero(count != expected).tolist()
         raise AssertionError(f"solution count off the class of D at q={q}, a={av}, "
-                             f"b={bv}, w={(w1, w2)}, c in {bad}")
+                             f"b={bv}, w={w.as_ints()}, c in {bad}")
     on_both = ((S * S + T * T) % q == bv) & (((S - w1) ** 2 + (T - w2) ** 2) % q == c)
     if not on_both[:, has_root].all():
         bad = np.flatnonzero(has_root & ~on_both.all(axis=0)).tolist()
         raise AssertionError(f"point off a circle at q={q}, a={av}, b={bv}, "
-                             f"w={(w1, w2)}, c in {bad}")
+                             f"w={w.as_ints()}, c in {bad}")
     return np.flatnonzero(count).tolist()
 
 
@@ -274,6 +270,9 @@ def build_counterexample(field: PrimeField) -> CounterexampleSet:
     return CounterexampleSet(field, A, E, sumset)
 
 
+_PAIR_BLOCK = 2**15  # pairs per block of the midpoint scan, so memory stays flat
+
+
 @dataclass(frozen=True)
 class MidpointReport:
     """Result of checking midpoint exclusion over sampled or exhaustive pairs."""
@@ -289,22 +288,21 @@ def midpoint_exclusion_check(
     samples: int = 10**4,
     seed: int = 0,
     exhaustive: bool = False,
-    budget: int = bounds.DEFAULT_BUDGET,
 ) -> MidpointReport:
     """Verify that no pair x, y in E with |x - y| outside the sumset has its
     midpoint in E.  Applicable pairs are those whose difference norm avoids
     the sumset; violations counts applicable pairs whose midpoint lies in E.
 
     Sampled pairs are index pairs (i, j) drawn in turn as randrange(n) from
-    a Random(seed); the exhaustive check takes every ordered pair.
+    a Random(seed); the exhaustive check takes every ordered pair.  Either
+    way the pairs are drawn and scanned in blocks of about _PAIR_BLOCK; their
+    count is charged by the caller (`bounds.charge_midpoint_pairs`/`_samples`).
     """
     E = cs.E
     q = cs.field.q
     idx = E.indices()
     xs, ys = idx % q, idx // q
     n = idx.size
-    if exhaustive:
-        bounds.charge_midpoint_pairs(n, budget)
     # coordinate differences shifted by q - 1, coordinate sums and sums of two
     # squares mod q all lie in [0, 2q - 2], so gathers from these tables
     # replace every per-pair reduction mod q
@@ -320,26 +318,21 @@ def midpoint_exclusion_check(
         mid = half[x + x2] + q * half[y + y2]
         return int(np.count_nonzero(out)), int(np.count_nonzero(out & member[mid]))
 
-    applicable = 0
-    violations = 0
+    counts = []  # (applicable, violations) per block of pairs
     if exhaustive:
         pairs_checked = n * n
-        # blocks of rows x all n columns hold about 2^15 int64s per temporary,
-        # small enough to stay in cache
-        rows = max(1, 2**15 // n)
+        # blocks of rows x all n columns, small enough to stay in cache
+        rows = max(1, _PAIR_BLOCK // n)
         for i in range(0, n, rows):
-            app, viol = scan(xs[i:i + rows, None], ys[i:i + rows, None], xs, ys)
-            applicable += app
-            violations += viol
+            counts.append(scan(xs[i:i + rows, None], ys[i:i + rows, None], xs, ys))
     else:
         rng = random.Random(seed)
         pairs_checked = samples
-        draws = np.fromiter((rng.randrange(n) for _ in range(2 * samples)), np.int64, 2 * samples)
-        i, j = draws[0::2], draws[1::2]
-        applicable, violations = scan(xs[i], ys[i], xs[j], ys[j])
-    return MidpointReport(
-        pairs_checked=pairs_checked,
-        applicable=applicable,
-        violations=violations,
-        exhaustive=exhaustive,
-    )
+        for k in range(0, samples, _PAIR_BLOCK):
+            m = min(_PAIR_BLOCK, samples - k)
+            draws = np.fromiter((rng.randrange(n) for _ in range(2 * m)), np.int64, 2 * m)
+            i, j = draws[0::2], draws[1::2]
+            counts.append(scan(xs[i], ys[i], xs[j], ys[j]))
+    applicable, violations = (sum(c) for c in zip(*counts))
+    return MidpointReport(pairs_checked=pairs_checked, applicable=applicable,
+                          violations=violations, exhaustive=exhaustive)

@@ -11,6 +11,9 @@ Exit codes: 0 all asserted inequalities held, 2 an asserted bound failed
 whose statements carry a density or size hypothesis are only asserted
 inside that regime; out-of-regime rows are still emitted.
 
+Kernels guard only memory (CapacityError); each runner charges every stage
+against --budget, by the formulas in ffgeom.bounds, before the stage runs.
+
 Flags and config files share one table of run settings
 (experiments.CONFIG_KEYS): each flag is the config key of the same name, and
 any other key in a file is refused.  Flag values override config-file
@@ -71,7 +74,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--seed", help="comma-separated 64-bit seeds")
         sp.add_argument("--out", help="output CSV path (default: stdout)")
         sp.add_argument("--budget", help="work budget in elementary steps")
-        sp.add_argument("--group", choices=("so", "o"), help="orbit group filter")
+        sp.add_argument("--group", help="orbit groups: so, o or both")
         sp.add_argument("--config", help="flat key=value config file")
         if name == "counterexample":
             sp.add_argument("--samples", help="random midpoint pairs to check")
@@ -112,6 +115,8 @@ def _run_charsum(config: ExperimentConfig, stream: TextIO) -> List[List[str]]:
     tol = 1e-9
     for q in config.qs:
         field = PrimeField(q)
+        # first, as it is the step that meets the grid cap; its rows come last
+        spheres = list(_sphere_checks(field))
         root_q = q**0.5
         for j in range(q):
             val = gauss_sum(field, j)
@@ -130,7 +135,7 @@ def _run_charsum(config: ExperimentConfig, stream: TextIO) -> List[List[str]]:
                 status = "info" if a == 0 else "pass" if abs(val) <= ref + tol else "fail"
                 out.row((q, kind, a, val.real, val.imag, abs(val), ref, status),
                         violated=status == "fail")
-        for t, count, ref, status in _sphere_checks(field):
+        for t, count, ref, status in spheres:
             out.row((q, "sphere", t, count, 0, count, ref, status), violated=status == "fail")
     return out.violations
 
@@ -160,13 +165,15 @@ def _run_hinges(config: ExperimentConfig, stream: TextIO) -> List[List[str]]:
 def _run_triangles(config: ExperimentConfig, stream: TextIO) -> List[List[str]]:
     out = exp.CsvSink(stream, ("q", "|E|", "rho", "signatures_all", "signatures_nondeg",
                                "orbits_SO", "orbits_O", "ratio_to_rho_q3"))
+    groups = exp.GROUPS[config.group]
     for q, rho, seed in config.cells():
         E = random_set(q, 2, rho, seed)
         bounds.charge_signature_table(E.cardinality, config.budget)
+        for tag in groups:
+            bounds.charge_orbit_count(E.field, E.cardinality, tag, config.budget)
         sig_all = distinct_signature_count(E, mode="all")
         sig_nd = distinct_signature_count(E, mode="nondegenerate")
-        orbits = {tag: t3_orbit_count(E, group=tag, budget=config.budget)
-                  for tag in exp.GROUPS[config.group]}
+        orbits = {tag: t3_orbit_count(E, group=tag) for tag in groups}
         orbits_so, orbits_o = orbits.get("SO"), orbits.get("O")
         out.row((q, E.cardinality, float(rho), sig_all, sig_nd, orbits_so, orbits_o,
                  bounds.signature_ratio(sig_all, q, rho)),
@@ -180,12 +187,15 @@ def _run_counterexample(config: ExperimentConfig, stream: TextIO) -> List[List[s
     for q in config.qs:
         field = PrimeField(q)
         cs = build_counterexample(field)
+        if config.exhaustive:
+            bounds.charge_midpoint_pairs(cs.E.cardinality, config.budget)
+        else:
+            bounds.charge_midpoint_samples(config.samples, config.budget)
         report = midpoint_exclusion_check(
             cs,
             samples=config.samples,
             seed=config.seeds[0],
             exhaustive=config.exhaustive,
-            budget=config.budget,
         )
         bad = cs.sumset_is_full or report.violations > 0
         out.row((q, len(cs.A), cs.E.cardinality, float(cs.density), cs.sumset_size,

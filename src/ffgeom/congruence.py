@@ -51,7 +51,6 @@ from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import bounds
 from .charsums import inverse_table, norm_values
 from .counting import PointSet, exact_matmul
 from .field import PrimeField
@@ -370,20 +369,18 @@ def distinct_signature_count(E: PointSet, mode: str = "all") -> int:
     return table.signatures_all if mode == "all" else table.signatures_nondeg
 
 
-def t3_orbit_count(
-    E: PointSet, group: str = "SO", budget: int = bounds.DEFAULT_BUDGET
-) -> int:
+def t3_orbit_count(E: PointSet, group: str = "SO") -> int:
     """Exact number of orbits of E^3 under translations and the chosen group.
 
     Independent realized pairs are counted by label (the Gram code for O,
     with det(u, v) for SO), dependent ones by their closed-form labels; no
     group element mixes the two.  Both counts are read from the set's cached
-    triangle table, after `bounds.charge_orbit_count` charges the budget.
+    triangle table.  Like the signature counts, this guards only the table's
+    memory; the caller charges the work first (`bounds.charge_orbit_count`).
     """
     if E.d != 2:
         raise ValueError("orbit counting is defined on the plane (d = 2)")
     tag = _group_tag(group)
-    bounds.charge_orbit_count(E.field, E.cardinality, tag, budget)
     table = _triangle_table(E.q, E.indicator.tobytes())
     if tag == "SO":
         return table.independent_so + table.dependent_so

@@ -60,7 +60,7 @@ import numpy as np
 from . import bounds
 from .charsums import Sphere, norm_values, sphere_size_table
 from .field import FieldElement, PrimeField
-from .fourier import GRID_CAPACITY, CapacityError, PointD, SpectralGrid, decode
+from .fourier import GRID_CAPACITY, CapacityError, PointD, SpectralGrid, _check_grid_size, decode
 
 Scalar = Union[int, FieldElement]
 
@@ -89,9 +89,7 @@ class PointSet:
     __slots__ = ("field", "d", "indicator", "cardinality")
 
     def __init__(self, field: PrimeField, d: int, indicator: np.ndarray) -> None:
-        size = field.q**d
-        if size > GRID_CAPACITY:
-            raise CapacityError(f"grid of size {field.q}^{d} exceeds {GRID_CAPACITY}")
+        size = _check_grid_size(field.q, d)
         arr = np.asarray(indicator).ravel()
         if arr.size != size:
             raise ValueError(f"expected {size} indicator entries, got {arr.size}")

@@ -16,6 +16,8 @@ Sweep rows carry a status column:
                   ratio with no asserted bound (signature counts);
     budget        the computation would exceed the work budget or a
                   structural capacity, so value fields are left empty.
+                  Each stage is charged against the budget before it
+                  runs, so a refused stage does none of its work.
 
 Each bound, its regime and its printed value and ratio come from
 ffgeom.bounds: the hinge remainder is asserted only for dense sets and the
@@ -377,7 +379,8 @@ def _cell_rows(config: ExperimentConfig, q: int, rho: Fraction, seed: int) -> Li
             rows.append(budget_row(stat))
             continue
         try:
-            orbits = t3_orbit_count(E, group=tag, budget=config.budget)
+            bounds.charge_orbit_count(E.field, card, tag, config.budget)
+            orbits = t3_orbit_count(E, group=tag)
             holds = bounds.triangle_chain_holds(sig_all, **{stat: orbits})
             rows.append(
                 row(stat, orbits, sig_all, orbits / sig_all, "pass" if holds else "fail")

@@ -355,8 +355,8 @@ def test_criterion_13_signature_growth_floor(record_property):
         ratio = Fraction(sig) / (rho * q**3)
         ratios.append(float(ratio))
         assert ratio >= floor, (seed, sig, float(ratio))
-        orbits_so = t3_orbit_count(E, group="SO", budget=10**13)
-        orbits_o = t3_orbit_count(E, group="O", budget=10**13)
+        orbits_so = t3_orbit_count(E, group="SO")
+        orbits_o = t3_orbit_count(E, group="O")
         assert sig <= orbits_so, (seed, sig, orbits_so)
         assert sig <= orbits_o, (seed, sig, orbits_o)
         record_property(f"seed{seed}", f"sig={sig} SO={orbits_so} O={orbits_o}")

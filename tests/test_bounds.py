@@ -101,3 +101,10 @@ def test_midpoint_pairs_charge():
     with pytest.raises(BudgetError,
                        match=r"^exhaustive midpoint check needs 256\^2 pairs, budget 65535$"):
         bounds.charge_midpoint_pairs(256, 256**2 - 1)
+
+
+def test_midpoint_samples_charge():
+    bounds.charge_midpoint_samples(50, 50)
+    with pytest.raises(BudgetError,
+                       match=r"^sampled midpoint check needs 50 pairs, budget 49$"):
+        bounds.charge_midpoint_samples(50, 49)

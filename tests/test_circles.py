@@ -1,6 +1,7 @@
 """Circle intersection, two-square counts, and the small-sumset circle union."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,7 @@ from ffgeom.circles import (
 )
 from ffgeom.experiments import random_set
 from ffgeom.field import PrimeField
-from ffgeom.fourier import BudgetError, CapacityError, PointD
+from ffgeom.fourier import CapacityError, PointD
 
 
 def brute_intersection(sys: CircleSystem):
@@ -358,13 +359,27 @@ class TestMidpointExclusion:
         assert r.applicable == 65280
         assert r.violations == 0
 
-    def test_exhaustive_budget_guard(self):
+    def test_sampled_blocks_match_pair_replay(self):
+        # one full block of draws and a partial second one
+        cs = midpoint_case("off_circle")
+        samples = circles._PAIR_BLOCK + 123
+        r = midpoint_exclusion_check(cs, samples=samples, seed=5)
+        assert r.pairs_checked == samples
+        assert (r.applicable, r.violations) == replay_sampled_pairs(cs, samples, 5)
+        assert r.violations > 0
+
+    def test_sampled_peak_memory_is_flat_in_samples(self):
         cs = build_counterexample(PrimeField(257))
-        with pytest.raises(BudgetError):
-            midpoint_exclusion_check(cs, exhaustive=True, budget=10)
-        with pytest.raises(BudgetError, match=r"^exhaustive midpoint check needs 256\^2 pairs"):
-            midpoint_exclusion_check(cs, exhaustive=True, budget=256**2 - 1)
-        assert midpoint_exclusion_check(cs, exhaustive=True, budget=256**2).applicable == 65280
+        peaks = []
+        for samples in (circles._PAIR_BLOCK, 4 * circles._PAIR_BLOCK + 5):
+            tracemalloc.start()
+            try:
+                midpoint_exclusion_check(cs, samples=samples, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # drawing every pair at once would hold about four times the first peak
+        assert peaks[1] <= peaks[0] + 2**16, peaks
 
     def test_applicable_pairs_have_midpoints_outside(self):
         # replay the definition on a few concrete pairs

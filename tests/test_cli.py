@@ -70,6 +70,17 @@ class TestCharsum:
                 assert row[7] == "pass"
                 assert float(row[5]) <= 2 * 5**0.5 + 1e-9
 
+    def test_grid_cap_refuses_before_any_character_sum(self, monkeypatch, capsys):
+        # 3163^2 > GRID_CAPACITY: the sphere table meets the cap before O(q^2) sums run
+        calls = []
+        real = cli.gauss_sum
+        monkeypatch.setattr(cli, "gauss_sum", lambda *args: calls.append(args) or real(*args))
+        assert main(["charsum", "--q", "3163"]) == 1
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "grid of size 3163^2 = 10004569 exceeds capacity 10000000" in captured.err
+
 
 class TestHinges:
     def test_rows_match_library(self, tmp_path):
@@ -162,9 +173,19 @@ class TestTriangles:
         assert "signature table for |E|=25 needs 625 steps, budget 100" in err
         assert "orbit" not in err
 
+    def test_orbit_stage_charged_before_the_table(self, monkeypatch, capsys):
+        # 25^2 signature steps fit the budget, 25^3 * |SO_2| orbit steps do not
+        calls = []
+        real = cli.distinct_signature_count
+        monkeypatch.setattr(cli, "distinct_signature_count",
+                            lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+        assert main(["triangles", "--q", "7", "--density", "0.5", "--budget", "700"]) == 1
+        assert calls == []
+        assert "orbit count needs 25^3 * 8 steps, budget 700" in capsys.readouterr().err
+
     def test_q97_ends_within_4_gib(self):
-        # a 471-point set at q = 97: the signature stage completes in bounded
-        # memory and the orbit stage is refused by the default budget
+        # a 471-point set at q = 97: the sweep gets its signature counts in
+        # bounded memory and writes budget rows for the orbit counts
         def cap_address_space():
             resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
 
@@ -172,14 +193,17 @@ class TestTriangles:
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
-            [sys.executable, "-m", "ffgeom.cli", "triangles", "--q", "97",
+            [sys.executable, "-m", "ffgeom.cli", "sweep", "--q", "97",
              "--density", "0.05", "--seed", "0"],
             capture_output=True, text=True, env=env, timeout=300,
             preexec_fn=cap_address_space,
         )
-        assert proc.returncode in (0, 1), proc.stderr
-        assert "MemoryError" not in proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 0, proc.stderr
+        rows = {r[4]: r for r in csv.reader(proc.stdout.splitlines()[1:])}
+        assert rows["signatures_all"][3] == "471"
+        assert rows["signatures_all"][5] == "465697"
+        assert rows["signatures_nondeg"][5] == "456288"
+        assert rows["orbits_so"][8] == rows["orbits_o"][8] == "budget"
 
 
 class TestCounterexample:
@@ -199,6 +223,34 @@ class TestCounterexample:
         )
         assert code == 0
         assert rows[1][6] == "0"
+
+    @pytest.mark.parametrize("budget,code", [("49", 1), ("50", 0)])
+    def test_sampled_pairs_charged_against_budget(self, capsys, budget, code):
+        argv = ["counterexample", "--q", "257", "--samples", "50", "--budget", budget]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert ("sampled midpoint check needs 50 pairs, budget 49" in err) == (code == 1)
+
+    def test_exhaustive_budget_guard(self, monkeypatch, capsys):
+        # the 256 points' 256^2 ordered pairs are charged before the check runs
+        reports = []
+
+        def recording_check(cs, **kwargs):
+            reports.append(midpoint_exclusion_check(cs, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "midpoint_exclusion_check", recording_check)
+        argv = ["counterexample", "--q", "257", "--exhaustive", "--budget"]
+        for budget in (10, 256**2 - 1):
+            assert main(argv + [str(budget)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert (f"ffgeom: error: exhaustive midpoint check needs 256^2 pairs, "
+                    f"budget {budget}") in captured.err
+        assert reports == []
+        assert main(argv + [str(256**2)]) == 0
+        capsys.readouterr()
+        assert [r.applicable for r in reports] == [65280]
 
     def test_misspelt_exhaustive_in_config_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -304,8 +356,23 @@ class TestUsageErrors:
         assert captured.err.count("\n") == 1
 
     def test_bad_group_value(self, capsys):
-        assert main(["triangles", "--group", "both"]) == 1
-        capsys.readouterr()
+        assert main(["triangles", "--group", "all"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "group must be one of ('so', 'o', 'both'), got 'all'" in captured.err
+
+    def test_group_flag_reads_like_the_config_key(self, tmp_path, capsys):
+        # --group both and --group SO are accepted, as in a config file
+        argv = ["triangles", "--q", "5", "--density", "0.5", "--seed", "0"]
+        tables = []
+        for extra in ([], ["--group", "both"], ["--group", "so"], ["--group", "SO"]):
+            assert main(argv + extra) == 0
+            tables.append(capsys.readouterr().out)
+        assert tables[0] == tables[1]
+        assert tables[2] == tables[3] != tables[0]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("group = both\n")
+        assert gathered(argv + ["--group", "both"]) == gathered(argv + ["--config", str(cfg)])
 
     def test_unwritable_out(self, tmp_path, capsys):
         target = tmp_path / "missing-dir" / "out.csv"
@@ -492,7 +559,7 @@ class TestParserReuse:
         cli._build_parser.cache_clear()
         assert main(argv) == 0
         fresh = capsys.readouterr().out
-        assert main(["triangles", "--group", "both"]) == 1
+        assert main(["triangles", "--group", "all"]) == 1
         assert main(["triangles", "--q"]) == 1
         capsys.readouterr()
         assert main(argv) == 0

@@ -19,7 +19,7 @@ from ffgeom.congruence import (
 from ffgeom.counting import PointSet
 from ffgeom.experiments import random_set
 from ffgeom.field import PrimeField, is_prime
-from ffgeom.fourier import BudgetError, CapacityError, PointD
+from ffgeom.fourier import CapacityError, PointD
 
 SMALL_PRIMES = (3, 5, 7, 11, 13)
 
@@ -804,11 +804,8 @@ class TestOrbitCount:
         assert orbits_by_sig, "sample produced no non-collinear triples"
         assert max(len(v) for v in orbits_by_sig.values()) <= 2
 
-    def test_budget_and_capacity_guards(self):
-        F = PrimeField(5)
-        E = PointSet.from_points(F, 2, [(0, 0), (1, 0), (0, 2)])
-        with pytest.raises(BudgetError):
-            t3_orbit_count(E, "SO", budget=10)
+    def test_capacity_guard(self):
+        # the kernel guards memory only; its work is charged by the harness
         big = PointSet.from_points(PrimeField(101), 2, [(0, 0)])
         with pytest.raises(CapacityError):
             t3_orbit_count(big, "SO")
