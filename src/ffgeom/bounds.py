@@ -164,6 +164,12 @@ def charge_hinge_sweep(q: int, budget: int) -> None:
         raise BudgetError(f"hinge table at q={q} needs {q**4} steps, budget {budget}")
 
 
+def charge_character_sums(q: int, budget: int) -> None:
+    """Charge 3q^2 steps: q Gauss and 2q Kloosterman sums of about q terms each."""
+    if 3 * q * q > budget:
+        raise BudgetError(f"character sums at q={q} need 3 * {q}^2 steps, budget {budget}")
+
+
 def charge_midpoint_pairs(card: int, budget: int) -> None:
     """Charge an exhaustive midpoint check's |E|^2 steps, one per ordered pair."""
     if card * card > budget:

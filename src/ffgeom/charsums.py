@@ -47,12 +47,18 @@ _VERIFY_LIMIT = 10**6
 
 
 @lru_cache(maxsize=64)
-def _squares_mask(q: int) -> np.ndarray:
-    """Boolean table over residues: True at nonzero squares and at 0."""
-    mask = np.zeros(q, dtype=bool)
-    k = np.arange(q, dtype=np.int64)
-    mask[(k * k) % q] = True
-    return mask
+def sqrt_table(field: PrimeField) -> np.ndarray:
+    """The smaller square root of every residue mod q, -1 at non-residues.
+
+    The returned array is cached and marked read-only; copy before mutating.
+    """
+    q = field.q
+    half = np.arange((q + 1) // 2, dtype=np.int64)
+    table = np.full(q, -1, dtype=np.int64)
+    # 0 .. (q-1)/2 holds exactly one root of each square, the smaller one
+    table[(half * half) % q] = half
+    table.setflags(write=False)
+    return table
 
 
 @lru_cache(maxsize=64)
@@ -61,8 +67,7 @@ def legendre_table(field: PrimeField) -> np.ndarray:
 
     The returned array is cached and marked read-only; copy before mutating.
     """
-    q = field.q
-    table = np.where(_squares_mask(q), np.int8(1), np.int8(-1))
+    table = np.where(sqrt_table(field) >= 0, np.int8(1), np.int8(-1))
     table[0] = 0
     table.setflags(write=False)
     return table
@@ -147,8 +152,16 @@ class Sphere:
 
 
 def sphere_size_table(field: PrimeField, d: int) -> np.ndarray:
-    """|S_t| for every t, via one pass over the grid's norm values."""
-    return np.bincount(norm_values(field, d), minlength=field.q)
+    """|S_t| for every t, without a q^d table: the counts of x^2 (1 at 0, 2 at
+    each nonzero square), convolved d - 1 times and folded mod q, exact in int64."""
+    q = field.q
+    _check_grid_size(q, d)
+    roots = sqrt_table(field)
+    sizes = squares = (roots >= 0).astype(np.int64) + (roots > 0)
+    for _ in range(d - 1):
+        full = np.convolve(sizes, squares)
+        sizes = full[:q] + np.pad(full[q:], (0, 1))
+    return sizes
 
 
 class GaussConstant:

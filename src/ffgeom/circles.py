@@ -34,12 +34,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import List, Tuple, Union
 
 import numpy as np
 
-from .charsums import legendre_table, norm_values
+from .charsums import legendre_table, norm_values, sqrt_table
 from .counting import PointSet
 from .field import FieldElement, PrimeField
 from .fourier import GRID_CAPACITY, CapacityError, PointD
@@ -132,17 +131,6 @@ def intersect_circles(sys: CircleSystem) -> List[PointD]:
     return points
 
 
-@lru_cache(maxsize=64)
-def _sqrt_table(q: int) -> np.ndarray:
-    """The smaller square root of every residue mod q, -1 at non-residues."""
-    # 0 .. (q-1)/2 holds exactly one root of each square, the smaller one
-    half = np.arange((q + 1) // 2, dtype=np.int64)
-    table = np.full(q, -1, dtype=np.int64)
-    table[(half * half) % q] = half
-    table.setflags(write=False)
-    return table
-
-
 def representable_c_values(
     field: PrimeField, a: Scalar, b: Scalar, w: PointD
 ) -> List[int]:
@@ -174,7 +162,7 @@ def representable_c_values(
     c = np.arange(q, dtype=np.int64)
     k = (av + bv - c) * field.inv(2) % q
     # row j of S, T is the point built from root j of the quadratic
-    r = _sqrt_table(q)[(av * bv - k * k) % q]
+    r = sqrt_table(field)[(av * bv - k * k) % q]
     R = np.stack((r, (q - r) % q))
     T = (k * w2 + w1 * R) % q * field.inv(av) % q
     S = (k - T * w2) % q * field.inv(w1) % q

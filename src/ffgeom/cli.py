@@ -117,6 +117,7 @@ def _run_charsum(config: ExperimentConfig, stream: TextIO) -> List[List[str]]:
         field = PrimeField(q)
         # first, as it is the step that meets the grid cap; its rows come last
         spheres = list(_sphere_checks(field))
+        bounds.charge_character_sums(q, config.budget)
         root_q = q**0.5
         for j in range(q):
             val = gauss_sum(field, j)

@@ -19,43 +19,46 @@ triangles), which is why the group argument exposes both SO and O.
 Triangle statistics read one table, the realized difference pairs (u, v) =
 (y - x, z - x) over (x, y, z) in E^3.  With A[x, u] = E(x + u) for x in E,
 the pair (u, v) is realized exactly when (A^T A)[u, v] > 0.  That product is
-formed in float32 BLAS, streamed in slabs of at most 2^20 pairs, so the one
-q^4 array held is a presence table of bytes; it is exact because its entries
-and partial sums count anchors, at most |E| <= q^2 < 2^24.  An independent
-pair is fixed up to O_2 by its Gram data (|u|, |v|, u.v) (Witt's theorem)
-and up to SO_2 by that data plus det(u, v); as 2 is invertible, the Gram
-data and the distance triple (|u|, |v|, |u - v|) determine each other, so
-signatures are counted as Gram codes.  One pass marks each realized pair's
-code Gram * q + det in a q^4 presence table, whose rows are the q^3 Gram
-codes: the signature counts, all and nondegenerate, and the SO count of
-independent pairs are counts over it.
+formed in float32 BLAS, streamed in slabs of at most 2^20 pairs; it is exact
+because its entries and partial sums count anchors, at most |E| <= q^2 <
+2^24.  An independent pair is fixed up to O_2 by its Gram data (|u|, |v|,
+u.v) (Witt's theorem) and up to SO_2 by that data plus det(u, v); as 2 is
+invertible, the Gram data and the distance triple (|u|, |v|, |u - v|)
+determine each other, so signatures are counted as Gram codes.  By the
+Lagrange identity det^2 = |u||v| - (u.v)^2 the Gram data fixes det up to
+sign, so each Gram code needs three cells: 0 for a dependent pair, 1 for
+det in 1 .. (q - 1)/2 and 2 for det above.  One pass marks each realized
+pair's code Gram * 3 + cell in a table of about 3 q^3 bools.
 
 A dependent pair (det(u, v) = 0) is (0, 0), (0, w) or (w, lambda w) with
-w != 0, and its orbit is labelled in closed form by orbit(w), or by
-(orbit(w), lambda).  SO_2 acts simply transitively on each circle S_t with
-t != 0, so off the null cone orbit(w) is |w|.  An isotropic w != 0 (only for
-q = 1 mod 4, and then w_1 != 0) lies on one of the lines w_2 = +-i w_1,
-which SO_2 scales by all of F_q^* and the reflections swap: orbit(w) is the
-slope w_2 / w_1 for SO and one shared label for O.  The same pass marks
-these labels, and the five counts are cached per set content, so the four
-statistics of one set cost one pass.  The codes and labels themselves do not
-depend on the set: they are built once per (q, slab) and shared by every set.
+w != 0.  SO_2 acts simply transitively on each circle S_t with t != 0, so
+off the null cone the orbit of such a pair is named by |w| and lambda,
+which its Gram code carries.  The exceptions all have Gram code 0: an
+isotropic w != 0 (only for q = 1 mod 4) lies on one of the lines
+t (1, +-i), i^2 = -1, which SO_2 scales by all of F_q^* and the reflections
+swap.  These pairs get codes past the 3 q^3 cells that keep the line and
+lambda (q for (0, w)): SO counts them per line, O per lambda.  The four
+counts are cached per set content, so the four statistics of one set cost
+one pass.  The codes themselves do not depend on the set: they are built
+once per (q, slab) and shared by every set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .charsums import inverse_table, norm_values
+from .charsums import norm_values
 from .counting import PointSet, exact_matmul
 from .field import PrimeField
 from .fourier import CapacityError, PointD
 
+# q^4 at most: bounds A's |E| q^2 float32 entries (|E| <= q^2) and keeps
+# q <= 100, so the slab codes' uint8 sums stay below 2q <= 200
 PAIR_CAPACITY = 10**8
 _SLAB_ENTRIES = 2**20  # realized-pair table entries formed per product
 
@@ -261,91 +264,77 @@ def _realized_slabs(q: int, indicator: bytes) -> Iterator[Tuple[np.ndarray, np.n
         yield u2s, product > 0
 
 
-class _Slab(NamedTuple):
-    """The arrays of one slab that do not depend on the set, read-only.
-
-    Rows run over u = (u_1, u_2) for the slab's u_2 lines, as in
-    `_realized_slabs`.
-    """
-
-    code: np.ndarray  # the SO code of (u, v), columns over v
-    line: np.ndarray  # line[i, lambda]: the column of lambda u
-    labels: np.ndarray  # the label of (u, lambda u), SO in row 0 and O in row 1
-    orbit: np.ndarray  # orbit(w) over the grid, SO in row 0 and O in row 1
-
-
 @lru_cache(maxsize=4)
-def _slab(q: int, first: int, stop: int) -> _Slab:
-    """The `_Slab` of the u_2 lines first .. stop - 1 at modulus q."""
-    field = PrimeField(q)
+def _slab_codes(q: int, first: int, stop: int) -> np.ndarray:
+    """The class code of every pair (u, v) with u on the u_2 lines first ..
+    stop - 1, rows over u as in `_realized_slabs` and columns over v.
+
+    Read-only int32, below 3 q^3 + 2 (q + 1): Gram * 3 + cell as in the
+    module notes, and 3 q^3 + line (q + 1) + lambda for (w, lambda w) with w
+    on an isotropic line, lambda = q for (0, w).
+    """
     r = np.arange(q, dtype=np.int64)
     prod = (r[:, None] * r[None, :]) % q
     mul, neg = prod.astype(np.uint8), ((-prod) % q).astype(np.uint8)
-    norms = norm_values(field, 2)
+    norms = norm_values(PrimeField(q), 2).astype(np.int32)
     u2s = np.arange(first, stop)
-    u = (u2s[:, None] * q + r).reshape(-1)
+    rows = u2s.size * q
     # u.v = u1 v1 + u2 v2 and det = u1 v2 - u2 v1 over (u2, u1, v2, v1),
     # as uint8 sums below 2q <= 200 (q <= 100 under PAIR_CAPACITY),
     # reduced as min(s, s - q): s - q wraps above s when s < q
     dot = mul[u2s][:, None, :, None] + mul[None, :, None, :]
-    dot = np.minimum(dot, dot - np.uint8(q)).reshape(u.size, q * q)
+    dot = np.minimum(dot, dot - np.uint8(q)).reshape(rows, q * q)
     det = mul[None, :, :, None] + neg[u2s][:, None, None, :]
-    det = np.minimum(det, det - np.uint8(q)).reshape(u.size, q * q)
-    # the SO code ((|u| q + |v|) q + u.v) q + det(u, v) is below
-    # q^4 <= PAIR_CAPACITY < 2^31, so int32 holds it
-    code = (norms[u, None] * q**3 + norms[None, :] * q**2
-            + (dot.astype(np.int64) * q + det)).astype(np.int32)
-    # each dependent (u, v) with u != 0 is (u, lambda u) for exactly one
-    # lambda; line[i, lambda] is the index of lambda u, below q^2
-    line = (prod[None, :, :] + prod[u2s][:, None, :] * q).reshape(u.size, q).astype(np.int32)
-    # orbit(w), below 2q: 0 for w = 0, |w| off the null cone, q + w_2 / w_1
-    # (SO) or q (O) for isotropic w != 0
-    w = np.arange(q * q)
-    isotropic = (norms == 0) & (w > 0)
-    slope = inverse_table(field)[w % q] * (w // q) % q
-    orbit = np.stack([np.where(isotropic, q + slope, norms), np.where(isotropic, q, norms)])
-    # a dependent pair's label: orbit(v) for (0, v), below 2q, and
-    # orbit(u) 2q + lambda for (u, lambda u) with u != 0, at least 2q and
-    # below 4q^2
-    labels = (orbit[:, u, None] * (2 * q) + r).astype(np.int32)
-    slab = _Slab(code, line, labels, orbit)
-    for array in slab:
-        array.flags.writeable = False
-    return slab
+    det = np.minimum(det, det - np.uint8(q)).reshape(rows, q * q)
+    # the Gram code (|u| q + |v|) q + u.v, then its cell; every digit is
+    # added in place in int32, as 3 q^3 + 2 (q + 1) < 2^31
+    codes = np.add.outer(norms[first * q:stop * q] * q * q, norms * q)
+    codes += dot
+    codes *= 3
+    codes += det > 0
+    codes += det > (q - 1) // 2
+    # the pairs of Gram code 0 other than (0, 0) have w = t (1, i) on an
+    # isotropic line, t != 0; w lies on u_2 = t i, so t = -i u_2
+    u2 = u2s[u2s > 0]
+    for line, i in enumerate(np.flatnonzero(prod.diagonal() == q - 1)):
+        base = 3 * q**3 + line * (q + 1)
+        t = prod[q - i, u2]
+        lam_t = prod[:, t]  # lambda w = (lambda t, lambda t i) over (lambda, w)
+        codes[(u2 - first) * q + t, prod[i, lam_t] * q + lam_t] = base + r[:, None]
+        if first == 0:
+            codes[0, prod[i, 1:] * q + r[1:]] = base + q
+    codes.flags.writeable = False
+    return codes
 
 
 class _TriangleTable:
     """The triangle statistics of one planar set, from one pass over its realized pairs.
 
-    Five counts: the signatures, all and nondegenerate; the SO classes of
-    independent pairs; and the SO and O classes of dependent pairs.
+    With cells[g] the three cells of Gram code g and iso[line] the codes of
+    that isotropic line, marked for the set's realized pairs: signatures are
+    the Gram codes with a mark (all) or a mark off cell 0 (nondegenerate);
+    SO orbits are the marked cells and iso codes; O orbits merge the cells 1
+    and 2 of a Gram code and the two lines.
     """
 
-    __slots__ = ("signatures_all", "signatures_nondeg", "independent_so",
-                 "dependent_so", "dependent_o")
+    __slots__ = ("signatures_all", "signatures_nondeg", "orbits_so", "orbits_o")
 
     def __init__(self, q: int, indicator: bytes) -> None:
         if q**4 > PAIR_CAPACITY:
             raise CapacityError(f"pair table of size {q}^4 exceeds {PAIR_CAPACITY}")
-        seen = np.zeros(q**4, dtype=bool)
-        dependent = np.zeros((2, 4 * q * q), dtype=bool)
+        seen = np.zeros(3 * q**3 + 2 * (q + 1), dtype=bool)
         for u2s, realized in _realized_slabs(q, indicator):
-            slab = _slab(q, int(u2s[0]), int(u2s[-1]) + 1)
-            seen[slab.code[realized]] = True
-            on_line = np.take_along_axis(realized, slab.line, axis=1)
-            if u2s[0] == 0:
-                # row u = 0 is read as the (0, v) pairs instead
-                on_line[0] = False
-                dependent[[[0], [1]], slab.orbit[:, realized[0]]] = True
-            dependent[[[0], [1]], slab.labels[:, on_line]] = True
-        # column 0 of a Gram code's row holds its dependent pairs, the other
-        # columns its independent pairs by det
-        by_gram = seen.reshape(q**3, q)
-        nondeg = by_gram[:, 1:].any(axis=1)
-        self.signatures_all = int(np.count_nonzero(nondeg | by_gram[:, 0]))
-        self.signatures_nondeg = int(np.count_nonzero(nondeg))
-        self.independent_so = int(np.count_nonzero(by_gram[:, 1:]))
-        self.dependent_so, self.dependent_o = map(int, np.count_nonzero(dependent, axis=1))
+            seen[_slab_codes(q, int(u2s[0]), int(u2s[-1]) + 1)[realized]] = True
+        cells = seen[:3 * q**3].reshape(q**3, 3)
+        iso = seen[3 * q**3:].reshape(2, q + 1)
+        # (0, 0) is realized whenever any pair is, and keeps Gram code 0
+        dependent = int(np.count_nonzero(cells[:, 0]))
+        self.signatures_all = int(np.count_nonzero(cells.any(axis=1)))
+        self.signatures_nondeg = int(np.count_nonzero(cells[:, 1:].any(axis=1)))
+        self.orbits_so = (int(np.count_nonzero(cells[:, 1:])) + dependent
+                          + int(np.count_nonzero(iso)))
+        self.orbits_o = (self.signatures_nondeg + dependent
+                         + int(np.count_nonzero(iso.any(axis=0))))
 
 
 @lru_cache(maxsize=8)
@@ -372,9 +361,9 @@ def distinct_signature_count(E: PointSet, mode: str = "all") -> int:
 def t3_orbit_count(E: PointSet, group: str = "SO") -> int:
     """Exact number of orbits of E^3 under translations and the chosen group.
 
-    Independent realized pairs are counted by label (the Gram code for O,
-    with det(u, v) for SO), dependent ones by their closed-form labels; no
-    group element mixes the two.  Both counts are read from the set's cached
+    Realized pairs are counted by class code: the Gram code, with the sign
+    class of det(u, v) for SO, and the line and lambda of pairs on the
+    isotropic lines (merged for O).  The count is read from the set's cached
     triangle table.  Like the signature counts, this guards only the table's
     memory; the caller charges the work first (`bounds.charge_orbit_count`).
     """
@@ -382,6 +371,4 @@ def t3_orbit_count(E: PointSet, group: str = "SO") -> int:
         raise ValueError("orbit counting is defined on the plane (d = 2)")
     tag = _group_tag(group)
     table = _triangle_table(E.q, E.indicator.tobytes())
-    if tag == "SO":
-        return table.independent_so + table.dependent_so
-    return table.signatures_nondeg + table.dependent_o
+    return table.orbits_so if tag == "SO" else table.orbits_o

@@ -96,6 +96,13 @@ def test_hinge_sweep_charge():
         bounds.charge_hinge_sweep(13, 13**4 - 1)
 
 
+def test_character_sums_charge():
+    bounds.charge_character_sums(13, 3 * 13**2)
+    with pytest.raises(BudgetError,
+                       match=r"^character sums at q=13 need 3 \* 13\^2 steps, budget 506$"):
+        bounds.charge_character_sums(13, 3 * 13**2 - 1)
+
+
 def test_midpoint_pairs_charge():
     bounds.charge_midpoint_pairs(256, 256**2)
     with pytest.raises(BudgetError,

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,9 +20,10 @@ from ffgeom.charsums import (
     sphere_fourier_closed,
     sphere_fourier_grid,
     sphere_size_table,
+    sqrt_table,
 )
 from ffgeom.field import PrimeField
-from ffgeom.fourier import PointD, SpectralGrid, chi_table, forward
+from ffgeom.fourier import CapacityError, PointD, SpectralGrid, chi_table, forward
 
 PRIMES_TO_31 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -60,6 +62,28 @@ def test_sphere_sizes_match_quadratic_character(q):
     assert sizes.sum() == q * q
 
 
+@pytest.mark.parametrize("q,d", [(3, 1), (3, 2), (5, 3), (7, 2), (13, 3), (101, 2),
+                                 (1009, 2), (211, 3)])
+def test_sphere_size_table_matches_the_norm_table(q, d):
+    F = PrimeField(q)
+    sizes = sphere_size_table(F, d)
+    assert sizes.dtype == np.int64
+    assert sizes.tolist() == np.bincount(norm_values(F, d), minlength=q).tolist()
+
+
+def test_sphere_size_table_builds_no_grid_table():
+    # the norm table at q = 3001 alone holds 72 MB of int64
+    tracemalloc.start()
+    try:
+        sphere_size_table(PrimeField(3001), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    with pytest.raises(CapacityError):
+        sphere_size_table(PrimeField(3163), 2)
+
+
 def test_norm_values_agree_with_pointwise_norms():
     F = PrimeField(7)
     nv = norm_values(F, 2)
@@ -73,11 +97,16 @@ def test_inverse_table_and_legendre_table():
     for q in (5, 13, 31):
         F = PrimeField(q)
         inv = inverse_table(F)
+        roots = sqrt_table(F)
         leg = legendre_table(F)
         for a in range(1, q):
             assert inv[a] * a % q == 1
             assert leg[a] == F.legendre(a)
-        assert leg[0] == 0
+            if leg[a] == 1:
+                assert roots[a] ** 2 % q == a and 0 < roots[a] <= (q - 1) // 2
+            else:
+                assert roots[a] == -1
+        assert leg[0] == 0 and roots[0] == 0
 
 
 @pytest.mark.parametrize("q", (5, 13, 31, 1009))
@@ -85,6 +114,7 @@ def test_cached_tables_are_shared_and_read_only(q):
     F = PrimeField(q)
     for table, again, fresh in (
         (inverse_table(F), inverse_table(PrimeField(q)), None),
+        (sqrt_table(F), sqrt_table(PrimeField(q)), None),
         (legendre_table(F), legendre_table(PrimeField(q)), [F.legendre(a) for a in range(q)]),
         (chi_table(q), chi_table(q), [cmath.exp(2j * math.pi * k / q) for k in range(q)]),
     ):

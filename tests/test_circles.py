@@ -180,12 +180,13 @@ def test_representable_values_checks_are_live(monkeypatch, w):
     F = PrimeField(13)
     witness = PointD(F, w)
     a = witness.norm().value
-    roots = circles._sqrt_table(13)
-    monkeypatch.setattr(circles, "_sqrt_table", lambda q: np.full(q, -1))
+    roots = circles.sqrt_table(F)
+    monkeypatch.setattr(circles, "sqrt_table", lambda field: np.full(field.q, -1))
     with pytest.raises(AssertionError, match="solution count"):
         representable_c_values(F, a, 1, witness)
     # 2r is a root of 4 r^2, not of r^2, and keeps the count of distinct roots
-    monkeypatch.setattr(circles, "_sqrt_table", lambda q: np.where(roots >= 0, 2 * roots % q, -1))
+    monkeypatch.setattr(circles, "sqrt_table",
+                        lambda field: np.where(roots >= 0, 2 * roots % field.q, -1))
     with pytest.raises(AssertionError, match="off a circle"):
         representable_c_values(F, a, 1, witness)
 

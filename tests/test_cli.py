@@ -81,6 +81,18 @@ class TestCharsum:
         assert captured.out == ""
         assert "grid of size 3163^2 = 10004569 exceeds capacity 10000000" in captured.err
 
+    @pytest.mark.parametrize("budget,code", [(506, 1), (507, 0)])
+    def test_character_sums_charged_against_budget(self, monkeypatch, capsys, budget, code):
+        # q Gauss sums and 2q Kloosterman sums of q terms: 3 * 13^2 = 507 steps
+        calls = []
+        real = cli.gauss_sum
+        monkeypatch.setattr(cli, "gauss_sum", lambda *args: calls.append(args) or real(*args))
+        assert main(["charsum", "--q", "13", "--budget", str(budget)]) == code
+        assert len(calls) == (0 if code else 13)
+        if code:
+            assert capsys.readouterr().err == (
+                "ffgeom: error: character sums at q=13 need 3 * 13^2 steps, budget 506\n")
+
 
 class TestHinges:
     def test_rows_match_library(self, tmp_path):

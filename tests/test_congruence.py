@@ -548,10 +548,11 @@ class TestRealizedPairTable:
         for E in lines_through_origin(q, slope):
             assert np.array_equal(product_pairs(E), anchor_loop_pairs(E))
 
-    @pytest.mark.parametrize("q,lines", [(7, 1), (7, 2), (13, 3), (13, 5)])
+    @pytest.mark.parametrize("q,lines", [(7, 1), (7, 2), (13, 3), (13, 5), (17, 1)])
     def test_several_slabs(self, monkeypatch, q, lines):
         # up to q = 31 the table is one slab; force slabs of a few u_2 lines,
-        # with a shorter last slab when lines does not divide q
+        # with a shorter last slab when lines does not divide q; at q = 17
+        # the isotropic rows t (1, +-4) fall in separate one-line slabs
         monkeypatch.setattr(congruence, "_SLAB_ENTRIES", lines * q**3)
         congruence._triangle_table.cache_clear()
         try:
@@ -566,45 +567,56 @@ class TestRealizedPairTable:
 
 
 def table_counts(E: PointSet):
-    """The five counts of a table built now, past the per-set cache."""
+    """The four counts of a table built now, past the per-set cache."""
     table = congruence._TriangleTable(E.q, E.indicator.tobytes())
     return tuple(getattr(table, name) for name in table.__slots__)
 
 
 class TestSlabCache:
-    """The set-independent slab arrays, built once per (q, slab) and shared."""
+    """The set-independent slab codes, built once per (q, slab) and shared."""
 
     def test_read_only_with_int32_code(self):
-        congruence._slab.cache_clear()
-        slab = congruence._slab(7, 0, 7)
-        assert slab.code.dtype == np.int32
-        assert slab.code.shape == (7**2, 7**2)
-        for array in slab:
-            with pytest.raises(ValueError):
-                array[(0,) * array.ndim] = 0
+        congruence._slab_codes.cache_clear()
+        codes = congruence._slab_codes(7, 0, 7)
+        assert codes.dtype == np.int32
+        assert codes.shape == (7**2, 7**2)
+        with pytest.raises(ValueError):
+            codes[0, 0] = 0
 
     @pytest.mark.parametrize("q", (13, 17, 19))
     def test_warm_counts_equal_cold_counts(self, q):
         sets = [random_set(q, 2, Fraction(rho), seed)
                 for rho in DENSITIES for seed in range(2)]
-        congruence._slab.cache_clear()
+        congruence._slab_codes.cache_clear()
         warm = [table_counts(E) for E in sets]
-        assert congruence._slab.cache_info().misses == 1
+        assert congruence._slab_codes.cache_info().misses == 1
         cold = []
         for E in sets:
-            congruence._slab.cache_clear()
+            congruence._slab_codes.cache_clear()
             cold.append(table_counts(E))
         assert warm == cold
 
     @pytest.mark.parametrize("q,lines", [(7, 1), (7, 2), (13, 3), (13, 5)])
     def test_slab_bounds_are_part_of_the_key(self, monkeypatch, q, lines):
         E = random_set(q, 2, Fraction(1, 2), 0)
-        congruence._slab.cache_clear()
+        congruence._slab_codes.cache_clear()
         whole = table_counts(E)
         monkeypatch.setattr(congruence, "_SLAB_ENTRIES", lines * q**3)
         warm = table_counts(E)
-        congruence._slab.cache_clear()
+        congruence._slab_codes.cache_clear()
         assert table_counts(E) == warm == whole
+
+    def test_codes_fit_the_table_at_q97(self):
+        # q = 97 = 1 mod 4 is the largest q under PAIR_CAPACITY; the last code,
+        # 3 q^3 + 2 (q + 1) - 1, is (0, w) on the second isotropic line
+        q = 97
+        low, high = [], []
+        for u2 in range(q):
+            codes = congruence._slab_codes.__wrapped__(q, u2, u2 + 1)
+            low.append(codes.min())
+            high.append(codes.max())
+        assert min(low) == 0
+        assert max(high) == 3 * q**3 + 2 * (q + 1) - 1
 
 
 class TestTriangleKernelOracles:
@@ -638,13 +650,16 @@ class TestTriangleKernelOracles:
     @pytest.mark.parametrize("q,slope", sorted(ISOTROPIC_LINES))
     def test_both_isotropic_lines(self, q, slope):
         # differences along y = ix and y = -ix: SO tells the two lines apart
-        # by slope, O merges them
+        # by slope, O merges them.  The set is fixed by (x, y) -> (x, -y),
+        # which swaps the lines and flips det, so each nondegenerate Gram code
+        # fills both SO cells; SO then exceeds O by those codes plus the q + 1
+        # dependent classes, (w, lambda w) and (0, w), of the second line
         E = PointSet.from_points(PrimeField(q), 2,
                                  [(x, s * x % q) for x in range(q) for s in (slope, q - slope)])
         congruence._triangle_table.cache_clear()
-        assert kernel_statistics(E) == earlier_statistics(E)
-        table = congruence._triangle_table(E.q, E.indicator.tobytes())
-        assert table.dependent_so > table.dependent_o
+        stats = kernel_statistics(E)
+        assert stats == earlier_statistics(E)
+        assert stats[2] - stats[3] == stats[1] + q + 1
 
 
 class TestTriangleTableCache:
