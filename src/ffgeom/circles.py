@@ -38,10 +38,10 @@ from typing import List, Tuple, Union
 
 import numpy as np
 
-from .charsums import legendre_table, norm_values, sqrt_table
+from .charsums import legendre_table, sqrt_table
 from .counting import PointSet
 from .field import FieldElement, PrimeField
-from .fourier import GRID_CAPACITY, CapacityError, PointD
+from .fourier import GRID_CAPACITY, CapacityError, PointD, _check_grid_size
 
 Scalar = Union[int, FieldElement]
 
@@ -242,14 +242,20 @@ def build_counterexample(field: PrimeField) -> CounterexampleSet:
     Needs q >= 257 so the radius set is nonempty.  The sumset 2A + 2A - 4A is
     computed by direct enumeration; all its members are multiples of 8 even
     as signed representatives (|2a1 + 2a2 - 4a3| <= q/8 precludes wraparound),
-    so it can never cover F_q.
+    so it can never cover F_q.  The indicator is a 0/1 mask of A gathered
+    by x^2 + y^2, read off a table of length 2q - 1 as in the midpoint scan,
+    so no q^2 table outlives the call.
     """
     q = field.q
     if q < 257:
         raise ValueError(f"counterexample construction needs q >= 257, got {q}")
+    _check_grid_size(q, 2)
     A = tuple(range(8, q // 32 + 1, 8))
-    indicator = np.isin(norm_values(field, 2), A).astype(np.uint8)
-    E = PointSet(field, 2, indicator)
+    in_A = np.zeros(2 * q - 1, dtype=np.uint8)
+    in_A[list(A)] = 1
+    in_A[q:] = in_A[:q - 1]  # x^2 + y^2 lies in [0, 2q - 2]
+    squares = np.arange(q, dtype=np.int32) ** 2 % q
+    E = PointSet(field, 2, in_A[np.add.outer(squares, squares)])
     sumset = np.zeros(q, dtype=bool)
     for a1 in A:
         for a2 in A:

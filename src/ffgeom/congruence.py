@@ -19,9 +19,10 @@ triangles), which is why the group argument exposes both SO and O.
 Triangle statistics read one table, the realized difference pairs (u, v) =
 (y - x, z - x) over (x, y, z) in E^3.  With A[x, u] = E(x + u) for x in E,
 the pair (u, v) is realized exactly when (A^T A)[u, v] > 0.  That product is
-formed in float32 BLAS, streamed in slabs of at most 2^20 pairs; it is exact
-because its entries and partial sums count anchors, at most |E| <= q^2 <
-2^24.  An independent pair is fixed up to O_2 by its Gram data (|u|, |v|,
+formed in float32 BLAS, streamed in slabs of at most 2^20 pairs, and only its
+sign is read: each term is 0 or 1, so an entry is positive exactly when some
+anchor realizes the pair, in whatever order or precision BLAS adds.  An
+independent pair is fixed up to O_2 by its Gram data (|u|, |v|,
 u.v) (Witt's theorem) and up to SO_2 by that data plus det(u, v); as 2 is
 invertible, the Gram data and the distance triple (|u|, |v|, |u - v|)
 determine each other, so signatures are counted as Gram codes.  By the
@@ -53,7 +54,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .charsums import norm_values
-from .counting import PointSet, exact_matmul
+from .counting import PointSet
 from .field import PrimeField
 from .fourier import CapacityError, PointD
 
@@ -246,8 +247,9 @@ def _realized_slabs(q: int, indicator: bytes) -> Iterator[Tuple[np.ndarray, np.n
     Yields (u2s, realized): realized[i q + u_1, v] is true exactly when some x
     in E has x + u and x + v in E for u = (u_1, u2s[i]), i.e. (u, v) =
     (y - x, z - x) for a triple of E^3.  Each slab, at most _SLAB_ENTRIES
-    pairs, is one exact float32 product (A^T A)[u, v], where A[x, u] =
-    E(x + u) for x in E.
+    pairs, is the sign of one float32 product (A^T A)[u, v], where A[x, u] =
+    E(x + u) for x in E: a sum of 0/1 terms, positive exactly when one of
+    them is 1, however BLAS orders or rounds it.
     """
     n = q * q
     cube = np.frombuffer(indicator, dtype=np.uint8).reshape(q, q)  # cube[x_2, x_1]
@@ -258,10 +260,7 @@ def _realized_slabs(q: int, indicator: bytes) -> Iterator[Tuple[np.ndarray, np.n
     lines = max(1, _SLAB_ENTRIES // (q * n))
     for first in range(0, q, lines):
         u2s = np.arange(first, min(q, first + lines))
-        # each entry counts anchors, so every partial sum is at most |E|
-        product = exact_matmul(A[:, first * q:(first + lines) * q].T, A, bound=x1.size,
-                               dtype=np.float32)
-        yield u2s, product > 0
+        yield u2s, A[:, first * q:(first + lines) * q].T @ A > 0
 
 
 @lru_cache(maxsize=4)
@@ -307,8 +306,10 @@ def _slab_codes(q: int, first: int, stop: int) -> np.ndarray:
     return codes
 
 
-class _TriangleTable:
-    """The triangle statistics of one planar set, from one pass over its realized pairs.
+@lru_cache(maxsize=8)
+def _triangle_counts(q: int, indicator: bytes) -> Tuple[int, int, int, int]:
+    """(signatures_all, signatures_nondeg, orbits_so, orbits_o) of one planar
+    set, from one pass over its realized pairs.
 
     With cells[g] the three cells of Gram code g and iso[line] the codes of
     that isotropic line, marked for the set's realized pairs: signatures are
@@ -316,30 +317,20 @@ class _TriangleTable:
     SO orbits are the marked cells and iso codes; O orbits merge the cells 1
     and 2 of a Gram code and the two lines.
     """
-
-    __slots__ = ("signatures_all", "signatures_nondeg", "orbits_so", "orbits_o")
-
-    def __init__(self, q: int, indicator: bytes) -> None:
-        if q**4 > PAIR_CAPACITY:
-            raise CapacityError(f"pair table of size {q}^4 exceeds {PAIR_CAPACITY}")
-        seen = np.zeros(3 * q**3 + 2 * (q + 1), dtype=bool)
-        for u2s, realized in _realized_slabs(q, indicator):
-            seen[_slab_codes(q, int(u2s[0]), int(u2s[-1]) + 1)[realized]] = True
-        cells = seen[:3 * q**3].reshape(q**3, 3)
-        iso = seen[3 * q**3:].reshape(2, q + 1)
-        # (0, 0) is realized whenever any pair is, and keeps Gram code 0
-        dependent = int(np.count_nonzero(cells[:, 0]))
-        self.signatures_all = int(np.count_nonzero(cells.any(axis=1)))
-        self.signatures_nondeg = int(np.count_nonzero(cells[:, 1:].any(axis=1)))
-        self.orbits_so = (int(np.count_nonzero(cells[:, 1:])) + dependent
-                          + int(np.count_nonzero(iso)))
-        self.orbits_o = (self.signatures_nondeg + dependent
-                         + int(np.count_nonzero(iso.any(axis=0))))
-
-
-@lru_cache(maxsize=8)
-def _triangle_table(q: int, indicator: bytes) -> _TriangleTable:
-    return _TriangleTable(q, indicator)
+    if q**4 > PAIR_CAPACITY:
+        raise CapacityError(f"pair table of size {q}^4 exceeds {PAIR_CAPACITY}")
+    seen = np.zeros(3 * q**3 + 2 * (q + 1), dtype=bool)
+    for u2s, realized in _realized_slabs(q, indicator):
+        seen[_slab_codes(q, int(u2s[0]), int(u2s[-1]) + 1)[realized]] = True
+    cells = seen[:3 * q**3].reshape(q**3, 3)
+    iso = seen[3 * q**3:].reshape(2, q + 1)
+    # (0, 0) is realized whenever any pair is, and keeps Gram code 0
+    dependent = int(np.count_nonzero(cells[:, 0]))
+    signatures_nondeg = int(np.count_nonzero(cells[:, 1:].any(axis=1)))
+    return (int(np.count_nonzero(cells.any(axis=1))),
+            signatures_nondeg,
+            int(np.count_nonzero(cells[:, 1:])) + dependent + int(np.count_nonzero(iso)),
+            signatures_nondeg + dependent + int(np.count_nonzero(iso.any(axis=0))))
 
 
 def distinct_signature_count(E: PointSet, mode: str = "all") -> int:
@@ -354,8 +345,7 @@ def distinct_signature_count(E: PointSet, mode: str = "all") -> int:
         raise ValueError("signature counting is defined on the plane (d = 2)")
     if mode not in ("all", "nondegenerate"):
         raise ValueError(f"mode must be 'all' or 'nondegenerate', got {mode!r}")
-    table = _triangle_table(E.q, E.indicator.tobytes())
-    return table.signatures_all if mode == "all" else table.signatures_nondeg
+    return _triangle_counts(E.q, E.indicator.tobytes())[0 if mode == "all" else 1]
 
 
 def t3_orbit_count(E: PointSet, group: str = "SO") -> int:
@@ -370,5 +360,4 @@ def t3_orbit_count(E: PointSet, group: str = "SO") -> int:
     if E.d != 2:
         raise ValueError("orbit counting is defined on the plane (d = 2)")
     tag = _group_tag(group)
-    table = _triangle_table(E.q, E.indicator.tobytes())
-    return table.orbits_so if tag == "SO" else table.orbits_o
+    return _triangle_counts(E.q, E.indicator.tobytes())[2 if tag == "SO" else 3]

@@ -68,19 +68,17 @@ Scalar = Union[int, FieldElement]
 _CLASS_TABLE_CHUNK = 2**20
 
 
-def exact_matmul(a: np.ndarray, b: np.ndarray, bound: int, dtype=np.float64) -> np.ndarray:
-    """The integer product a @ b, computed as a float BLAS product, as int64.
+def exact_matmul(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
+    """The integer product a @ b, computed as a float64 BLAS product, as int64.
 
     a and b hold integers and bound caps sum_k |a_ik| |b_kj| for every entry.
-    A float dtype represents every integer up to 2^(nmant + 1) exactly, so
-    below that cap each product and partial sum is exact in whatever order
-    BLAS adds them, and the result equals the int64 matmul.
+    float64 represents every integer below 2^53 exactly, so below that cap
+    each product and partial sum is exact in whatever order BLAS adds them,
+    and the result equals the int64 matmul.
     """
-    limit = 2 ** (np.finfo(dtype).nmant + 1)
-    if bound >= limit:
-        raise AssertionError(f"product bound {bound} is not exact in {np.dtype(dtype).name} "
-                             f"(limit {limit})")
-    return (a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)).astype(np.int64)
+    if bound >= 2**53:
+        raise AssertionError(f"product bound {bound} is not exact in float64 (limit {2**53})")
+    return (a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)).astype(np.int64)
 
 
 class PointSet:
@@ -272,12 +270,12 @@ class HingeSweep:
             raise CapacityError(f"hinge profile stack of {(q - 1) * q * q} entries at q={q} "
                                 f"exceeds capacity {GRID_CAPACITY}")
         self.profiles = circle_profile_stack(E)
-        self.masked = self.profiles * E.indicator.astype(np.int64)
-        # masked vanishes off E, so masked @ profiles.T is the Gram matrix of
-        # the profiles restricted to E
-        on_e = self.profiles[:, E.indices()].astype(np.float64)
+        # the hinge counts are the Gram matrix of the profiles restricted to E
+        on_e = self.profiles[:, E.indices()]
         self.exact = exact_matmul(on_e, on_e.T, bound=q * q * (q + 1) ** 2)
-        self.pair_counts = self.masked.sum(axis=1)
+        self.pair_counts = on_e.sum(axis=1)
+        # sum_x n_a(x)^2 over the whole grid, at most q^2 (q + 1)^2 in int64
+        self.sum_sq = np.einsum("ij,ij->i", self.profiles, self.profiles)
         self.sphere_sizes = sphere_size_table(E.field, 2)[1:q]
         self._fourier: Union[np.ndarray, None] = None
 
@@ -294,7 +292,8 @@ class HingeSweep:
             q = self.E.q
             h = q // 2 + 1
             # unnormalized transforms: their q^2 q^2 cancels the identity's q^4
-            fhat = np.fft.rfftn(self.masked.reshape(q - 1, q, q).astype(np.float64), axes=(1, 2))
+            f = np.multiply(self.profiles, self.E.indicator, dtype=np.float64)  # f_a = E n_a
+            fhat = np.fft.rfftn(f.reshape(q - 1, q, q), axes=(1, 2))
             ehat = np.fft.rfftn(self.E.cube().astype(np.float64))
             # column m_0 = 0 holds its own negatives; every other m_0 stands for -m too
             ehat[:, 1:] *= 2

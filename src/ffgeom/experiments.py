@@ -373,20 +373,23 @@ def _cell_rows(config: ExperimentConfig, q: int, rho: Fraction, seed: int) -> Li
         rows.append(budget_row("signatures_all"))
         rows.append(budget_row("signatures_nondeg"))
 
-    for tag in GROUPS[config.group]:
-        stat = f"orbits_{tag.lower()}"
-        if sig_all is None:
-            rows.append(budget_row(stat))
-            continue
+    # every orbit count of the cell first (None where refused), so that each
+    # orbit row carries the whole chain signatures <= orbits_O <= orbits_SO
+    orbits: Dict[str, Optional[int]] = dict.fromkeys(GROUPS[config.group])
+    for tag in orbits if sig_all is not None else ():
         try:
             bounds.charge_orbit_count(E.field, card, tag, config.budget)
-            orbits = t3_orbit_count(E, group=tag)
-            holds = bounds.triangle_chain_holds(sig_all, **{stat: orbits})
-            rows.append(
-                row(stat, orbits, sig_all, orbits / sig_all, "pass" if holds else "fail")
-            )
+            orbits[tag] = t3_orbit_count(E, group=tag)
         except (BudgetError, CapacityError):
+            pass
+    chain = sig_all is None or bounds.triangle_chain_holds(
+        sig_all, orbits.get("O"), orbits.get("SO"))
+    for tag, count in orbits.items():
+        stat = f"orbits_{tag.lower()}"
+        if count is None:
             rows.append(budget_row(stat))
+        else:
+            rows.append(row(stat, count, sig_all, count / sig_all, "pass" if chain else "fail"))
 
     try:
         bounds.charge_hinge_sweep(q, config.budget)
@@ -395,13 +398,12 @@ def _cell_rows(config: ExperimentConfig, q: int, rho: Fraction, seed: int) -> Li
         rows.extend(budget_row(s) for s in SWEEP_STATISTICS[4:])
         return rows
 
-    profiles_sq = (hs.profiles * hs.profiles).sum(axis=1)
     for bound, numer, asserted in (
         (bounds.HINGE_REMAINDER, hs.remainder_numers(), density_in_hinge_regime(q, rho)),
         (bounds.PAIR_DEVIATION,
          bounds.pair_deviation_numer(q, card, hs.pair_counts, hs.sphere_sizes), True),
         (bounds.FLUCTUATION,
-         bounds.fluctuation_numer(q, card, profiles_sq, hs.sphere_sizes), True),
+         bounds.fluctuation_numer(q, card, hs.sum_sq, hs.sphere_sizes), True),
         (bounds.HINGE_ENERGY, np.diagonal(hs.exact), hinge_energy_regime(q, card)),
     ):
         value = bound.value(np.abs(numer).max(), q, card)

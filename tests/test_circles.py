@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ffgeom import circles
 from ffgeom.bounds import sphere_size
-from ffgeom.charsums import Sphere
+from ffgeom.charsums import Sphere, norm_values
 from ffgeom.circles import (
     CircleSystem,
     CounterexampleSet,
@@ -256,6 +256,11 @@ class TestCounterexample:
         }
         assert set(np.nonzero(cs.sumset)[0]) == expected
         assert cs.sumset_size == len(expected) == 5
+
+    def test_no_norm_table_outlives_the_build(self):
+        norm_values.cache_clear()
+        build_counterexample(PrimeField(1009))
+        assert norm_values.cache_info().currsize == 0
 
     def test_sumset_members_stay_small_multiples_of_eight(self):
         cs = build_counterexample(PrimeField(1009))

@@ -305,6 +305,23 @@ class TestSweep:
         rows = list(csv.reader(out.read_text().splitlines()))
         assert any(r[4] == "hinge_energy_max" and r[8] == "fail" for r in rows[1:])
 
+    def test_orbit_rows_check_o_against_so(self, tmp_path, monkeypatch):
+        # each count is at least the signatures, but orbits_O > orbits_SO
+        # breaks the middle link of the chain, so both orbit rows fail
+        real = experiments.t3_orbit_count
+
+        def swapped(E, group="SO"):
+            return real(E, "O" if group == "SO" else "SO")
+
+        monkeypatch.setattr(experiments, "t3_orbit_count", swapped)
+        code, rows = run_to_file(tmp_path, ["sweep", "--q", "5", "--density", "0.5",
+                                            "--seed", "0", "--group", "both"])
+        assert code == 2
+        values = {r[4]: r for r in rows[1:]}
+        assert int(values["orbits_o"][5]) > int(values["orbits_so"][5]) >= int(
+            values["signatures_all"][5])
+        assert values["orbits_so"][8] == values["orbits_o"][8] == "fail"
+
 
 class TestUsageErrors:
     def test_no_subcommand(self, capsys):

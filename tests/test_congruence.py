@@ -1,6 +1,7 @@
 """Planar group matrices, simplex congruence, and orbit counting."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -554,7 +555,7 @@ class TestRealizedPairTable:
         # with a shorter last slab when lines does not divide q; at q = 17
         # the isotropic rows t (1, +-4) fall in separate one-line slabs
         monkeypatch.setattr(congruence, "_SLAB_ENTRIES", lines * q**3)
-        congruence._triangle_table.cache_clear()
+        congruence._triangle_counts.cache_clear()
         try:
             for seed in range(2):
                 E = random_set(q, 2, Fraction(1, 2), seed)
@@ -563,13 +564,12 @@ class TestRealizedPairTable:
                 assert np.array_equal(product_pairs(E), anchor_loop_pairs(E))
                 assert kernel_statistics(E) == earlier_statistics(E)
         finally:
-            congruence._triangle_table.cache_clear()
+            congruence._triangle_counts.cache_clear()
 
 
 def table_counts(E: PointSet):
     """The four counts of a table built now, past the per-set cache."""
-    table = congruence._TriangleTable(E.q, E.indicator.tobytes())
-    return tuple(getattr(table, name) for name in table.__slots__)
+    return congruence._triangle_counts.__wrapped__(E.q, E.indicator.tobytes())
 
 
 class TestSlabCache:
@@ -605,6 +605,21 @@ class TestSlabCache:
         warm = table_counts(E)
         congruence._slab_codes.cache_clear()
         assert table_counts(E) == warm == whole
+
+    def test_table_peak_memory_at_q61(self):
+        # q = 61 has 16 slabs of four u_2 lines; each slab's product is read
+        # for its sign alone, with no int64 copy of it (about 37 MB of peak
+        # with that copy, 25 MB without)
+        E = random_set(61, 2, Fraction(1, 20), 0)
+        key = (E.q, E.indicator.tobytes())
+        expected = table_counts(E)
+        tracemalloc.start()
+        try:
+            assert congruence._triangle_counts.__wrapped__(*key) == expected
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 31 * 10**6, peak
 
     def test_codes_fit_the_table_at_q97(self):
         # q = 97 = 1 mod 4 is the largest q under PAIR_CAPACITY; the last code,
@@ -656,7 +671,7 @@ class TestTriangleKernelOracles:
         # dependent classes, (w, lambda w) and (0, w), of the second line
         E = PointSet.from_points(PrimeField(q), 2,
                                  [(x, s * x % q) for x in range(q) for s in (slope, q - slope)])
-        congruence._triangle_table.cache_clear()
+        congruence._triangle_counts.cache_clear()
         stats = kernel_statistics(E)
         assert stats == earlier_statistics(E)
         assert stats[2] - stats[3] == stats[1] + q + 1
@@ -677,7 +692,7 @@ class TestTriangleTableCache:
         E = random_set(q, 2, Fraction(rho), seed)
         expected = earlier_statistics(E)
         for order in permutations(range(4)):
-            congruence._triangle_table.cache_clear()
+            congruence._triangle_counts.cache_clear()
             got = {i: self.CALLS[i](E) for i in order}
             assert tuple(got[i] for i in range(4)) == expected, order
 
@@ -685,27 +700,27 @@ class TestTriangleTableCache:
         # two sets of one size at one q, with different statistics
         E1 = PointSet.from_points(PrimeField(7), 2, [(0, 0), (1, 0), (0, 2)])
         E2 = PointSet.from_points(PrimeField(7), 2, [(0, 0), (1, 0), (2, 0)])
-        congruence._triangle_table.cache_clear()
+        congruence._triangle_counts.cache_clear()
         first = kernel_statistics(E1)
         second = kernel_statistics(E2)
         assert first != second
         assert first == earlier_statistics(E1)
         assert second == earlier_statistics(E2)
         assert kernel_statistics(E1) == first
-        assert congruence._triangle_table.cache_info().misses == 2
+        assert congruence._triangle_counts.cache_info().misses == 2
 
     def test_equal_content_shares_counts(self):
         E = random_set(11, 2, Fraction(3, 10), 4)
         twin = PointSet(E.field, 2, E.indicator.copy())
-        congruence._triangle_table.cache_clear()
+        congruence._triangle_counts.cache_clear()
         kernel_statistics(E)
-        info = congruence._triangle_table.cache_info()
+        info = congruence._triangle_counts.cache_info()
         assert kernel_statistics(twin) == kernel_statistics(E)
-        after = congruence._triangle_table.cache_info()
+        after = congruence._triangle_counts.cache_info()
         assert after.misses == info.misses == 1
         assert after.hits == info.hits + 8
-        assert congruence._triangle_table(E.q, twin.indicator.tobytes()) is (
-            congruence._triangle_table(E.q, E.indicator.tobytes()))
+        assert congruence._triangle_counts(E.q, twin.indicator.tobytes()) is (
+            congruence._triangle_counts(E.q, E.indicator.tobytes()))
 
 
 class TestSignatureCount:

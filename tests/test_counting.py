@@ -7,6 +7,7 @@ the spectral identity summed over every frequency, from HingeSweep's own
 profiles, the oracle of the per-norm-class evaluation.
 """
 
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -79,7 +80,7 @@ def check_against_definitions(E: PointSet) -> None:
     pairs, grid_sq, energy = brute_statistics(E)
     assert hs.exact.tolist() == hinges.tolist()
     assert hs.pair_counts.tolist() == pairs[1:]
-    assert (hs.profiles * hs.profiles).sum(axis=1).tolist() == grid_sq[1:]
+    assert hs.sum_sq.tolist() == grid_sq[1:]
     assert np.diagonal(hs.exact).tolist() == energy[1:]
     fourier = hs.fourier_counts()
     assert np.rint(fourier.real).astype(np.int64).tolist() == hinges.tolist()
@@ -92,7 +93,7 @@ def full_spectrum_counts(hs: HingeSweep) -> np.ndarray:
 
     Full complex FFTs of the profiles on E, of E and of every sphere, and one
     (q - 1) x q^2 x (q - 1) product: no norm classes and no half spectrum.  It
-    starts from hs.masked, the profiles on E, which circle_profile checks.
+    starts from the profiles on E, which circle_profile checks.
     """
     q = hs.E.q
     scale = 1.0 / q**2
@@ -102,7 +103,7 @@ def full_spectrum_counts(hs: HingeSweep) -> np.ndarray:
         return np.fft.fftn(cubes, axes=(1, 2)).reshape(-1, q * q) * scale
 
     norms = np.array([PointD.from_index(hs.E.field, i, 2).norm().value for i in range(q * q)])
-    fhat = batch_forward(hs.masked)
+    fhat = batch_forward(hs.profiles * hs.E.indicator)
     ehat = batch_forward(hs.E.indicator[None, :])[0]
     shat = batch_forward(norms[None, :] == np.arange(1, q)[:, None])
     return q**4 * ((np.conj(fhat) * ehat) @ shat.T)
@@ -135,8 +136,7 @@ def remainder_split(hs: HingeSweep, a: int, b: int):
 def fluctuation_numers(hs: HingeSweep) -> np.ndarray:
     """q^2 sum_x (n_a(x) - |E| |S_a| / q^2)^2 for every nonzero radius a."""
     E = hs.E
-    sum_sq = (hs.profiles * hs.profiles).sum(axis=1)
-    return bounds.fluctuation_numer(E.q, E.cardinality, sum_sq, hs.sphere_sizes)
+    return bounds.fluctuation_numer(E.q, E.cardinality, hs.sum_sq, hs.sphere_sizes)
 
 
 def random_subset(q: int, size: int, seed: int) -> PointSet:
@@ -373,25 +373,25 @@ def test_fluctuation_definition(q, size, seed):
         assert bounds.FLUCTUATION.holds(numers[a - 1], q, size) == (direct <= 4 * q * size)
 
 
-@pytest.mark.parametrize("dtype,bits", [(np.float32, 24), (np.float64, 53)])
-def test_exact_matmul_equals_integer_product(dtype, bits):
+@pytest.mark.parametrize("bits", [53], ids=["float64-53"])  # the float64 mantissa
+def test_exact_matmul_equals_integer_product(bits):
     rng = np.random.default_rng(bits)
     k, top = 64, 2 ** ((bits - 6) // 2)  # every |a_ik| |b_kj| summed over k stays < 2^bits
     a = rng.integers(-top + 1, top, size=(9, k))
     b = rng.integers(-top + 1, top, size=(k, 7))
     bound = k * (top - 1) ** 2
     assert bound < 2**bits
-    got = exact_matmul(a, b, bound=bound, dtype=dtype)
+    got = exact_matmul(a, b, bound=bound)
     assert got.dtype == np.int64
     assert np.array_equal(got, a @ b)
 
 
-@pytest.mark.parametrize("dtype,bits", [(np.float32, 24), (np.float64, 53)])
-def test_exact_matmul_rejects_a_bound_past_the_mantissa(dtype, bits):
+@pytest.mark.parametrize("bits", [53], ids=["float64-53"])  # the float64 mantissa
+def test_exact_matmul_rejects_a_bound_past_the_mantissa(bits):
     a = np.ones((2, 2), dtype=np.int64)
-    exact_matmul(a, a, bound=2**bits - 1, dtype=dtype)
+    exact_matmul(a, a, bound=2**bits - 1)
     with pytest.raises(AssertionError):
-        exact_matmul(a, a, bound=2**bits, dtype=dtype)
+        exact_matmul(a, a, bound=2**bits)
 
 
 @pytest.mark.parametrize("q", (3, 13, 101))
@@ -400,10 +400,24 @@ def test_hinge_matrix_equals_integer_matmul(q, rho):
     # the float64 BLAS product against the plain int64 matmul
     sweep = HingeSweep(random_set(q, 2, Fraction(rho), seed=q))
     assert sweep.exact.dtype == np.int64
-    assert np.array_equal(sweep.exact, sweep.masked @ sweep.profiles.T)
+    assert np.array_equal(sweep.exact, (sweep.profiles * sweep.E.indicator) @ sweep.profiles.T)
 
 
 class TestHingeSweep:
+    def test_retains_little_past_the_profiles(self):
+        # the profiles are the one (q - 1) x q^2 stack a sweep keeps; a second
+        # stack of that size would double what it holds
+        E = random_set(101, 2, Fraction(1, 2), 0)
+        HingeSweep(E)  # the per-q tables are cached once, outside the measurement
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sweep = HingeSweep(E)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 1.25 * sweep.profiles.nbytes, (retained, sweep.profiles.nbytes)
+
     def test_exact_matrix_symmetric(self):
         E = random_subset(11, 35, seed=14)
         sweep = HingeSweep(E)
