@@ -607,9 +607,9 @@ class TestSlabCache:
         assert table_counts(E) == warm == whole
 
     def test_table_peak_memory_at_q61(self):
-        # q = 61 has 16 slabs of four u_2 lines; each slab's product is read
-        # for its sign alone, with no int64 copy of it (about 37 MB of peak
-        # with that copy, 25 MB without)
+        # q = 61 has 16 slabs of four u_2 lines, so the four cached slab
+        # codes are rebuilt here too; the build peaks near 25 MB, and an
+        # int64 copy of each slab's product would lift it to about 37 MB
         E = random_set(61, 2, Fraction(1, 20), 0)
         key = (E.q, E.indicator.tobytes())
         expected = table_counts(E)
