@@ -22,6 +22,8 @@ it prints.
 
 The charges at the end are the work budget's one cost model: the CLI runners
 and the sweep charge each stage before it runs; kernels guard only memory.
+A step is one element operation of the stage's numpy or scalar work; the
+BLAS products inside the triangle table and HingeSweep are not counted.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
 from .field import PrimeField
 from .fourier import BudgetError
@@ -117,16 +119,13 @@ def sphere_size(field: PrimeField) -> int:
     return field.q - field.legendre(field.q - 1)
 
 
-def triangle_chain_holds(
-    signatures: int, orbits_o: Optional[int] = None, orbits_so: Optional[int] = None
-) -> bool:
-    """signatures <= orbits_O <= orbits_SO, over the terms that were computed.
+def triangle_chain_holds(signatures: int, orbits_o: int, orbits_so: int) -> bool:
+    """signatures <= orbits_O <= orbits_SO.
 
     Congruent triangles share a signature and every O-orbit is a union of
     SO-orbits, so each coarser count is at most the finer one.
     """
-    terms = [t for t in (signatures, orbits_o, orbits_so) if t is not None]
-    return all(lo <= hi for lo, hi in zip(terms, terms[1:]))
+    return signatures <= orbits_o <= orbits_so
 
 
 def signature_ratio(signatures: int, q: int, rho: Fraction) -> float:
@@ -134,32 +133,20 @@ def signature_ratio(signatures: int, q: int, rho: Fraction) -> float:
     return float(Fraction(signatures) / (rho * q**3))
 
 
-DEFAULT_BUDGET = 10**10  # elementary steps each charge below may spend
+DEFAULT_BUDGET = 10**10  # element operations each charge below may spend
 
 
-def charge_signature_table(card: int, budget: int) -> None:
-    """Charge a signature count's |E|^2 steps, one per ordered pair of points."""
-    if card * card > budget:
-        raise BudgetError(
-            f"signature table for |E|={card} needs {card * card} steps, budget {budget}"
-        )
-
-
-def charge_orbit_count(field: PrimeField, card: int, group: str, budget: int) -> None:
-    """Charge an orbit count's |E|^3 |G| steps, one per ordered triple and group
-    element, with |SO_2| = |S_1| and |O_2| twice that (group is "SO" or "O").
-
-    This is the cost model of the canonical-form definition, kept on purpose:
-    charging the triangle table's |E| q^4 product instead would change which
-    sweep rows read `budget`, so it is a change of its own.
-    """
-    order = sphere_size(field) * (1 if group == "SO" else 2)
-    if card**3 * order > budget:
-        raise BudgetError(f"orbit count needs {card}^3 * {order} steps, budget {budget}")
+def charge_triangle_table(q: int, budget: int) -> None:
+    """Charge the triangle table's q^4 steps, one per difference pair (u, v)
+    it classifies, not counting the BLAS product that finds the realized
+    pairs.  All four triangle statistics of a set read that one table."""
+    if q**4 > budget:
+        raise BudgetError(f"triangle table at q={q} needs {q}^4 steps, budget {budget}")
 
 
 def charge_hinge_sweep(q: int, budget: int) -> None:
-    """Charge HingeSweep's q^4 steps (q - 1 radii, ~q shifts of q^2 cells each)."""
+    """Charge HingeSweep's q^4 steps (q - 1 radii, ~q shifts of q^2 cells each),
+    not counting its BLAS product."""
     if q**4 > budget:
         raise BudgetError(f"hinge table at q={q} needs {q**4} steps, budget {budget}")
 

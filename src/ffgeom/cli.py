@@ -17,9 +17,8 @@ against --budget, by the formulas in ffgeom.bounds, before the stage runs.
 Flags and config files share one table of run settings
 (experiments.CONFIG_KEYS): each flag is the config key of the same name, and
 any other key in a file is refused.  Flag values override config-file
-entries, which override defaults.  The --group flag restricts which orbit
-statistics are computed; subcommands that do not use a setting accept and
-ignore it, so one config file can drive several subcommands.
+entries, which override defaults.  Subcommands that do not use a setting
+accept and ignore it, so one config file can drive several subcommands.
 """
 
 from __future__ import annotations
@@ -74,7 +73,6 @@ def _build_parser() -> _Parser:
         sp.add_argument("--seed", help="comma-separated 64-bit seeds")
         sp.add_argument("--out", help="output CSV path (default: stdout)")
         sp.add_argument("--budget", help="work budget in elementary steps")
-        sp.add_argument("--group", help="orbit groups: so, o or both")
         sp.add_argument("--config", help="flat key=value config file")
         if name == "counterexample":
             sp.add_argument("--samples", help="random midpoint pairs to check")
@@ -166,16 +164,13 @@ def _run_hinges(config: ExperimentConfig, stream: TextIO) -> List[List[str]]:
 def _run_triangles(config: ExperimentConfig, stream: TextIO) -> List[List[str]]:
     out = exp.CsvSink(stream, ("q", "|E|", "rho", "signatures_all", "signatures_nondeg",
                                "orbits_SO", "orbits_O", "ratio_to_rho_q3"))
-    groups = exp.GROUPS[config.group]
     for q, rho, seed in config.cells():
+        bounds.charge_triangle_table(q, config.budget)
         E = random_set(q, 2, rho, seed)
-        bounds.charge_signature_table(E.cardinality, config.budget)
-        for tag in groups:
-            bounds.charge_orbit_count(E.field, E.cardinality, tag, config.budget)
         sig_all = distinct_signature_count(E, mode="all")
         sig_nd = distinct_signature_count(E, mode="nondegenerate")
-        orbits = {tag: t3_orbit_count(E, group=tag) for tag in groups}
-        orbits_so, orbits_o = orbits.get("SO"), orbits.get("O")
+        orbits_so = t3_orbit_count(E, group="SO")
+        orbits_o = t3_orbit_count(E, group="O")
         out.row((q, E.cardinality, float(rho), sig_all, sig_nd, orbits_so, orbits_o,
                  bounds.signature_ratio(sig_all, q, rho)),
                 violated=not bounds.triangle_chain_holds(sig_all, orbits_o, orbits_so))

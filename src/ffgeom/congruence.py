@@ -355,7 +355,8 @@ def t3_orbit_count(E: PointSet, group: str = "SO") -> int:
     class of det(u, v) for SO, and the line and lambda of pairs on the
     isotropic lines (merged for O).  The count is read from the set's cached
     triangle table.  Like the signature counts, this guards only the table's
-    memory; the caller charges the work first (`bounds.charge_orbit_count`).
+    memory; the caller charges the work first
+    (`bounds.charge_triangle_table`).
     """
     if E.d != 2:
         raise ValueError("orbit counting is defined on the plane (d = 2)")

@@ -22,8 +22,10 @@ Sweep rows carry a status column:
 Each bound, its regime and its printed value and ratio come from
 ffgeom.bounds: the hinge remainder is asserted only for dense sets and the
 hinge energy only for sets inside its size regime; outside them the measured
-ratios still appear with status info.  Orbit counts are checked against the
-signature count, which every congruence class refines.
+ratios still appear with status info.  Both orbit rows carry the status of
+the whole chain signatures <= orbits_O <= orbits_SO.  Each table is charged
+once per set: the four triangle statistics read one triangle table, the four
+hinge statistics one HingeSweep.
 """
 
 from __future__ import annotations
@@ -46,9 +48,6 @@ from .field import PrimeField
 from .fourier import BudgetError, CapacityError, _check_grid_size, decode, encode
 
 POINTSET_MAGIC = "ffgeom-pointset v1"
-
-# each --group value and the orbit groups it computes, in emission order
-GROUPS = {"so": ("SO",), "o": ("O",), "both": ("SO", "O")}
 
 DEFAULT_QS = (13, 17, 19)
 DEFAULT_DENSITIES = (Fraction(3, 10), Fraction(1, 2))
@@ -201,7 +200,6 @@ class ExperimentConfig:
     seeds: Tuple[int, ...] = DEFAULT_SEEDS
     out: Optional[str] = None
     budget: int = bounds.DEFAULT_BUDGET
-    group: str = "both"
     samples: int = 10**4
     exhaustive: bool = False
 
@@ -221,8 +219,6 @@ class ExperimentConfig:
                 raise ValueError(f"seed {seed} is not a 64-bit integer")
         if self.budget <= 0:
             raise ValueError("work budget must be positive")
-        if self.group not in GROUPS:
-            raise ValueError(f"group must be one of {tuple(GROUPS)}, got {self.group!r}")
         if self.samples <= 0:
             raise ValueError("sample count must be positive")
 
@@ -280,7 +276,6 @@ CONFIG_KEYS: Dict[str, Tuple[str, Callable[[str], object]]] = {
     "seed": ("seeds", _parse_int_list),
     "out": ("out", str),
     "budget": ("budget", int),
-    "group": ("group", str.lower),
     "samples": ("samples", int),
     "exhaustive": ("exhaustive", _parse_bool),
 }
@@ -360,36 +355,21 @@ def _cell_rows(config: ExperimentConfig, q: int, rho: Fraction, seed: int) -> Li
         return row(stat, None, None, None, "budget")
 
     rows: List[SweepRow] = []
-
-    sig_all: Optional[int] = None
     try:
-        bounds.charge_signature_table(card, config.budget)
+        bounds.charge_triangle_table(q, config.budget)
         sig_all = distinct_signature_count(E, mode="all")
         sig_nd = distinct_signature_count(E, mode="nondegenerate")
+        orbits_so = t3_orbit_count(E, group="SO")
+        orbits_o = t3_orbit_count(E, group="O")
+    except (BudgetError, CapacityError):
+        rows.extend(budget_row(s) for s in SWEEP_STATISTICS[:4])
+    else:
         sig_ref = float(rho * q**3)
         for stat, sig in (("signatures_all", sig_all), ("signatures_nondeg", sig_nd)):
             rows.append(row(stat, sig, sig_ref, bounds.signature_ratio(sig, q, rho), "info"))
-    except (BudgetError, CapacityError):
-        rows.append(budget_row("signatures_all"))
-        rows.append(budget_row("signatures_nondeg"))
-
-    # every orbit count of the cell first (None where refused), so that each
-    # orbit row carries the whole chain signatures <= orbits_O <= orbits_SO
-    orbits: Dict[str, Optional[int]] = dict.fromkeys(GROUPS[config.group])
-    for tag in orbits if sig_all is not None else ():
-        try:
-            bounds.charge_orbit_count(E.field, card, tag, config.budget)
-            orbits[tag] = t3_orbit_count(E, group=tag)
-        except (BudgetError, CapacityError):
-            pass
-    chain = sig_all is None or bounds.triangle_chain_holds(
-        sig_all, orbits.get("O"), orbits.get("SO"))
-    for tag, count in orbits.items():
-        stat = f"orbits_{tag.lower()}"
-        if count is None:
-            rows.append(budget_row(stat))
-        else:
-            rows.append(row(stat, count, sig_all, count / sig_all, "pass" if chain else "fail"))
+        chain = "pass" if bounds.triangle_chain_holds(sig_all, orbits_o, orbits_so) else "fail"
+        for stat, count in (("orbits_so", orbits_so), ("orbits_o", orbits_o)):
+            rows.append(row(stat, count, sig_all, count / sig_all, chain))
 
     try:
         bounds.charge_hinge_sweep(q, config.budget)

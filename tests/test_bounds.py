@@ -67,27 +67,13 @@ def test_triangle_chain_skips_missing_terms():
     assert bounds.triangle_chain_holds(5, 6, 9)
     assert not bounds.triangle_chain_holds(5, 4, 9)
     assert not bounds.triangle_chain_holds(5, 7, 6)
-    assert bounds.triangle_chain_holds(5, orbits_so=9)
-    assert not bounds.triangle_chain_holds(5, orbits_o=4)
-    assert not bounds.triangle_chain_holds(5, orbits_so=4)
-    assert bounds.triangle_chain_holds(5)
 
 
-def test_signature_table_charge():
-    bounds.charge_signature_table(25, 625)
-    with pytest.raises(BudgetError, match="needs 625 steps, budget 624"):
-        bounds.charge_signature_table(25, 624)
-
-
-def test_orbit_count_charge():
-    # |E|^3 |G| with |SO_2| = q - eta(-1): 4 at q = 5 and 8 at q = 7, |O_2| twice that
-    for q, order in ((5, 4), (7, 8)):
-        F = PrimeField(q)
-        for group, size in (("SO", order), ("O", 2 * order)):
-            bounds.charge_orbit_count(F, 3, group, 27 * size)
-            with pytest.raises(BudgetError,
-                               match=rf"^orbit count needs 3\^3 \* {size} steps, budget {27 * size - 1}$"):
-                bounds.charge_orbit_count(F, 3, group, 27 * size - 1)
+def test_triangle_table_charge():
+    bounds.charge_triangle_table(7, 7**4)
+    with pytest.raises(BudgetError,
+                       match=r"^triangle table at q=7 needs 7\^4 steps, budget 2400$"):
+        bounds.charge_triangle_table(7, 7**4 - 1)
 
 
 def test_hinge_sweep_charge():

@@ -150,54 +150,33 @@ class TestTriangles:
                            "ratio_to_rho_q3"]
         assert rows[1] == ["5", "25", "1", "85", "60", "157", "91", "0.68"]
 
-    def test_group_filter_leaves_column_empty(self, tmp_path):
-        code, rows = run_to_file(
-            tmp_path,
-            ["triangles", "--q", "5", "--density", "0.5", "--seed", "0",
-             "--group", "so"],
-        )
-        assert code == 0
-        assert rows[1][5] != ""
-        assert rows[1][6] == ""
-        code, rows = run_to_file(
-            tmp_path,
-            ["triangles", "--q", "5", "--density", "0.5", "--seed", "0",
-             "--group", "o"],
-        )
-        assert code == 0
-        assert rows[1][5] == ""
-        assert rows[1][6] != ""
+    @pytest.mark.parametrize("broken", ["o", "so"])
+    def test_chain_violation_exits_two(self, tmp_path, monkeypatch, broken):
+        # an orbit count of 1 breaks the chain: O below the signatures, or SO below O
+        real = cli.t3_orbit_count
 
+        def orbit_count(E, group="SO"):
+            return 1 if group.lower() == broken else real(E, group=group)
 
-    @pytest.mark.parametrize("group", ["o", "so"])
-    def test_chain_violation_exits_two(self, tmp_path, monkeypatch, group):
-        # one orbit is fewer than the signatures, whichever group was counted
-        monkeypatch.setattr(cli, "t3_orbit_count", lambda *args, **kwargs: 1)
+        monkeypatch.setattr(cli, "t3_orbit_count", orbit_count)
         out = tmp_path / "out.csv"
         code = main(["triangles", "--q", "5", "--density", "0.5", "--seed", "0",
-                     "--group", group, "--out", str(out)])
+                     "--out", str(out)])
         assert code == 2
 
-    def test_signature_stage_charged_against_budget(self, capsys):
-        code = main(["triangles", "--q", "7", "--density", "0.5", "--budget", "100"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "signature table for |E|=25 needs 625 steps, budget 100" in err
-        assert "orbit" not in err
-
-    def test_orbit_stage_charged_before_the_table(self, monkeypatch, capsys):
-        # 25^2 signature steps fit the budget, 25^3 * |SO_2| orbit steps do not
+    def test_table_charged_before_it_is_built(self, monkeypatch, capsys):
+        # 7^4 - 1 steps: the one charge refuses the set before any count is read
         calls = []
-        real = cli.distinct_signature_count
-        monkeypatch.setattr(cli, "distinct_signature_count",
-                            lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
-        assert main(["triangles", "--q", "7", "--density", "0.5", "--budget", "700"]) == 1
+        for name in ("distinct_signature_count", "t3_orbit_count"):
+            monkeypatch.setattr(cli, name, lambda *args, **kwargs: calls.append(args))
+        assert main(["triangles", "--q", "7", "--density", "0.5", "--budget", "2400"]) == 1
         assert calls == []
-        assert "orbit count needs 25^3 * 8 steps, budget 700" in capsys.readouterr().err
+        assert ("ffgeom: error: triangle table at q=7 needs 7^4 steps, budget 2400\n"
+                == capsys.readouterr().err)
 
     def test_q97_ends_within_4_gib(self):
-        # a 471-point set at q = 97: the sweep gets its signature counts in
-        # bounded memory and writes budget rows for the orbit counts
+        # a 471-point set at q = 97: the sweep gets all four triangle counts
+        # from one table in bounded memory
         def cap_address_space():
             resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
 
@@ -215,7 +194,9 @@ class TestTriangles:
         assert rows["signatures_all"][3] == "471"
         assert rows["signatures_all"][5] == "465697"
         assert rows["signatures_nondeg"][5] == "456288"
-        assert rows["orbits_so"][8] == rows["orbits_o"][8] == "budget"
+        assert rows["orbits_so"][5] == "922181"
+        assert rows["orbits_o"][5] == "465795"
+        assert rows["orbits_so"][8] == rows["orbits_o"][8] == "pass"
 
 
 class TestCounterexample:
@@ -315,7 +296,7 @@ class TestSweep:
 
         monkeypatch.setattr(experiments, "t3_orbit_count", swapped)
         code, rows = run_to_file(tmp_path, ["sweep", "--q", "5", "--density", "0.5",
-                                            "--seed", "0", "--group", "both"])
+                                            "--seed", "0"])
         assert code == 2
         values = {r[4]: r for r in rows[1:]}
         assert int(values["orbits_o"][5]) > int(values["orbits_so"][5]) >= int(
@@ -384,24 +365,18 @@ class TestUsageErrors:
         assert "'1/0'" in captured.err
         assert captured.err.count("\n") == 1
 
-    def test_bad_group_value(self, capsys):
-        assert main(["triangles", "--group", "all"]) == 1
+    def test_bad_group_value(self, tmp_path, capsys):
+        # both groups are always counted, so --group and the group key are unknown
+        assert main(["triangles", "--group", "so"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "group must be one of ('so', 'o', 'both'), got 'all'" in captured.err
-
-    def test_group_flag_reads_like_the_config_key(self, tmp_path, capsys):
-        # --group both and --group SO are accepted, as in a config file
-        argv = ["triangles", "--q", "5", "--density", "0.5", "--seed", "0"]
-        tables = []
-        for extra in ([], ["--group", "both"], ["--group", "so"], ["--group", "SO"]):
-            assert main(argv + extra) == 0
-            tables.append(capsys.readouterr().out)
-        assert tables[0] == tables[1]
-        assert tables[2] == tables[3] != tables[0]
+        assert "unrecognized arguments: --group so" in captured.err
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("group = both\n")
-        assert gathered(argv + ["--group", "both"]) == gathered(argv + ["--config", str(cfg)])
+        cfg.write_text("group = so\n")
+        assert main(["triangles", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown config key 'group'" in captured.err
 
     def test_unwritable_out(self, tmp_path, capsys):
         target = tmp_path / "missing-dir" / "out.csv"
@@ -419,8 +394,8 @@ class TestUsageErrors:
 
 @pytest.mark.parametrize("argv", [
     "triangles --q 7 --density 0.5 --budget 100",
-    # the q = 5 row completes before the q = 7 orbit count exceeds the budget
-    "triangles --q 5,7 --density 0.5 --seed 0 --budget 20000",
+    # the q = 5 row completes (5^4 steps) before the q = 7 table (7^4) is refused
+    "triangles --q 5,7 --density 0.5 --seed 0 --budget 2400",
 ])
 def test_failed_run_writes_no_table(tmp_path, capsys, argv):
     assert main(argv.split()) == 1
@@ -476,7 +451,6 @@ SETTINGS = {
     "seed": ("3", "4,5"),
     "out": ("first.csv", "second.csv"),
     "budget": ("1000", "2000"),
-    "group": ("so", "o"),
     "samples": ("50", "60"),
     "exhaustive": ("false", "true"),
 }

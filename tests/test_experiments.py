@@ -168,13 +168,12 @@ class TestConfigFile:
 
     def test_config_from_pairs(self):
         cfg = config_from_pairs(
-            {"q": "13,17", "density": "0.3, 0.5", "seed": "0,1", "group": "SO",
+            {"q": "13,17", "density": "0.3, 0.5", "seed": "0,1",
              "budget": "500", "exhaustive": "true"},
         )
         assert cfg.qs == (13, 17)
         assert cfg.densities == (Fraction(3, 10), Fraction(1, 2))
         assert cfg.seeds == (0, 1)
-        assert cfg.group == "so"
         assert cfg.budget == 500
         assert cfg.exhaustive is True
 
@@ -215,7 +214,6 @@ class TestExperimentConfig:
         assert cfg.qs == DEFAULT_QS
         assert cfg.densities == DEFAULT_DENSITIES
         assert cfg.seeds == DEFAULT_SEEDS
-        assert cfg.group == "both"
 
     def test_cell_order(self):
         cfg = ExperimentConfig(
@@ -238,7 +236,7 @@ class TestExperimentConfig:
             {"seeds": (-1,)},
             {"seeds": (2**64,)},
             {"budget": 0},
-            {"group": "su"},
+            {"densities": (Fraction(0),)},
             {"samples": 0},
             {"seeds": ()},
         ],
@@ -288,14 +286,6 @@ class TestSweep:
         assert rows["hinge_max_remainder"].status == "info"
         assert rows["hinge_energy_max"].status == "pass"
 
-    def test_orbit_rows_respect_group_filter(self):
-        stats_so = [r.statistic for r in sweep_rows(one_cell_config(group="so"))]
-        assert "orbits_o" not in stats_so
-        assert "orbits_so" in stats_so
-        stats_o = [r.statistic for r in sweep_rows(one_cell_config(group="o"))]
-        assert "orbits_so" not in stats_o
-        assert "orbits_o" in stats_o
-
     def test_budget_rows(self):
         rows = list(sweep_rows(one_cell_config(budget=1)))
         assert [r.statistic for r in rows] == list(SWEEP_STATISTICS)
@@ -304,13 +294,13 @@ class TestSweep:
             assert r.value is None and r.reference is None and r.ratio is None
             assert r.record()[5:8] == ["", "", ""]
 
-    def test_orbit_budget_alone(self):
-        # enough for signatures and hinges, not for the orbit cost model
-        rows = {r.statistic: r for r in sweep_rows(one_cell_config(budget=700))}
-        assert rows["signatures_all"].status == "info"
-        assert rows["orbits_so"].status == "budget"
-        assert rows["orbits_o"].status == "budget"
-        assert rows["hinge_max_remainder"].status != "budget"
+    def test_pair_table_capacity_alone(self):
+        # 101^4 steps fit the default budget but not the pair table's capacity
+        rows = list(sweep_rows(one_cell_config(qs=(101,), densities=(Fraction(1, 20),))))
+        assert [r.statistic for r in rows] == list(SWEEP_STATISTICS)
+        assert [r.status for r in rows[:4]] == ["budget"] * 4
+        for r in rows[4:]:
+            assert r.status != "budget" and r.value is not None
 
     def test_csv_replay_is_byte_identical(self):
         cfg = one_cell_config(qs=(5, 7), seeds=(0, 1))
