@@ -13,11 +13,13 @@ are added into a q x q x q accumulator over (a, x_1, x_0): q^3 + q^4
 element adds in 2q array operations.  circle_profile, one shifted copy of E
 per point z of S_a, is the readable one-radius oracle the stack is tested
 against.
-HingeSweep stacks the profiles of every nonzero radius of a planar set and
-is the one kernel for the statistics built on them: pair counts
-sum_{x in E} n_a(x), hinge counts sum_{x in E} n_a(x) n_b(x) (the energies
-sum_{x in E} n_a(x)^2 on the diagonal), and the sums sum_x n_a(x)^2 behind
-the fluctuation bound.
+HingeSweep stacks the profiles of every nonzero radius of a planar set, a
+(q - 1) x q^2 int16 array, and is the one kernel for the statistics built on
+them: pair counts sum_{x in E} n_a(x), hinge counts
+sum_{x in E} n_a(x) n_b(x) (the energies sum_{x in E} n_a(x)^2 on the
+diagonal), and the sums sum_x n_a(x)^2 behind the fluctuation bound.  The
+stack stays int16; every product of its entries is formed in float64 or
+int64.
 
 The Fourier route exists to verify the counting identity
 
@@ -43,10 +45,13 @@ where T[b, k] is Shat_b at any frequency of class k: a (q - 1) x (q + 1)
 product instead of a sum over all q^2 frequencies.  T depends only on q.
 _sphere_class_table builds it once per q from the direct DFT of the sphere
 indicators, not from the closed form of ffgeom.charsums, and checks every
-frequency against its class entry.  The tests compare the result with the
-full-spectrum complex sum over every nonempty subset of F_3^2 and random
-sets up to q = 101, and with the brute-force hinge count; those tests are
-the permanent pin of the conjugate placement.
+frequency against its class entry.  Both G and T are built one block of
+radii at a time, about _BLOCK_VALUES grid values per block: f, its transform
+and the spheres' transforms exist only for the radii of one block, and each
+row of G is one bincount over the q x (q // 2 + 1) class array.  The tests
+compare the result with the full-spectrum complex sum over every nonempty
+subset of F_3^2 and random sets up to q = 101, and with the brute-force
+hinge count; those tests are the permanent pin of the conjugate placement.
 """
 
 from __future__ import annotations
@@ -64,8 +69,14 @@ from .fourier import GRID_CAPACITY, CapacityError, PointD, SpectralGrid, _check_
 
 Scalar = Union[int, FieldElement]
 
-# radii per sphere-transform chunk of _sphere_class_table: about this many grid values
-_CLASS_TABLE_CHUNK = 2**20
+# about this many grid values per block of radii, in fourier_counts and _sphere_class_table
+_BLOCK_VALUES = 2**18
+
+
+def _radius_blocks(q: int) -> List[slice]:
+    """Row slices of a (q - 1)-row radius stack, about _BLOCK_VALUES grid values each."""
+    step = max(1, _BLOCK_VALUES // (q * q))
+    return [slice(start, min(start + step, q - 1)) for start in range(0, q - 1, step)]
 
 
 def exact_matmul(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
@@ -176,8 +187,9 @@ def circle_profile(E: PointSet, a: Scalar) -> np.ndarray:
 def circle_profile_stack(E: PointSet) -> np.ndarray:
     """Row a - 1 is circle_profile(E, a), for every nonzero radius a of a planar set.
 
-    Exact integers as a (q - 1) x q^2 int64 array.  The two stages are in the
-    module docstring; both accumulate in int16 (see HingeSweep for the bound).
+    Exact integers as a (q - 1) x q^2 int16 array.  The two stages are in the
+    module docstring; both accumulate in int16 (see HingeSweep for the bound),
+    and the stack is returned as it was built, never widened.
     """
     if E.d != 2:
         raise ValueError("the profile stack is built for planar sets (d = 2)")
@@ -196,7 +208,7 @@ def circle_profile_stack(E: PointSet) -> np.ndarray:
         s = int(squares[z1])
         stack[s:] += shifted[: q - s]
         stack[:s] += shifted[q - s :]
-    return stack[1:].reshape(q - 1, q * q).astype(np.int64)
+    return stack[1:].reshape(q - 1, q * q)
 
 
 def _half_spectrum_classes(q: int) -> np.ndarray:
@@ -221,7 +233,8 @@ def _sphere_class_table(q: int) -> np.ndarray:
     stays independent of that closed form.  Every frequency of the half
     spectrum is checked against its class entry.  The nonzero isotropic class
     is empty when q = 3 mod 4 and its column stays 0.  The spheres are
-    transformed a few radii at a time, never all (q - 1) q^2 values at once.
+    transformed one block of radii at a time (_radius_blocks), never all
+    (q - 1) q^2 values at once.
 
     The returned array is cached and marked read-only; copy before mutating.
     """
@@ -229,10 +242,9 @@ def _sphere_class_table(q: int) -> np.ndarray:
     classes = _half_spectrum_classes(q).ravel()
     present, first = np.unique(classes, return_index=True)
     table = np.zeros((q - 1, q + 1))
-    step = max(1, _CLASS_TABLE_CHUNK // (q * q))
-    for start in range(1, q, step):
-        rows = table[start - 1 : start - 1 + step]  # radii start, start + 1, ...
-        radii = np.arange(start, start + len(rows))
+    for block in _radius_blocks(q):
+        rows = table[block]
+        radii = np.arange(block.start + 1, block.stop + 1)
         spheres = (norms[None, :, :] == radii[:, None, None]).astype(np.float64)
         shat = np.fft.rfftn(spheres, axes=(1, 2)).reshape(len(rows), -1) / q**2
         rows[:, present] = shat[:, first].real
@@ -249,8 +261,9 @@ class HingeSweep:
 
     Profiles for all radii are stacked into one matrix, so every exact count
     sum_{x in E} n_a(x) n_b(x) comes from a single exact matrix product, and
-    every spectral value from one batched real FFT of the profiles, binned by
-    norm class and multiplied by the per-q sphere class table.
+    every spectral value from batched real FFTs of the profiles, one block of
+    radii at a time, binned by norm class and multiplied by the per-q sphere
+    class table.
     """
 
     def __init__(self, E: PointSet) -> None:
@@ -258,11 +271,12 @@ class HingeSweep:
             raise ValueError("hinge counting is defined on the plane (d = 2)")
         self.E = E
         q = E.q
-        # Each (q - 1) x q^2 int64 stack is capped like a grid, so q <= 211.
+        # Each (q - 1) x q^2 int16 stack is capped like a grid, so q <= 211.
         # There circle_profile_stack's int16 entries, partial sums of
         # n_c(x) <= |S_c| <= 2q - 1 <= 421 (|S_0| = 2q - 1 when q = 1 mod 4,
-        # |S_c| <= q + 1 otherwise), stay far below 2^15.  Every count is at
-        # most q^2 (q + 1)^2, the bound its float64
+        # |S_c| <= q + 1 otherwise), stay far below 2^15.  A product of two
+        # entries does not (212^2 > 2^15), so no product is formed in int16.
+        # Every count is at most q^2 (q + 1)^2, the bound its float64
         # product is checked against, and every numerator that ffgeom.bounds
         # forms (exact q^2, sum n_a^2 q^2) at most q^4 (q + 1)^2 < 2^47: no
         # int64 wrap, and exact in float64.
@@ -272,38 +286,45 @@ class HingeSweep:
         self.profiles = circle_profile_stack(E)
         # the hinge counts are the Gram matrix of the profiles restricted to E
         on_e = self.profiles[:, E.indices()]
+        self.pair_counts = on_e.sum(axis=1, dtype=np.int64)
+        on_e = on_e.astype(np.float64)
         self.exact = exact_matmul(on_e, on_e.T, bound=q * q * (q + 1) ** 2)
-        self.pair_counts = on_e.sum(axis=1)
-        # sum_x n_a(x)^2 over the whole grid, at most q^2 (q + 1)^2 in int64
-        self.sum_sq = np.einsum("ij,ij->i", self.profiles, self.profiles)
+        # sum_x n_a(x)^2 over the whole grid, at most q^2 (q + 1)^2, multiplied in int64
+        self.sum_sq = np.einsum("ij,ij->i", self.profiles, self.profiles, dtype=np.int64)
         self.sphere_sizes = sphere_size_table(E.field, 2)[1:q]
         self._fourier: Union[np.ndarray, None] = None
 
     def fourier_counts(self) -> np.ndarray:
         """The spectral-identity value for every radius pair, as a real float64 matrix.
 
-        Evaluated per norm class (see the module docstring): real FFTs of the
-        profiles restricted to E and of E give Re(conj(fhat_a) Ehat) on the
-        half spectrum, one bincount sums it by class into G, and the value is
-        q^4 G @ T^T with T from _sphere_class_table.  Since m and -m pair up,
-        nothing imaginary is dropped: the full complex sum is real too.
+        Evaluated per norm class (see the module docstring), one block of
+        radii at a time: real FFTs of the block's profiles restricted to E and
+        of E give Re(conj(fhat_a) Ehat) on the half spectrum, one bincount per
+        radius sums it by class into G, and the value is q^4 G @ T^T with T
+        from _sphere_class_table.  Since m and -m pair up, nothing imaginary is
+        dropped: the full complex sum is real too.
         """
         if self._fourier is None:
             q = self.E.q
-            h = q // 2 + 1
+            # the per-q tables first, so a cold build runs before any per-set array exists
+            table = _sphere_class_table(q)
+            classes = _half_spectrum_classes(q).ravel()
             # unnormalized transforms: their q^2 q^2 cancels the identity's q^4
-            f = np.multiply(self.profiles, self.E.indicator, dtype=np.float64)  # f_a = E n_a
-            fhat = np.fft.rfftn(f.reshape(q - 1, q, q), axes=(1, 2))
             ehat = np.fft.rfftn(self.E.cube().astype(np.float64))
             # column m_0 = 0 holds its own negatives; every other m_0 stands for -m too
             ehat[:, 1:] *= 2
-            fhat *= np.conj(ehat)
-            terms = fhat.real.reshape(q - 1, q * h)
-            codes = np.arange(q - 1)[:, None] * (q + 1) + _half_spectrum_classes(q).ravel()
-            g = np.bincount(codes.ravel(), weights=terms.ravel(), minlength=(q - 1) * (q + 1))
+            weight = np.conj(ehat)
+            g = np.empty((q - 1, q + 1))
+            for block in _radius_blocks(q):
+                # f_a = E n_a for the radii of this block
+                f = np.multiply(self.profiles[block], self.E.indicator, dtype=np.float64)
+                fhat = np.fft.rfftn(f.reshape(-1, q, q), axes=(1, 2))
+                fhat *= weight
+                for row, terms in zip(g[block], fhat.real):
+                    row[:] = np.bincount(classes, weights=terms.ravel(), minlength=q + 1)
             # sum_k G[a, k] T[b, k] in einsum's own loop: for a product this small,
             # waking the BLAS threads left idle by the FFTs costs more than the product
-            self._fourier = np.einsum("ak,bk->ab", g.reshape(q - 1, q + 1), _sphere_class_table(q))
+            self._fourier = np.einsum("ak,bk->ab", g, table)
         return self._fourier
 
     def remainder_numers(self) -> np.ndarray:

@@ -228,7 +228,7 @@ class TestCircleProfileStack:
     def check(E: PointSet) -> None:
         stack = circle_profile_stack(E)
         oracle = np.stack([circle_profile(E, a) for a in range(1, E.q)])
-        assert stack.dtype == np.int64
+        assert stack.dtype == np.int16
         assert stack.shape == (E.q - 1, E.q * E.q)
         assert np.array_equal(stack, oracle)
 
@@ -254,12 +254,16 @@ class TestCircleProfileStack:
 
     def test_full_grid_at_the_capacity_limit(self):
         # q = 211 is the largest q HingeSweep accepts; on the full grid n_a(x) = |S_a| at every
-        # x, the largest count (q + 1 = 212) the int16 accumulator holds in a returned row
+        # x, the largest count (q + 1 = 212) the int16 accumulator holds in a returned row.
+        # Its square 212^2 = 44944 is past int16, so every statistic on it must be widened.
         q = 211
-        stack = circle_profile_stack(PointSet.full_grid(PrimeField(q), 2))
+        sweep = HingeSweep(PointSet.full_grid(PrimeField(q), 2))
         sizes = sphere_size_table(PrimeField(q), 2)[1:]
         assert (sizes == q + 1).all()
-        assert (stack == sizes[:, None]).all()
+        assert (sweep.profiles == sizes[:, None]).all()
+        assert (sweep.sum_sq == q**2 * (q + 1) ** 2).all()
+        assert (sweep.pair_counts == q**2 * (q + 1)).all()
+        assert (sweep.exact == q**2 * (q + 1) ** 2).all()
 
 
 def test_every_nonempty_subset_of_the_q3_plane():
@@ -397,16 +401,17 @@ def test_exact_matmul_rejects_a_bound_past_the_mantissa(bits):
 @pytest.mark.parametrize("q", (3, 13, 101))
 @pytest.mark.parametrize("rho", ("1/2", "1"))
 def test_hinge_matrix_equals_integer_matmul(q, rho):
-    # the float64 BLAS product against the plain int64 matmul
+    # the float64 BLAS product against the plain int64 matmul of the widened profiles
     sweep = HingeSweep(random_set(q, 2, Fraction(rho), seed=q))
+    profiles = sweep.profiles.astype(np.int64)
     assert sweep.exact.dtype == np.int64
-    assert np.array_equal(sweep.exact, (sweep.profiles * sweep.E.indicator) @ sweep.profiles.T)
+    assert np.array_equal(sweep.exact, (profiles * sweep.E.indicator) @ profiles.T)
 
 
 class TestHingeSweep:
     def test_retains_little_past_the_profiles(self):
-        # the profiles are the one (q - 1) x q^2 stack a sweep keeps; a second
-        # stack of that size would double what it holds
+        # the profiles are the one (q - 1) x q^2 int16 stack a sweep keeps; a second
+        # stack of that size, or a widened copy of it, would at least double what it holds
         E = random_set(101, 2, Fraction(1, 2), 0)
         HingeSweep(E)  # the per-q tables are cached once, outside the measurement
         tracemalloc.start()
@@ -476,6 +481,46 @@ class TestSpectralClasses:
 
     def test_half_density_at_q101(self):
         check_against_full_spectrum(HingeSweep(random_set(101, 2, Fraction(1, 2), seed=0)))
+
+    @pytest.mark.parametrize("q", (13, 101))
+    @pytest.mark.parametrize("radii_per_block", (1, 7))
+    def test_block_boundaries(self, q, radii_per_block, monkeypatch):
+        # one radius per block, and blocks of 7 radii, which divides neither q - 1 = 12 nor 100
+        sweep = HingeSweep(random_set(q, 2, Fraction(1, 2), seed=q))
+        default = sweep.fourier_counts()
+        table = counting._sphere_class_table(q)
+        monkeypatch.setattr(counting, "_BLOCK_VALUES", radii_per_block * q * q)
+        assert len(counting._radius_blocks(q)) == -(-(q - 1) // radii_per_block)
+        blocked = HingeSweep(sweep.E).fourier_counts()
+        assert np.array_equal(blocked, default)
+        assert np.array_equal(np.rint(blocked), sweep.exact)
+        assert np.array_equal(counting._sphere_class_table.__wrapped__(q), table)
+
+    def test_spectral_peak_memory_at_q101(self):
+        # blocks of radii through rfftn and one bincount per radius: no per-set class codes
+        # and no (q - 1) q^2 float64 or complex array.  The whole-stack evaluation peaked
+        # at 23.7-24.8 MB, the blocked one at 8.5 MB.
+        E = random_set(101, 2, Fraction(1, 2), 0)
+        HingeSweep(E).fourier_counts()  # the per-q tables are cached once, outside the measurement
+        sweep = HingeSweep(E)
+        tracemalloc.start()
+        try:
+            sweep.fourier_counts()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14e6, peak
+
+    def test_class_table_peak_memory_at_q101(self):
+        # the spheres are transformed a block of radii at a time; one chunk of all 100
+        # radii peaked at 27.8-29.0 MB, blocks of 25 radii at 8.4 MB
+        tracemalloc.start()
+        try:
+            counting._sphere_class_table.__wrapped__(101)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, peak
 
     @pytest.mark.parametrize("q", (3, 5, 7, 13))
     def test_class_table(self, q):
