@@ -497,9 +497,9 @@ class TestSpectralClasses:
         assert np.array_equal(counting._sphere_class_table.__wrapped__(q), table)
 
     def test_spectral_peak_memory_at_q101(self):
-        # blocks of radii through rfftn and one bincount per radius: no per-set class codes
-        # and no (q - 1) q^2 float64 or complex array.  The whole-stack evaluation peaked
-        # at 23.7-24.8 MB, the blocked one at 8.5 MB.
+        # blocks of radii through rfftn and one bincount per radius peak near 8.5 MB;
+        # per-set class codes and a full-size f, fhat and copy of its real parts, all
+        # (q - 1) q (q // 2 + 1) arrays alive at once, would lift it to about 24 MB
         E = random_set(101, 2, Fraction(1, 2), 0)
         HingeSweep(E).fourier_counts()  # the per-q tables are cached once, outside the measurement
         sweep = HingeSweep(E)
@@ -512,8 +512,8 @@ class TestSpectralClasses:
         assert peak < 14e6, peak
 
     def test_class_table_peak_memory_at_q101(self):
-        # the spheres are transformed a block of radii at a time; one chunk of all 100
-        # radii peaked at 27.8-29.0 MB, blocks of 25 radii at 8.4 MB
+        # the spheres are transformed 25 radii at a time and the build peaks near 8.4 MB;
+        # one chunk of all 100 radii would lift it to about 28 MB
         tracemalloc.start()
         try:
             counting._sphere_class_table.__wrapped__(101)
