@@ -13,11 +13,17 @@ square, zero, or a non-residue; this holds on the w_1 = 0 branch as well
 because there the quadratic's discriminant is D divided by the square (2w_2)^2.
 
 intersect_circles solves one system with scalar arithmetic and is the
-readable reference.  representable_c_values solves the systems for every c in
-F_q at once with numpy: the w_1 != 0 branch alone (for w_1 = 0 the witness's
-coordinates are swapped, an isometry), square roots from a per-q table, and
-the same checks (solution count against the class of D, every point against
-both circle equations), applied to all c together.  The tests hold the
+readable reference.  radius_counts is the one batched solver: for a radius
+a it solves the systems of every witness w on S_a, every b and every c at
+once with numpy, along the w_1 != 0 elimination branch (for w_1 = 0 the
+witness's coordinates are swapped, an isometry fixing 0), with square roots
+from a per-q table, and applies both checks (solution count against the
+class of D, every point against both circle equations) to every (w, b, c).
+It works through blocks of witnesses of about counting._BLOCK_VALUES values
+each, and keeps the radius it solved last in a one-entry cache, so callers
+that walk radius by radius build each radius once.  Its (|S_a|, q, q) table
+bounds it to (q + 1) q^2 <= GRID_CAPACITY, that is q <= 211.
+representable_c_values reads one (w, b) row of it.  The tests hold the
 batched path equal to the scalar one.
 
 The midpoint-avoiding set is a union of circles with radii in A, the positive
@@ -34,11 +40,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple, Union
+from functools import lru_cache
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
-from .charsums import legendre_table, sqrt_table
+from . import counting
+from .charsums import inverse_table, legendre_table, sqrt_table
 from .counting import PointSet
 from .field import FieldElement, PrimeField
 from .fourier import GRID_CAPACITY, CapacityError, PointD, _check_grid_size
@@ -131,6 +139,74 @@ def intersect_circles(sys: CircleSystem) -> List[PointD]:
     return points
 
 
+def radius_counts(field: PrimeField, a: Scalar) -> np.ndarray:
+    """count[i, b, c], the number of points y with |y| = b and |y - w_i| = c.
+
+    w_i runs over the witnesses on S_a in the lexicographic order of
+    Sphere(field, a, 2).points, a != 0; b and c run over F_q.  Every count
+    is checked against the square class of 4ab - (a + b - c)^2 and every
+    point against both circles; a failed check raises AssertionError naming
+    q, a, b, w and the failing c.  The array is cached for the last radius
+    solved and marked read-only.  Raises CapacityError for
+    (q + 1) q^2 > GRID_CAPACITY, before any array exists.
+    """
+    return _radius(field, field.residue(a))[0]
+
+
+@lru_cache(maxsize=1)
+def _radius(field: PrimeField, a: int) -> Tuple[np.ndarray, Dict[Tuple[int, int], int]]:
+    """radius_counts' table and the row of each witness, keyed by its coordinates."""
+    q = field.q
+    if (q + 1) * q * q > GRID_CAPACITY:
+        raise CapacityError(f"circle systems of one radius at q={q} need (q + 1) q^2 = "
+                            f"{(q + 1) * q * q} values, over capacity {GRID_CAPACITY}")
+    if a == 0:
+        raise ValueError("radius must be nonzero")
+    squares = np.arange(q, dtype=np.int64) ** 2 % q
+    witnesses = np.argwhere((squares[:, None] + squares) % q == a)
+    # the w_1 = 0 witnesses are solved with their coordinates swapped
+    swap = witnesses[:, 0] == 0
+    w1 = np.where(swap, witnesses[:, 1], witnesses[:, 0])
+    w2 = np.where(swap, 0, witnesses[:, 1])
+    inv_w1 = inverse_table(field)[w1]
+    # shared by every witness: axis -2 is b, axis -1 is c
+    b = np.arange(q, dtype=np.int64)[:, None]
+    c = np.arange(q, dtype=np.int64)
+    k = (a + b - c) * field.inv(2) % q
+    r = sqrt_table(field)[(a * b - k * k) % q]
+    has_root = r >= 0
+    # axis 1 of S, T picks the root the point is built from
+    R = np.stack((r, (q - r) % q))
+    # eta(D) + 1 maps non-residue, zero, square to 0, 1, 2 points
+    expected = legendre_table(field)[(4 * a * b - (a + b - c) ** 2) % q] + 1
+    inv_a = field.inv(a)
+    counts = np.empty((len(witnesses), q, q), dtype=np.int8)
+    step = max(1, counting._BLOCK_VALUES // (q * q))
+    for lo in range(0, len(witnesses), step):
+        block = slice(lo, lo + step)
+        W1, W2, I1 = (v[block, None, None, None] for v in (w1, w2, inv_w1))
+        T = (k * W2 + W1 * R) % q * inv_a % q
+        S = (k - T * W2) % q * I1 % q
+        # a double root yields one point, so count distinct points, not roots
+        count = has_root * (1 + ((S[:, 0] != S[:, 1]) | (T[:, 0] != T[:, 1])))
+        _raise_first(count != expected, "solution count off the class of D",
+                     q, a, witnesses[block])
+        on_both = ((S * S + T * T) % q == b) & (((S - W1) ** 2 + (T - W2) ** 2) % q == c)
+        _raise_first(has_root & ~on_both.all(axis=1), "point off a circle",
+                     q, a, witnesses[block])
+        counts[block] = count
+    counts.setflags(write=False)
+    return counts, {w: i for i, w in enumerate(map(tuple, witnesses.tolist()))}
+
+
+def _raise_first(bad: np.ndarray, what: str, q: int, a: int, witnesses: np.ndarray) -> None:
+    """AssertionError for the first (w, b) with a failed c in bad[w, b, c], if any."""
+    if bad.any():
+        i, b = np.argwhere(bad.any(axis=2))[0]
+        raise AssertionError(f"{what} at q={q}, a={a}, b={b}, w={tuple(witnesses[i].tolist())}, "
+                             f"c in {np.flatnonzero(bad[i, b]).tolist()}")
+
+
 def representable_c_values(
     field: PrimeField, a: Scalar, b: Scalar, w: PointD
 ) -> List[int]:
@@ -139,49 +215,19 @@ def representable_c_values(
     w must lie on the sphere of squared-radius a about the origin, a != 0.
     The subset with c != 0 has at least (q - 3) / 2 members for b != 0.
 
-    Every c in F_q is solved in one numpy pass along intersect_circles'
-    w_1 != 0 elimination branch, with w's coordinates swapped when w_1 = 0
-    (the swap is an isometry fixing 0).  As there, the solution count must
-    match the square class of 4ab - (a + b - c)^2 and every point must lie
-    on both circles; a failed check raises AssertionError.  Raises
-    CapacityError for q > GRID_CAPACITY, before any O(q) table exists.
+    The values are the nonzero entries of row (w, b) of radius_counts(field,
+    a), which solves and checks the systems of every witness on S_a at once
+    and keeps the last radius cached; a run of calls with one a builds it
+    once.  Raises CapacityError for (q + 1) q^2 > GRID_CAPACITY (q > 211).
     """
-    q = field.q
     av = field.residue(a)
     if w.field != field or w.d != 2:
         raise ValueError("witness must be a point of the plane over this field")
     if w.norm().value != av or av == 0:
         raise ValueError("witness must satisfy |w| = a != 0")
     bv = field.residue(b)
-    if q > GRID_CAPACITY:
-        raise CapacityError(f"per-residue tables at q={q} exceed capacity {GRID_CAPACITY}")
-    # residues stay below q <= 10^7, so every product below is far from 2^63
-    w1, w2 = w.as_ints()
-    if w1 == 0:
-        w1, w2 = w2, w1
-    c = np.arange(q, dtype=np.int64)
-    k = (av + bv - c) * field.inv(2) % q
-    # row j of S, T is the point built from root j of the quadratic
-    r = sqrt_table(field)[(av * bv - k * k) % q]
-    R = np.stack((r, (q - r) % q))
-    T = (k * w2 + w1 * R) % q * field.inv(av) % q
-    S = (k - T * w2) % q * field.inv(w1) % q
-    has_root = r >= 0
-    # a double root yields one point, so count distinct points, not roots
-    count = has_root * (1 + ((S[0] != S[1]) | (T[0] != T[1])))
-    disc = (4 * av * bv - (av + bv - c) ** 2) % q
-    # eta(D) + 1 maps non-residue, zero, square to 0, 1, 2 points
-    expected = legendre_table(field)[disc].astype(np.int64) + 1
-    if not np.array_equal(count, expected):
-        bad = np.flatnonzero(count != expected).tolist()
-        raise AssertionError(f"solution count off the class of D at q={q}, a={av}, "
-                             f"b={bv}, w={w.as_ints()}, c in {bad}")
-    on_both = ((S * S + T * T) % q == bv) & (((S - w1) ** 2 + (T - w2) ** 2) % q == c)
-    if not on_both[:, has_root].all():
-        bad = np.flatnonzero(has_root & ~on_both.all(axis=0)).tolist()
-        raise AssertionError(f"point off a circle at q={q}, a={av}, b={bv}, "
-                             f"w={w.as_ints()}, c in {bad}")
-    return np.flatnonzero(count).tolist()
+    counts, rows = _radius(field, av)
+    return np.flatnonzero(counts[rows[w.as_ints()], bv]).tolist()
 
 
 def sum_two_squares_count(field: PrimeField, u: Scalar) -> int:
@@ -291,7 +337,10 @@ def midpoint_exclusion_check(
     a Random(seed); the exhaustive check takes every ordered pair.  Either
     way the pairs are drawn and scanned in blocks of about _PAIR_BLOCK; their
     count is charged by the caller (`bounds.charge_midpoint_pairs`/`_samples`).
+    The sampled check needs samples >= 1; the exhaustive one ignores samples.
     """
+    if not exhaustive and samples < 1:
+        raise ValueError(f"sample count must be positive, got {samples}")
     E = cs.E
     q = cs.field.q
     idx = E.indices()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffgeom import circles
+from ffgeom import circles, counting
 from ffgeom.bounds import sphere_size
 from ffgeom.charsums import Sphere, norm_values
 from ffgeom.circles import (
@@ -20,6 +20,7 @@ from ffgeom.circles import (
     intersect_circles,
     midpoint_exclusion_check,
     parallelogram_check,
+    radius_counts,
     representable_c_values,
     sum_two_squares_count,
 )
@@ -181,14 +182,96 @@ def test_representable_values_checks_are_live(monkeypatch, w):
     witness = PointD(F, w)
     a = witness.norm().value
     roots = circles.sqrt_table(F)
+    # a radius cached by an earlier call would be read without the patched table
+    circles._radius.cache_clear()
     monkeypatch.setattr(circles, "sqrt_table", lambda field: np.full(field.q, -1))
     with pytest.raises(AssertionError, match="solution count"):
         representable_c_values(F, a, 1, witness)
     # 2r is a root of 4 r^2, not of r^2, and keeps the count of distinct roots
+    circles._radius.cache_clear()
     monkeypatch.setattr(circles, "sqrt_table",
                         lambda field: np.where(roots >= 0, 2 * roots % field.q, -1))
     with pytest.raises(AssertionError, match="off a circle"):
         representable_c_values(F, a, 1, witness)
+    circles._radius.cache_clear()
+
+
+def test_radius_checks_reach_later_blocks(monkeypatch):
+    """A fault in one late witness is caught in its own block and names it.
+
+    The roots of the quadratic depend on (b, c) only, so a corrupted root
+    shows in every block; the inverse of w_1 is the per-witness input, and
+    corrupting it at 12 moves only the points of (12, 2) and (12, 11), the
+    last two witnesses of S_5 at q = 13, blocks of one witness each.
+    """
+    F = PrimeField(13)
+    assert [w.as_ints() for w in Sphere(F, 5, 2).points][-2:] == [(12, 2), (12, 11)]
+    inverses = circles.inverse_table(F).copy()
+    inverses[12] = 1
+    circles._radius.cache_clear()
+    monkeypatch.setattr(counting, "_BLOCK_VALUES", 13 * 13)
+    monkeypatch.setattr(circles, "inverse_table", lambda field: inverses)
+    with pytest.raises(AssertionError, match=r"off a circle at q=13, a=5, b=\d+, w=\(12, 2\)"):
+        radius_counts(F, 5)
+    circles._radius.cache_clear()
+
+
+@pytest.mark.parametrize("q", (13, 31))
+@pytest.mark.parametrize("witnesses_per_block", (1, 5))
+def test_radius_block_boundaries(q, witnesses_per_block, monkeypatch):
+    # one witness per block, and blocks of 5, which divides neither |S_a| = 12 at
+    # q = 13 nor |S_a| = 32 at q = 31
+    F = PrimeField(q)
+    default = [radius_counts(F, a) for a in range(1, q)]
+    monkeypatch.setattr(counting, "_BLOCK_VALUES", witnesses_per_block * q * q)
+    for a, expected in enumerate(default, start=1):
+        circles._radius.cache_clear()
+        assert np.array_equal(radius_counts(F, a), expected), a
+    circles._radius.cache_clear()
+
+
+def test_radius_cache_keys():
+    F = PrimeField(13)
+    w1, w2 = PointD(F, (1, 2)), PointD(F, (1, 1))
+    a1, a2 = 5, 2
+    expected = {a: [[c for c in range(13)
+                     if intersect_circles(CircleSystem(PointD(F, (0, 0)), w, b, c))]
+                    for b in range(13)]
+                for a, w in ((a1, w1), (a2, w2))}
+    circles._radius.cache_clear()
+    for a, w in ((a1, w1), (a2, w2), (a1, w1)):
+        assert [representable_c_values(F, a, b, w) for b in range(13)] == expected[a]
+    # an int a and a FieldElement a are one key, and so are two equal fields
+    table = radius_counts(F, a1)
+    assert table.dtype == np.int8 and not table.flags.writeable
+    hits = circles._radius.cache_info().hits
+    assert radius_counts(F, F.element(a1)) is table
+    assert radius_counts(PrimeField(13), a1 + 13) is table
+    assert circles._radius.cache_info().hits == hits + 2
+    assert radius_counts(F, a2) is not table
+    assert circles._radius.cache_info().currsize == 1
+
+
+def test_radius_capacity_guard_before_any_array():
+    # (q + 1) q^2 = 224 * 223^2 > 10^7, while 212 * 211^2 fits
+    F = PrimeField(223)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="q=223"):
+            radius_counts(F, 1)
+        with pytest.raises(CapacityError):
+            representable_c_values(F, 1, 1, PointD(F, (1, 0)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16, peak  # a q^3 int8 table alone is 11 MB
+
+
+def test_radius_rejects_zero_radius():
+    with pytest.raises(ValueError):
+        radius_counts(PrimeField(7), 0)
+    with pytest.raises(TypeError):
+        radius_counts(PrimeField(7), 1.0)
 
 
 @pytest.mark.parametrize("q", (5, 7, 11, 13, 17))
@@ -356,6 +439,14 @@ class TestMidpointExclusion:
         assert not r1.exhaustive
         assert 0 < r1.applicable <= 2000
         assert r1.violations == 0
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_sampled_check_needs_one_sample(self, samples):
+        cs = build_counterexample(PrimeField(257))
+        with pytest.raises(ValueError, match=f"sample count must be positive, got {samples}"):
+            midpoint_exclusion_check(cs, samples=samples)
+        # the exhaustive check takes every pair and ignores the sample count
+        assert midpoint_exclusion_check(cs, samples=samples, exhaustive=True).violations == 0
 
     def test_exhaustive_run(self):
         cs = build_counterexample(PrimeField(257))
