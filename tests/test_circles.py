@@ -193,7 +193,6 @@ def test_representable_values_checks_are_live(monkeypatch, w):
                         lambda field: np.where(roots >= 0, 2 * roots % field.q, -1))
     with pytest.raises(AssertionError, match="off a circle"):
         representable_c_values(F, a, 1, witness)
-    circles._radius.cache_clear()
 
 
 def test_radius_checks_reach_later_blocks(monkeypatch):
@@ -213,7 +212,6 @@ def test_radius_checks_reach_later_blocks(monkeypatch):
     monkeypatch.setattr(circles, "inverse_table", lambda field: inverses)
     with pytest.raises(AssertionError, match=r"off a circle at q=13, a=5, b=\d+, w=\(12, 2\)"):
         radius_counts(F, 5)
-    circles._radius.cache_clear()
 
 
 @pytest.mark.parametrize("q", (13, 31))
@@ -227,7 +225,6 @@ def test_radius_block_boundaries(q, witnesses_per_block, monkeypatch):
     for a, expected in enumerate(default, start=1):
         circles._radius.cache_clear()
         assert np.array_equal(radius_counts(F, a), expected), a
-    circles._radius.cache_clear()
 
 
 def test_radius_cache_keys():
