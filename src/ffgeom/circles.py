@@ -23,8 +23,10 @@ It works through blocks of witnesses of about counting._BLOCK_VALUES values
 each, and keeps the radius it solved last in a one-entry cache, so callers
 that walk radius by radius build each radius once.  Its (|S_a|, q, q) table
 bounds it to (q + 1) q^2 <= GRID_CAPACITY, that is q <= 211.
-representable_c_values reads one (w, b) row of it.  The tests hold the
-batched path equal to the scalar one.
+representable_c_values reads the nonzero c of one (w, b) row from an index
+built with the radius: a row holds eta(D) + 1, the same for every witness,
+so the index is one int16 array of the c of each b plus offsets.  The tests
+hold the batched path equal to the scalar one.
 
 The midpoint-avoiding set is a union of circles with radii in A, the positive
 multiples of 8 up to q/32.  For x, y in it whose difference norm lies outside
@@ -33,6 +35,10 @@ the parallelogram identity forces |x - y| = 2|x| + 2|y| - 4|(x+y)/2| into the
 sumset otherwise.  midpoint_exclusion_check tests this on pairs of points by
 gathers from tables of length 2q - 1, indexed by coordinate differences and
 sums (squares d^2 mod q, halves s/2 mod q), so no pair is reduced mod q.
+Both tests are symmetric in the pair, so the exhaustive check evaluates each
+unordered pair once and counts it for both orders; the sampled check reads
+its index pairs in bulk from the Random(seed) stream that randrange would
+draw them from one by one.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Tuple, Union
+from typing import FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -150,12 +156,22 @@ def radius_counts(field: PrimeField, a: Scalar) -> np.ndarray:
     solved and marked read-only.  Raises CapacityError for
     (q + 1) q^2 > GRID_CAPACITY, before any array exists.
     """
-    return _radius(field, field.residue(a))[0]
+    return _radius(field, field.residue(a)).counts
+
+
+class _Radius(NamedTuple):
+    """One solved radius: radius_counts' table, its witnesses by coordinates,
+    and the nonzero c of each b, values[offsets[b]:offsets[b + 1]] (int16)."""
+
+    counts: np.ndarray
+    witnesses: FrozenSet[Tuple[int, int]]
+    values: np.ndarray
+    offsets: List[int]
 
 
 @lru_cache(maxsize=1)
-def _radius(field: PrimeField, a: int) -> Tuple[np.ndarray, Dict[Tuple[int, int], int]]:
-    """radius_counts' table and the row of each witness, keyed by its coordinates."""
+def _radius(field: PrimeField, a: int) -> _Radius:
+    """Solve and check every circle system of radius a; see radius_counts."""
     q = field.q
     if (q + 1) * q * q > GRID_CAPACITY:
         raise CapacityError(f"circle systems of one radius at q={q} need (q + 1) q^2 = "
@@ -196,7 +212,12 @@ def _radius(field: PrimeField, a: int) -> Tuple[np.ndarray, Dict[Tuple[int, int]
                      q, a, witnesses[block])
         counts[block] = count
     counts.setflags(write=False)
-    return counts, {w: i for i, w in enumerate(map(tuple, witnesses.tolist()))}
+    # every row (w, b) was checked equal to expected[b], so one row index per b
+    # serves every witness; Python int offsets slice faster than numpy scalars
+    nonzero = np.flatnonzero(expected)
+    offsets = np.searchsorted(nonzero, q * np.arange(q + 1)).tolist()
+    return _Radius(counts, frozenset(map(tuple, witnesses.tolist())),
+                   (nonzero % q).astype(np.int16), offsets)
 
 
 def _raise_first(bad: np.ndarray, what: str, q: int, a: int, witnesses: np.ndarray) -> None:
@@ -218,16 +239,23 @@ def representable_c_values(
     The values are the nonzero entries of row (w, b) of radius_counts(field,
     a), which solves and checks the systems of every witness on S_a at once
     and keeps the last radius cached; a run of calls with one a builds it
-    once.  Raises CapacityError for (q + 1) q^2 > GRID_CAPACITY (q > 211).
+    once.  Each row equals eta(4ab - (a + b - c)^2) + 1 over c, which does
+    not depend on w, so the radius keeps the nonzero c of each b as one
+    int16 array plus offsets, and the call reads its slice.  w is checked
+    by a lookup among the radius's witnesses.  Raises CapacityError for
+    (q + 1) q^2 > GRID_CAPACITY (q > 211), before the witness is checked
+    against a.
     """
     av = field.residue(a)
     if w.field != field or w.d != 2:
         raise ValueError("witness must be a point of the plane over this field")
-    if w.norm().value != av or av == 0:
+    if av == 0:
+        raise ValueError("witness must satisfy |w| = a != 0")
+    radius = _radius(field, av)
+    if w.as_ints() not in radius.witnesses:
         raise ValueError("witness must satisfy |w| = a != 0")
     bv = field.residue(b)
-    counts, rows = _radius(field, av)
-    return np.flatnonzero(counts[rows[w.as_ints()], bv]).tolist()
+    return radius.values[radius.offsets[bv]:radius.offsets[bv + 1]].tolist()
 
 
 def sum_two_squares_count(field: PrimeField, u: Scalar) -> int:
@@ -310,7 +338,8 @@ def build_counterexample(field: PrimeField) -> CounterexampleSet:
     return CounterexampleSet(field, A, E, sumset)
 
 
-_PAIR_BLOCK = 2**15  # pairs per block of the midpoint scan, so memory stays flat
+_PAIR_BLOCK = 2**15  # sampled pairs per block of the midpoint check, so memory stays flat
+_SCAN_BLOCK = 2**17  # pairs per block of the exhaustive midpoint scan
 
 
 @dataclass(frozen=True)
@@ -321,6 +350,43 @@ class MidpointReport:
     applicable: int
     violations: int
     exhaustive: bool
+
+
+def _randrange_draws(seed: int, n: int, sizes: Iterable[int]) -> Iterator[np.ndarray]:
+    """Successive Random(seed).randrange(n) values, one uint32 array per size.
+
+    randrange(n) keeps the top k = n.bit_length() bits of one 32-bit output
+    of the generator and draws again while they are >= n, and
+    getrandbits(32 m) holds the next m outputs, the first in the lowest word;
+    so shifting and filtering those words replays the draws one for one.
+    Words are drawn _PAIR_BLOCK at a time, and the kept values of the last
+    chunk that an array does not use are carried to the next.  The first 64
+    values are checked against randrange itself; a mismatch raises
+    AssertionError.
+    """
+    k = n.bit_length()
+    assert 1 <= k <= 32, n
+    rng = random.Random(seed)
+    chunk = _PAIR_BLOCK
+    carry = np.empty(0, dtype=np.uint32)
+    guard: Optional[random.Random] = random.Random(seed)
+    for size in sizes:
+        draws = np.empty(size, dtype=np.uint32)
+        filled = min(size, carry.size)
+        draws[:filled], carry = carry[:filled], carry[filled:]
+        while filled < size:
+            raw = rng.getrandbits(32 * chunk).to_bytes(4 * chunk, "little")
+            words = np.frombuffer(raw, dtype="<u4") >> (32 - k)
+            kept = words[words < n]
+            take = min(kept.size, size - filled)
+            draws[filled:filled + take], carry = kept[:take], kept[take:]
+            filled += take
+        if guard is not None:
+            head = draws[:64].tolist()
+            if head != [guard.randrange(n) for _ in head]:
+                raise AssertionError(f"bulk draws differ from Random({seed}).randrange({n})")
+            guard = None
+        yield draws
 
 
 def midpoint_exclusion_check(
@@ -334,10 +400,15 @@ def midpoint_exclusion_check(
     the sumset; violations counts applicable pairs whose midpoint lies in E.
 
     Sampled pairs are index pairs (i, j) drawn in turn as randrange(n) from
-    a Random(seed); the exhaustive check takes every ordered pair.  Either
-    way the pairs are drawn and scanned in blocks of about _PAIR_BLOCK; their
-    count is charged by the caller (`bounds.charge_midpoint_pairs`/`_samples`).
-    The sampled check needs samples >= 1; the exhaustive one ignores samples.
+    a Random(seed), in blocks of _PAIR_BLOCK pairs whose draws are read in
+    bulk from the same stream (_randrange_draws).  The exhaustive check
+    covers every ordered pair but evaluates each unordered pair {i, j} once:
+    both tests are symmetric in the pair, as d^2 = (-d)^2 and the midpoint
+    does not depend on the order.  It walks rows i against columns j >= i,
+    in blocks of about _SCAN_BLOCK pairs, and counts the pairs i != j twice.
+    pairs_checked is n^2 or samples, the count the caller charges
+    (`bounds.charge_midpoint_pairs`/`_samples`).  The sampled check needs
+    samples >= 1; the exhaustive one ignores samples.
     """
     if not exhaustive and samples < 1:
         raise ValueError(f"sample count must be positive, got {samples}")
@@ -359,23 +430,27 @@ def midpoint_exclusion_check(
         """(applicable, violations) over the pairs (x, y), (x2, y2), broadcast."""
         out = outside[sq[x + (q - 1) - x2] + sq[y + (q - 1) - y2]]
         mid = half[x + x2] + q * half[y + y2]
-        return int(np.count_nonzero(out)), int(np.count_nonzero(out & member[mid]))
+        return np.count_nonzero(out), np.count_nonzero(out & member[mid])
 
-    counts = []  # (applicable, violations) per block of pairs
+    applicable = violations = 0
     if exhaustive:
         pairs_checked = n * n
-        # blocks of rows x all n columns, small enough to stay in cache
-        rows = max(1, _PAIR_BLOCK // n)
-        for i in range(0, n, rows):
-            counts.append(scan(xs[i:i + rows, None], ys[i:i + rows, None], xs, ys))
+        # rows lo:hi against columns lo:n; the square lo:hi x lo:hi holds its
+        # pairs i != j in both orders, so only the columns from hi on count twice
+        rows = max(1, _SCAN_BLOCK // n)
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            x, y = xs[lo:hi, None], ys[lo:hi, None]
+            square, rest = scan(x, y, xs[lo:hi], ys[lo:hi]), scan(x, y, xs[hi:], ys[hi:])
+            applicable += square[0] + 2 * rest[0]
+            violations += square[1] + 2 * rest[1]
     else:
-        rng = random.Random(seed)
         pairs_checked = samples
-        for k in range(0, samples, _PAIR_BLOCK):
-            m = min(_PAIR_BLOCK, samples - k)
-            draws = np.fromiter((rng.randrange(n) for _ in range(2 * m)), np.int64, 2 * m)
+        sizes = (2 * min(_PAIR_BLOCK, samples - k) for k in range(0, samples, _PAIR_BLOCK))
+        for draws in _randrange_draws(seed, n, sizes):
             i, j = draws[0::2], draws[1::2]
-            counts.append(scan(xs[i], ys[i], xs[j], ys[j]))
-    applicable, violations = (sum(c) for c in zip(*counts))
-    return MidpointReport(pairs_checked=pairs_checked, applicable=applicable,
-                          violations=violations, exhaustive=exhaustive)
+            a, v = scan(xs[i], ys[i], xs[j], ys[j])
+            applicable += a
+            violations += v
+    return MidpointReport(pairs_checked=pairs_checked, applicable=int(applicable),
+                          violations=int(violations), exhaustive=exhaustive)

@@ -102,7 +102,8 @@ class PointSet:
         arr = np.asarray(indicator).ravel()
         if arr.size != size:
             raise ValueError(f"expected {size} indicator entries, got {arr.size}")
-        if not np.isin(arr, (0, 1)).all():
+        # equal to its own nonzero mask exactly when every entry is 0 or 1
+        if not np.array_equal(arr, arr != 0):
             raise ValueError("indicator entries must be 0 or 1")
         self.field = field
         self.d = d

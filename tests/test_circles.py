@@ -3,6 +3,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -168,6 +169,18 @@ F7 = PrimeField(7)
 def test_representable_values_validation(a, b, w, error):
     with pytest.raises(error):
         representable_c_values(F7, a, b, w)
+
+
+@pytest.mark.parametrize("q", (17, 19, 31))
+def test_representable_values_read_their_table_rows(q):
+    """Every (a, w, b) read, b = 0 included, is the nonzero c of row (w, b)."""
+    F = PrimeField(q)
+    for a in range(1, q):
+        table = radius_counts(F, a)
+        for i, w in enumerate(Sphere(F, a, 2).points):
+            for b in range(q):
+                assert representable_c_values(F, a, b, w) == np.flatnonzero(table[i, b]).tolist(), \
+                    (a, w.as_ints(), b)
 
 
 def test_representable_values_capacity_guard():
@@ -389,10 +402,10 @@ def every_pair_oracle(cs: CounterexampleSet):
 
 
 def midpoint_case(name: str) -> CounterexampleSet:
-    """The built set at q = 257, the same with an empty sumset, or the built
-    sumset over 300 seeded random points: no union of circles, not rotation
-    invariant, and 300 rows split into blocks of 2^15 // 300 = 109 rows
-    leave a partial last block."""
+    """The built set at q = 257 (256 points), the same with an empty sumset,
+    or the built sumset over 300 seeded random points: no union of circles,
+    not rotation invariant.  Blocks of 109 rows leave a partial last block
+    of either set."""
     cs = build_counterexample(PrimeField(257))
     if name == "empty_sumset":
         # every pair applies, so x = y and other midpoints in E count as violations
@@ -426,6 +439,37 @@ class TestMidpointExclusion:
         r = midpoint_exclusion_check(cs, samples=1500, seed=seed)
         assert (r.applicable, r.violations) == replay_sampled_pairs(cs, 1500, seed)
         assert r.violations > 0 if empty_sumset else r.violations == 0
+
+    @pytest.mark.parametrize("name", ["built", "empty_sumset", "off_circle"])
+    def test_exhaustive_blocks_match_every_pair_oracle(self, name, monkeypatch):
+        # one row per block, 109 rows with a partial last block, one block of all rows;
+        # the empty sumset makes every diagonal pair (x, x) a violation
+        cs = midpoint_case(name)
+        n = cs.E.cardinality
+        assert n % 109
+        expected = every_pair_oracle(cs)
+        for rows in (1, 109, n):
+            monkeypatch.setattr(circles, "_SCAN_BLOCK", rows * n)
+            r = midpoint_exclusion_check(cs, exhaustive=True)
+            assert (r.pairs_checked, r.applicable, r.violations) == (n * n, *expected), rows
+
+    @pytest.mark.parametrize("samples,applicable", [(10**4, 9861), (10**6, 987002)])
+    def test_sampled_counts_pinned_at_q1009(self, samples, applicable):
+        cs = build_counterexample(PrimeField(1009))
+        r = midpoint_exclusion_check(cs, samples=samples, seed=0)
+        assert (r.pairs_checked, r.applicable, r.violations) == (samples, applicable, 0)
+
+    def test_sampled_check_guards_the_bulk_stream(self, monkeypatch):
+        class Reordered(random.Random):
+            """Bulk bits with their bytes reversed, a stream randrange does not see."""
+
+            def getrandbits(self, k):
+                bits = super().getrandbits(k)
+                return bits if k <= 32 else int.from_bytes(bits.to_bytes(k // 8, "little"), "big")
+
+        monkeypatch.setattr(circles, "random", SimpleNamespace(Random=Reordered))
+        with pytest.raises(AssertionError, match=r"bulk draws differ from Random\(3\)"):
+            midpoint_exclusion_check(midpoint_case("off_circle"), samples=100, seed=3)
 
     def test_sampled_run_is_clean_and_deterministic(self):
         cs = build_counterexample(PrimeField(257))
@@ -492,3 +536,19 @@ class TestMidpointExclusion:
             mid = PointD(cs.field, [inv2 * (a + b) for a, b in zip(x.as_ints(), y.as_ints())])
             assert mid not in cs.E
         assert checked > 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 255, 256, 257, 3024, 2**20 + 5, 2**31 - 1])
+@pytest.mark.parametrize("seed", [0, 7, 2**63])
+@pytest.mark.parametrize("chunk", [None, 16])
+def test_bulk_draws_replay_randrange(n, seed, chunk, monkeypatch):
+    """The arrays of _randrange_draws against randrange(n) draw for draw, with the
+    default chunk of words and with chunks of 16 words, so the kept values of one
+    chunk are carried across arrays and several chunks fill one array."""
+    if chunk is not None:
+        monkeypatch.setattr(circles, "_PAIR_BLOCK", chunk)
+    sizes = (1, 63, 64, 300, 5)
+    arrays = list(circles._randrange_draws(seed, n, sizes))
+    assert [a.size for a in arrays] == list(sizes)
+    rng = random.Random(seed)
+    assert np.concatenate(arrays).tolist() == [rng.randrange(n) for _ in range(sum(sizes))]

@@ -181,6 +181,22 @@ class TestPointSet:
         with pytest.raises(ValueError):
             PointSet(F, 2, np.zeros(25))
 
+    @pytest.mark.parametrize("dtype", [np.uint8, bool, np.int64, np.float64])
+    def test_accepts_zero_one_entries_of_any_dtype(self, dtype):
+        indicator = np.zeros(25, dtype=dtype)
+        indicator[[3, 7]] = 1
+        E = PointSet(PrimeField(5), 2, indicator)
+        assert E.cardinality == 2
+        assert E.indicator.dtype == np.uint8
+        assert E.indices().tolist() == [3, 7]
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+    def test_rejects_entries_other_than_zero_and_one(self, bad):
+        indicator = np.ones(25, dtype=np.float64 if isinstance(bad, float) else np.int64)
+        indicator[4] = bad
+        with pytest.raises(ValueError, match="indicator entries must be 0 or 1"):
+            PointSet(PrimeField(5), 2, indicator)
+
     def test_rejects_oversized_grid(self):
         with pytest.raises(CapacityError):
             PointSet(PrimeField(3163), 2, np.zeros(1))
