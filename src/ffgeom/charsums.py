@@ -189,6 +189,12 @@ class GaussConstant:
         return f"GaussConstant(q={self.field.q}, Q={self.Q})"
 
 
+@lru_cache(maxsize=64)
+def gauss_constant(field: PrimeField) -> GaussConstant:
+    """GaussConstant(field), built and verified once per field and cached."""
+    return GaussConstant(field)
+
+
 def gauss_sum(field: PrimeField, j: Scalar) -> complex:
     """sum_c chi(j c^2), evaluated directly over all residues c."""
     q = field.q
@@ -203,7 +209,7 @@ def gauss_sum_closed(field: PrimeField, j: Scalar) -> complex:
     jv = field.residue(j)
     if jv == 0:
         return complex(field.q)
-    return GaussConstant(field).Q * math.sqrt(field.q) * field.legendre(jv)
+    return gauss_constant(field).Q * math.sqrt(field.q) * field.legendre(jv)
 
 
 def kloosterman(field: PrimeField, a: Scalar, psi: str = "trivial") -> complex:
@@ -235,7 +241,7 @@ def _closed_form_by_norm(field: PrimeField, t: int, d: int) -> np.ndarray:
     O(q^2) per t, whatever d is.
     """
     q = field.q
-    prefactor = GaussConstant(field).Q**d * q ** (-(d + 2) / 2)
+    prefactor = gauss_constant(field).Q**d * q ** (-(d + 2) / 2)
     j = np.arange(1, q, dtype=np.int64)
     inv_4j = inverse_table(field)[(4 * j) % q]
     signs = legendre_table(field)[(q - j) % q].astype(np.float64) ** d

@@ -20,13 +20,17 @@ witness's coordinates are swapped, an isometry fixing 0), with square roots
 from a per-q table, and applies both checks (solution count against the
 class of D, every point against both circle equations) to every (w, b, c).
 It works through blocks of witnesses of about counting._BLOCK_VALUES values
-each, and keeps the radius it solved last in a one-entry cache, so callers
-that walk radius by radius build each radius once.  Its (|S_a|, q, q) table
-bounds it to (q + 1) q^2 <= GRID_CAPACITY, that is q <= 211.
-representable_c_values reads the nonzero c of one (w, b) row from an index
-built with the radius: a row holds eta(D) + 1, the same for every witness,
-so the index is one int16 array of the c of each b plus offsets.  The tests
-hold the batched path equal to the scalar one.
+each and stores nothing per witness: the checks pass only if every row
+(w, b) equals eta(D) + 1, the same for every witness, so a solved radius
+keeps one read-only q x q int8 table of eta(D) + 1, which radius_counts
+broadcasts over the witnesses, and a tuple of the nonzero c of each b.  It
+keeps the radius it solved last in a one-entry cache, so callers that walk
+radius by radius build each radius once.  Its arithmetic is int32, exact
+because every intermediate lies in (-4q^2, 4q^2) and 4q^2 < 2^31 is checked
+first; the (q + 1) q^2 systems of a radius are held to GRID_CAPACITY, that
+is q <= 211.  representable_c_values returns the tuple of one b as a fresh
+list, without a numpy call.  The tests hold the batched path equal to the
+scalar one.
 
 The midpoint-avoiding set is a union of circles with radii in A, the positive
 multiples of 8 up to q/32.  For x, y in it whose difference norm lies outside
@@ -152,21 +156,23 @@ def radius_counts(field: PrimeField, a: Scalar) -> np.ndarray:
     Sphere(field, a, 2).points, a != 0; b and c run over F_q.  Every count
     is checked against the square class of 4ab - (a + b - c)^2 and every
     point against both circles; a failed check raises AssertionError naming
-    q, a, b, w and the failing c.  The array is cached for the last radius
-    solved and marked read-only.  Raises CapacityError for
-    (q + 1) q^2 > GRID_CAPACITY, before any array exists.
+    q, a, b, w and the failing c.  The checks pass only if every row (w, b)
+    equals eta(4ab - (a + b - c)^2) + 1, which does not depend on w, so the
+    radius keeps that one q x q int8 table, and the result is a read-only
+    np.broadcast_to view of it over the witnesses (strides[0] == 0), cached
+    for the last radius solved.  Raises CapacityError for (q + 1) q^2 >
+    GRID_CAPACITY or 4q^2 >= 2^31 (the int32 bound), before any array exists.
     """
     return _radius(field, field.residue(a)).counts
 
 
 class _Radius(NamedTuple):
-    """One solved radius: radius_counts' table, its witnesses by coordinates,
-    and the nonzero c of each b, values[offsets[b]:offsets[b + 1]] (int16)."""
+    """One solved radius: radius_counts' view, its witnesses by coordinates,
+    and the nonzero c of each b as a tuple of ints, rows[b]."""
 
     counts: np.ndarray
     witnesses: FrozenSet[Tuple[int, int]]
-    values: np.ndarray
-    offsets: List[int]
+    rows: Tuple[Tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=1)
@@ -176,48 +182,58 @@ def _radius(field: PrimeField, a: int) -> _Radius:
     if (q + 1) * q * q > GRID_CAPACITY:
         raise CapacityError(f"circle systems of one radius at q={q} need (q + 1) q^2 = "
                             f"{(q + 1) * q * q} values, over capacity {GRID_CAPACITY}")
+    # the arithmetic below is int32; every intermediate lies in (-4q^2, 4q^2)
+    if 4 * q * q >= 2**31:
+        raise CapacityError(f"circle systems at q={q} need 4q^2 = {4 * q * q} < 2^31 "
+                            f"for int32 arithmetic")
     if a == 0:
         raise ValueError("radius must be nonzero")
-    squares = np.arange(q, dtype=np.int64) ** 2 % q
-    witnesses = np.argwhere((squares[:, None] + squares) % q == a)
+    squares = np.arange(q, dtype=np.int32) ** 2 % q
+    witnesses = np.argwhere((squares[:, None] + squares) % q == a).astype(np.int32)
     # the w_1 = 0 witnesses are solved with their coordinates swapped
     swap = witnesses[:, 0] == 0
     w1 = np.where(swap, witnesses[:, 1], witnesses[:, 0])
     w2 = np.where(swap, 0, witnesses[:, 1])
-    inv_w1 = inverse_table(field)[w1]
+    inv_a = field.inv(a)
+    # t = (k w_2 + w_1 r) / a and s = k / w_1 - t (w_2 / w_1), with the
+    # per-witness ratios reduced first so that each coordinate needs one % q
+    w1_a, w2_a = w1 * inv_a % q, w2 * inv_a % q
+    inv_w1 = inverse_table(field)[w1].astype(np.int32)
+    w2_w1 = w2 * inv_w1 % q
     # shared by every witness: axis -2 is b, axis -1 is c
-    b = np.arange(q, dtype=np.int64)[:, None]
-    c = np.arange(q, dtype=np.int64)
+    b = np.arange(q, dtype=np.int32)[:, None]
+    c = np.arange(q, dtype=np.int32)
     k = (a + b - c) * field.inv(2) % q
-    r = sqrt_table(field)[(a * b - k * k) % q]
+    r = sqrt_table(field)[(a * b - k * k) % q].astype(np.int32)
     has_root = r >= 0
     # axis 1 of S, T picks the root the point is built from
     R = np.stack((r, (q - r) % q))
     # eta(D) + 1 maps non-residue, zero, square to 0, 1, 2 points
     expected = legendre_table(field)[(4 * a * b - (a + b - c) ** 2) % q] + 1
-    inv_a = field.inv(a)
-    counts = np.empty((len(witnesses), q, q), dtype=np.int8)
+    expected.setflags(write=False)
     step = max(1, counting._BLOCK_VALUES // (q * q))
     for lo in range(0, len(witnesses), step):
         block = slice(lo, lo + step)
-        W1, W2, I1 = (v[block, None, None, None] for v in (w1, w2, inv_w1))
-        T = (k * W2 + W1 * R) % q * inv_a % q
-        S = (k - T * W2) % q * I1 % q
+        W1, W2, W1_A, W2_A, I1, W2_W1 = (v[block, None, None, None]
+                                         for v in (w1, w2, w1_a, w2_a, inv_w1, w2_w1))
+        T = (k * W2_A + W1_A * R) % q
+        S = (k * I1 - T * W2_W1) % q
         # a double root yields one point, so count distinct points, not roots
-        count = has_root * (1 + ((S[:, 0] != S[:, 1]) | (T[:, 0] != T[:, 1])))
+        distinct = (S[:, 0] != S[:, 1]) | (T[:, 0] != T[:, 1])
+        count = np.add(has_root, has_root & distinct, dtype=np.int8)
         _raise_first(count != expected, "solution count off the class of D",
                      q, a, witnesses[block])
         on_both = ((S * S + T * T) % q == b) & (((S - W1) ** 2 + (T - W2) ** 2) % q == c)
         _raise_first(has_root & ~on_both.all(axis=1), "point off a circle",
                      q, a, witnesses[block])
-        counts[block] = count
-    counts.setflags(write=False)
-    # every row (w, b) was checked equal to expected[b], so one row index per b
-    # serves every witness; Python int offsets slice faster than numpy scalars
+    # every row (w, b) was checked equal to expected[b], so one table serves
+    # every witness, and one tuple of the nonzero c of each b every read
     nonzero = np.flatnonzero(expected)
     offsets = np.searchsorted(nonzero, q * np.arange(q + 1)).tolist()
-    return _Radius(counts, frozenset(map(tuple, witnesses.tolist())),
-                   (nonzero % q).astype(np.int16), offsets)
+    values = (nonzero % q).tolist()
+    rows = tuple(tuple(values[lo:hi]) for lo, hi in zip(offsets, offsets[1:]))
+    return _Radius(np.broadcast_to(expected, (len(witnesses), q, q)),
+                   frozenset(map(tuple, witnesses.tolist())), rows)
 
 
 def _raise_first(bad: np.ndarray, what: str, q: int, a: int, witnesses: np.ndarray) -> None:
@@ -240,22 +256,22 @@ def representable_c_values(
     a), which solves and checks the systems of every witness on S_a at once
     and keeps the last radius cached; a run of calls with one a builds it
     once.  Each row equals eta(4ab - (a + b - c)^2) + 1 over c, which does
-    not depend on w, so the radius keeps the nonzero c of each b as one
-    int16 array plus offsets, and the call reads its slice.  w is checked
-    by a lookup among the radius's witnesses.  Raises CapacityError for
-    (q + 1) q^2 > GRID_CAPACITY (q > 211), before the witness is checked
-    against a.
+    not depend on w, so the radius keeps the nonzero c of each b as a tuple
+    of ints, and the call returns a fresh list of it without a numpy call.
+    w is checked by a lookup of its coordinate values among the radius's
+    witnesses.  Raises CapacityError for (q + 1) q^2 > GRID_CAPACITY
+    (q > 211), before the witness is checked against a.
     """
     av = field.residue(a)
-    if w.field != field or w.d != 2:
+    coords = w.coords
+    if (w.field is not field and w.field != field) or len(coords) != 2:
         raise ValueError("witness must be a point of the plane over this field")
     if av == 0:
         raise ValueError("witness must satisfy |w| = a != 0")
     radius = _radius(field, av)
-    if w.as_ints() not in radius.witnesses:
+    if (coords[0].value, coords[1].value) not in radius.witnesses:
         raise ValueError("witness must satisfy |w| = a != 0")
-    bv = field.residue(b)
-    return radius.values[radius.offsets[bv]:radius.offsets[bv + 1]].tolist()
+    return list(radius.rows[field.residue(b)])
 
 
 def sum_two_squares_count(field: PrimeField, u: Scalar) -> int:

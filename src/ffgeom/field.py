@@ -63,7 +63,8 @@ class PrimeField:
         return isinstance(other, PrimeField) and other.q == self.q
 
     def __hash__(self) -> int:
-        return hash(("PrimeField", self.q))
+        # q itself: fields key every table cache, so the hash builds no tuple
+        return self.q
 
     # -- element construction -------------------------------------------------
 

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ffgeom import charsums
 from ffgeom.charsums import (
     GaussConstant,
     Sphere,
@@ -149,6 +150,25 @@ def test_gauss_closed_form_and_constant(q):
         closed = gauss_sum_closed(F, j)
         assert cmath.isclose(direct, closed, abs_tol=1e-9)
         assert abs(abs(direct) - math.sqrt(q)) < 1e-9
+
+
+@pytest.mark.parametrize("closed_form", [
+    lambda F: gauss_sum_closed(F, 1),
+    lambda F: sphere_fourier_grid(F, 1),
+])
+def test_gauss_constant_is_verified_once_per_field(monkeypatch, closed_form):
+    F = PrimeField(13)
+    charsums.gauss_constant.cache_clear()
+    monkeypatch.setattr(charsums, "gauss_sum", lambda field, j: 0j)
+    with pytest.raises(AssertionError, match="Gauss constant check failed for q=13"):
+        closed_form(F)
+    monkeypatch.undo()
+    calls = []
+    monkeypatch.setattr(charsums, "gauss_sum", lambda field, j: calls.append(j) or gauss_sum(field, j))
+    for j in range(1, 13):
+        gauss_sum_closed(F, j)
+    sphere_fourier_grid(F, 2)
+    assert calls == [1]
 
 
 def test_kloosterman_hand_values():

@@ -277,6 +277,60 @@ def test_radius_capacity_guard_before_any_array():
     assert peak < 2**16, peak  # a q^3 int8 table alone is 11 MB
 
 
+def test_radius_int32_guard_before_any_array(monkeypatch):
+    # 23173 is the first prime with 4q^2 >= 2^31, the bound of the int32 solver
+    assert 4 * 23173**2 >= 2**31 > 4 * 23167**2
+    monkeypatch.setattr(circles, "GRID_CAPACITY", 10**15)
+    F = PrimeField(23173)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="q=23173 need 4q\\^2"):
+            radius_counts(F, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16, peak
+
+
+def test_radius_oracle_at_q211():
+    """At the top of the domain, where the int32 intermediates are largest:
+    every row against eta(4ab - (a + b - c)^2) + 1 in Python ints, and 50
+    seeded (w, b) reads against the scalar solver."""
+    q = 211
+    F = PrimeField(q)
+    origin = PointD(F, (0, 0))
+    rng = random.Random(211)
+    nonsquare = next(x for x in range(2, q - 1) if F.legendre(x) == -1)
+    for a in (1, nonsquare, q - 1):
+        expected = np.array([[F.legendre(4 * a * b - (a + b - c) ** 2) + 1 for c in range(q)]
+                             for b in range(q)])
+        counts = radius_counts(F, a)
+        witnesses = Sphere(F, a, 2).points
+        assert counts.shape == (len(witnesses), q, q) == (212, q, q)
+        assert all(np.array_equal(row, expected) for row in counts), a
+        for _ in range(50):
+            w, b = rng.choice(witnesses), rng.randrange(q)
+            assert representable_c_values(F, a, b, w) == [
+                c for c in range(q) if intersect_circles(CircleSystem(origin, w, b, c))
+            ], (a, b, w.as_ints())
+
+
+@pytest.mark.parametrize("q", (13, 31))
+def test_representable_values_read_path_contract(q):
+    F = PrimeField(q)
+    w = Sphere(F, 2, 2).points[0]
+    first = representable_c_values(F, 2, 1, w)
+    expected = list(first)
+    first.append(-1)
+    first[0] = -1
+    counts = radius_counts(F, 2)
+    assert representable_c_values(F, 2, 1, w) == expected == np.flatnonzero(counts[0, 1]).tolist()
+    assert counts.dtype == np.int8 and counts.shape == (len(Sphere(F, 2, 2)), q, q)
+    assert not counts.flags.writeable and counts.strides[0] == 0
+    with pytest.raises(ValueError):
+        counts[0, 0, 0] = 1
+
+
 def test_radius_rejects_zero_radius():
     with pytest.raises(ValueError):
         radius_counts(PrimeField(7), 0)
