@@ -155,7 +155,7 @@ def test_gauss_closed_form_and_constant(q):
 @pytest.mark.parametrize("closed_form", [
     lambda F: gauss_sum_closed(F, 1),
     lambda F: sphere_fourier_grid(F, 1),
-])
+], ids=["gauss_sum_closed", "sphere_fourier_grid"])
 def test_gauss_constant_is_verified_once_per_field(monkeypatch, closed_form):
     F = PrimeField(13)
     charsums.gauss_constant.cache_clear()
