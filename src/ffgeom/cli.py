@@ -108,6 +108,15 @@ def _run_spheres(config: ExperimentConfig, stream: TextIO) -> List[List[str]]:
     return out.violations
 
 
+def _sum_lines(q: int, kind: str, sums: np.ndarray, refs: Sequence[str],
+               status: Sequence[str]) -> List[str]:
+    """The charsum rows of one family of sums over the parameters 0 .. q - 1,
+    each number printed as CsvSink.row prints it."""
+    fmt = f"{q},{kind},%d,%.12g,%.12g,%.12g,%s,%s"
+    columns = (range(q), sums.real.tolist(), sums.imag.tolist(), np.abs(sums).tolist(), refs, status)
+    return [fmt % row for row in zip(*columns)]
+
+
 def _run_charsum(config: ExperimentConfig, stream: TextIO) -> List[List[str]]:
     out = exp.CsvSink(stream, ("q", "kind", "param", "re", "im", "modulus", "reference", "status"))
     tol = 1e-9
@@ -117,25 +126,24 @@ def _run_charsum(config: ExperimentConfig, stream: TextIO) -> List[List[str]]:
         spheres = list(_sphere_checks(field))
         bounds.charge_character_sums(q, config.budget)
         root_q = q**0.5
-        for j in range(q):
-            val = gauss_sum(field, j)
-            if j == 0:
-                ref, ok = q, abs(val - q) <= tol
-            else:
-                ref, ok = root_q, abs(abs(val) - root_q) <= tol
-            out.row((q, "gauss", j, val.real, val.imag, abs(val), ref,
-                     "pass" if ok else "fail"), violated=not ok)
+        sums = gauss_sum(field, range(q))
+        ok = np.abs(np.abs(sums) - root_q) <= tol
+        ok[0] = abs(sums[0] - q) <= tol
+        status = ["pass" if good else "fail" for good in ok.tolist()]
+        refs = [str(q)] + ["%.12g" % root_q] * (q - 1)
+        out.lines(_sum_lines(q, "gauss", sums, refs, status), ~ok)
+        # the Weil bound 2 sqrt(q) is stated for a != 0
+        weil = 2 * root_q
+        refs = [""] + ["%.12g" % weil] * (q - 1)
         for psi in ("trivial", "quadratic"):
-            kind = f"kloosterman_{psi}"
-            for a in range(q):
-                val = kloosterman(field, a, psi)
-                # the Weil bound 2 sqrt(q) is stated for a != 0
-                ref = None if a == 0 else 2 * root_q
-                status = "info" if a == 0 else "pass" if abs(val) <= ref + tol else "fail"
-                out.row((q, kind, a, val.real, val.imag, abs(val), ref, status),
-                        violated=status == "fail")
-        for t, count, ref, status in spheres:
-            out.row((q, "sphere", t, count, 0, count, ref, status), violated=status == "fail")
+            sums = kloosterman(field, range(q), psi)
+            ok = np.abs(sums) <= weil + tol
+            ok[0] = True
+            status = ["info"] + ["pass" if good else "fail" for good in ok[1:].tolist()]
+            out.lines(_sum_lines(q, f"kloosterman_{psi}", sums, refs, status), ~ok)
+        out.lines([f"{q},sphere,{t},{count},0,{count},{'' if ref is None else ref},{status}"
+                   for t, count, ref, status in spheres],
+                  [status == "fail" for *_, status in spheres])
     return out.violations
 
 

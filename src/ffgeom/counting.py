@@ -35,7 +35,7 @@ HingeSweep.fourier_counts evaluates it for every radius pair per norm class
 of frequencies.  Shat_b is real and depends on m != 0 only through |m|, so
 the classes are {m != 0 : |m| = n} for each n in F_q, plus the origin as a
 class of its own, q + 1 in all.  The terms at m and -m are complex
-conjugates, so the sum is real and runs over the rfftn half spectrum (m_0 in
+conjugates, so the sum is real and runs over the half spectrum (m_0 in
 0 .. (q - 1)/2), with weight 1 on the column m_0 = 0 and 2 elsewhere.  With
 G[a, k] = the weighted sum of Re(conj(fhat_a(m)) Ehat(m)) over the class k,
 
@@ -48,7 +48,15 @@ indicators, not from the closed form of ffgeom.charsums, and checks every
 frequency against its class entry.  Both G and T are built one block of
 radii at a time, about _BLOCK_VALUES grid values per block: f, its transform
 and the spheres' transforms exist only for the radii of one block, and each
-row of G is one bincount over the q x (q // 2 + 1) class array.  The tests
+row of G is one bincount over the q x (q // 2 + 1) class array.
+
+Every half-spectrum transform here is a direct DFT written as two real
+matrix products per q x q array (_half_spectrum): the array times the
+cos/sin columns of chi(-m_0 x_0) for m_0 <= q // 2, then the real and
+imaginary rows of chi(-m_1 x_1) times that.  At the prime lengths q <= 211
+that HingeSweep allows, these character-matrix products run faster than an
+FFT, and since each array goes through products of one fixed shape, its
+transform does not depend on how many arrays share a block.  The tests
 compare the result with the full-spectrum complex sum over every nonempty
 subset of F_3^2 and random sets up to q = 101, and with the brute-force
 hinge count; those tests are the permanent pin of the conjugate placement.
@@ -58,19 +66,22 @@ from __future__ import annotations
 
 from functools import lru_cache
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import bounds
 from .charsums import Sphere, norm_values, sphere_size_table
 from .field import FieldElement, PrimeField
-from .fourier import GRID_CAPACITY, CapacityError, PointD, SpectralGrid, _check_grid_size, decode
+from .fourier import (GRID_CAPACITY, CapacityError, PointD, SpectralGrid, _check_grid_size,
+                      chi_table, decode)
 
 Scalar = Union[int, FieldElement]
 
 # about this many grid values per block of radii, in fourier_counts and _sphere_class_table
 _BLOCK_VALUES = 2**18
+# at most this many q x q arrays per pair of character-matrix products in _half_spectrum
+_TRANSFORM_ARRAYS = 8
 
 
 def _radius_blocks(q: int) -> List[slice]:
@@ -213,7 +224,7 @@ def circle_profile_stack(E: PointSet) -> np.ndarray:
 
 
 def _half_spectrum_classes(q: int) -> np.ndarray:
-    """The norm class of every frequency of a planar rfftn half spectrum.
+    """The norm class of every frequency of a planar half spectrum.
 
     A q x (q // 2 + 1) array over (m_1, m_0): class |m| for m != 0, and class
     q for the origin.
@@ -224,6 +235,51 @@ def _half_spectrum_classes(q: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
+def _character_matrices(q: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The two real factors of the planar half-spectrum DFT at q, read-only.
+
+    A q x 2h matrix over (x_0, m_0), h = q // 2 + 1, holding Re then Im of
+    chi(-m_0 x_0) for m_0 < h, and a 2q x q matrix over (m_1, x_1) holding
+    Re then Im of chi(-m_1 x_1); the entries are those of
+    ffgeom.fourier.chi_table.
+    """
+    chi = chi_table(q)
+    x = np.arange(q)
+    by_m0 = chi[(-np.outer(x, x[: q // 2 + 1])) % q]
+    by_m1 = chi[(-np.outer(x, x)) % q]
+    pair = (np.concatenate([by_m0.real, by_m0.imag], axis=1),
+            np.concatenate([by_m1.real, by_m1.imag], axis=0))
+    for matrix in pair:
+        matrix.setflags(write=False)
+    return pair
+
+
+def _half_spectrum(arrays: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Re and Im of sum_x f(x) chi(-m.x) on the half spectrum, for a stack of q x q arrays.
+
+    arrays has shape (n, q, q) over (x_1, x_0); both results have shape
+    (n, q, q // 2 + 1) over (m_1, m_0), the layout of numpy's rfftn.  Each
+    array is contracted over x_0 and then over x_1 by two real products with
+    _character_matrices, at most _TRANSFORM_ARRAYS arrays at a time, each
+    product of one fixed shape per array, so that an array's transform is
+    the same bits whatever stack it is part of.
+    """
+    n, q = arrays.shape[0], arrays.shape[-1]
+    h = q // 2 + 1
+    by_m0, by_m1 = _character_matrices(q)
+    re = np.empty((n, q, h))
+    im = np.empty((n, q, h))
+    for start in range(0, n, _TRANSFORM_ARRAYS):
+        part = slice(start, start + _TRANSFORM_ARRAYS)
+        # [[Re1 C, Re1 S], [Im1 C, Im1 S]] for Re1 + i Im1 = chi(-m_1 x_1) and
+        # C + i S the sums over x_0; the transform is their complex product
+        y = by_m1 @ (arrays[part] @ by_m0)
+        np.subtract(y[:, :q, :h], y[:, q:, h:], out=re[part])
+        np.add(y[:, :q, h:], y[:, q:, :h], out=im[part])
+    return re, im
+
+
+@lru_cache(maxsize=8)
 def _sphere_class_table(q: int) -> np.ndarray:
     """T[b - 1, k] = Shat_b(m) for any frequency m of class k, b = 1 .. q - 1.
 
@@ -231,7 +287,8 @@ def _sphere_class_table(q: int) -> np.ndarray:
     _half_spectrum_classes.  Shat_b depends on m != 0 only through |m| (the
     Gauss-sum closed form in ffgeom.charsums), but the table is read off the
     direct DFT of the sphere indicators instead, so that the spectral check
-    stays independent of that closed form.  Every frequency of the half
+    stays independent of that closed form; the DFT is the pair of
+    character-matrix products of _half_spectrum.  Every frequency of the half
     spectrum is checked against its class entry.  The nonzero isotropic class
     is empty when q = 3 mod 4 and its column stays 0.  The spheres are
     transformed one block of radii at a time (_radius_blocks), never all
@@ -247,9 +304,10 @@ def _sphere_class_table(q: int) -> np.ndarray:
         rows = table[block]
         radii = np.arange(block.start + 1, block.stop + 1)
         spheres = (norms[None, :, :] == radii[:, None, None]).astype(np.float64)
-        shat = np.fft.rfftn(spheres, axes=(1, 2)).reshape(len(rows), -1) / q**2
-        rows[:, present] = shat[:, first].real
-        err = np.abs(shat - rows[:, classes]).max()
+        re, im = (part.reshape(len(rows), -1) / q**2 for part in _half_spectrum(spheres))
+        rows[:, present] = re[:, first]
+        # |Shat_b(m) - T[b - 1, class of m]|, the imaginary part included
+        err = np.hypot(re - rows[:, classes], im).max()
         if not err <= 1e-12:
             raise AssertionError(f"sphere transform at q={q}, radii {radii[0]}..{radii[-1]} "
                                  f"is not constant on norm classes (off by {err})")
@@ -262,9 +320,9 @@ class HingeSweep:
 
     Profiles for all radii are stacked into one matrix, so every exact count
     sum_{x in E} n_a(x) n_b(x) comes from a single exact matrix product, and
-    every spectral value from batched real FFTs of the profiles, one block of
-    radii at a time, binned by norm class and multiplied by the per-q sphere
-    class table.
+    every spectral value from character-matrix products of the profiles, one
+    block of radii at a time, binned by norm class and multiplied by the per-q
+    sphere class table.
     """
 
     def __init__(self, E: PointSet) -> None:
@@ -299,10 +357,10 @@ class HingeSweep:
         """The spectral-identity value for every radius pair, as a real float64 matrix.
 
         Evaluated per norm class (see the module docstring), one block of
-        radii at a time: real FFTs of the block's profiles restricted to E and
-        of E give Re(conj(fhat_a) Ehat) on the half spectrum, one bincount per
-        radius sums it by class into G, and the value is q^4 G @ T^T with T
-        from _sphere_class_table.  Since m and -m pair up, nothing imaginary is
+        radii at a time: character-matrix products (_half_spectrum) of the
+        block's profiles restricted to E and of E give Re(conj(fhat_a) Ehat)
+        on the half spectrum, one bincount per radius sums it by class into
+        G, and the value is q^4 G @ T^T with T from _sphere_class_table.  Since m and -m pair up, nothing imaginary is
         dropped: the full complex sum is real too.
         """
         if self._fourier is None:
@@ -311,20 +369,23 @@ class HingeSweep:
             table = _sphere_class_table(q)
             classes = _half_spectrum_classes(q).ravel()
             # unnormalized transforms: their q^2 q^2 cancels the identity's q^4
-            ehat = np.fft.rfftn(self.E.cube().astype(np.float64))
+            e_re, e_im = _half_spectrum(self.E.cube().astype(np.float64)[None])
             # column m_0 = 0 holds its own negatives; every other m_0 stands for -m too
-            ehat[:, 1:] *= 2
-            weight = np.conj(ehat)
+            e_re[..., 1:] *= 2
+            e_im[..., 1:] *= 2
             g = np.empty((q - 1, q + 1))
             for block in _radius_blocks(q):
                 # f_a = E n_a for the radii of this block
                 f = np.multiply(self.profiles[block], self.E.indicator, dtype=np.float64)
-                fhat = np.fft.rfftn(f.reshape(-1, q, q), axes=(1, 2))
-                fhat *= weight
-                for row, terms in zip(g[block], fhat.real):
+                re, im = _half_spectrum(f.reshape(-1, q, q))
+                # Re(fhat conj(Ehat)) = Re fhat Re Ehat + Im fhat Im Ehat, in place
+                re *= e_re
+                im *= e_im
+                re += im
+                for row, terms in zip(g[block], re):
                     row[:] = np.bincount(classes, weights=terms.ravel(), minlength=q + 1)
-            # sum_k G[a, k] T[b, k] in einsum's own loop: for a product this small,
-            # waking the BLAS threads left idle by the FFTs costs more than the product
+            # sum_k G[a, k] T[b, k] in einsum's own loop, which adds in one fixed
+            # order whatever the BLAS thread count; at q = 101 it takes under 0.5 ms
             self._fourier = np.einsum("ak,bk->ab", g, table)
         return self._fourier
 

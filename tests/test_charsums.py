@@ -193,6 +193,45 @@ def test_kloosterman_weil_bound(q):
             assert abs(kloosterman(F, a, psi)) <= 2 * math.sqrt(q) + 1e-9
 
 
+@pytest.mark.parametrize("q", (3, 5, 7, 13, 101, 1009))
+def test_batched_sums_equal_scalar_calls_bit_for_bit(q):
+    F = PrimeField(q)
+
+    def bits(values):
+        return np.asarray(values, dtype=np.complex128).view(np.uint64)
+
+    assert np.array_equal(bits(gauss_sum(F, range(q))), bits([gauss_sum(F, j) for j in range(q)]))
+    for psi in charsums.PSI_TAGS:
+        batched = kloosterman(F, list(range(q)), psi)
+        assert np.array_equal(bits(batched), bits([kloosterman(F, a, psi) for a in range(q)]))
+
+
+@pytest.mark.parametrize("rows", (1, 7))
+def test_row_block_does_not_change_bits(rows, monkeypatch):
+    q = 101
+    F = PrimeField(q)
+    families = [lambda: gauss_sum(F, range(q))]
+    families += [lambda psi=psi: kloosterman(F, range(q), psi) for psi in charsums.PSI_TAGS]
+    default = [family() for family in families]
+    monkeypatch.setattr(charsums, "_BLOCK_TERMS", rows * q)
+    for family, values in zip(families, default):
+        assert np.array_equal(family().view(np.uint64), values.view(np.uint64))
+
+
+@pytest.mark.parametrize("bad,error", [
+    (True, TypeError), (2.0, TypeError), (PrimeField(7).element(3), ValueError),
+], ids=["bool", "float", "other-field"])
+def test_sequence_entries_are_checked_like_scalars(bad, error):
+    F = PrimeField(5)
+    for call in (lambda p: gauss_sum(F, p), lambda p: kloosterman(F, p),
+                 lambda p: kloosterman(F, p, "quadratic")):
+        with pytest.raises(error) as scalar:
+            call(bad)
+        with pytest.raises(error) as batched:
+            call([1, bad, 2])
+        assert str(batched.value) == str(scalar.value)
+
+
 def test_kloosterman_rejects_unknown_character():
     with pytest.raises(ValueError):
         kloosterman(PrimeField(5), 1, "cubic")

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import hashlib
+import json
 import os
 import resource
 import subprocess
@@ -10,6 +11,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ffgeom
@@ -18,6 +20,9 @@ from ffgeom.circles import midpoint_exclusion_check
 from ffgeom.cli import main
 from ffgeom.counting import HingeSweep
 from ffgeom.experiments import random_set
+from ffgeom.field import PrimeField
+
+RECORDED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
 
 def run_to_file(tmp_path, argv):
@@ -84,14 +89,43 @@ class TestCharsum:
     @pytest.mark.parametrize("budget,code", [(506, 1), (507, 0)])
     def test_character_sums_charged_against_budget(self, monkeypatch, capsys, budget, code):
         # q Gauss sums and 2q Kloosterman sums of q terms: 3 * 13^2 = 507 steps
-        calls = []
+        computed = []
         real = cli.gauss_sum
-        monkeypatch.setattr(cli, "gauss_sum", lambda *args: calls.append(args) or real(*args))
+
+        def counted(*args):
+            sums = real(*args)
+            computed.extend(np.atleast_1d(sums))
+            return sums
+
+        monkeypatch.setattr(cli, "gauss_sum", counted)
         assert main(["charsum", "--q", "13", "--budget", str(budget)]) == code
-        assert len(calls) == (0 if code else 13)
+        assert len(computed) == (0 if code else 13)
         if code:
             assert capsys.readouterr().err == (
                 "ffgeom: error: character sums at q=13 need 3 * 13^2 steps, budget 506\n")
+
+
+    def test_table_bytes_match_the_recorded_hash(self, capsys):
+        recorded = json.loads(RECORDED.read_text())["spectral"]["charsum csv_sha256"]
+        assert main(["charsum", "--q", "1009"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == recorded
+
+    def test_one_wrong_gauss_value_prints_its_row(self, monkeypatch, capsys):
+        real = cli.gauss_sum
+
+        def one_wrong(field, j):
+            sums = real(field, j).copy()
+            sums[5] *= 2
+            return sums
+
+        monkeypatch.setattr(cli, "gauss_sum", one_wrong)
+        assert main(["charsum", "--q", "13"]) == 2
+        captured = capsys.readouterr()
+        rows = [line for line in captured.out.splitlines() if line.startswith("13,gauss,5,")]
+        assert len(rows) == 1 and rows[0].endswith(",fail")
+        value = 2 * real(PrimeField(13), 5)
+        assert rows[0].split(",")[3:6] == ["%.12g" % v for v in (value.real, value.imag, abs(value))]
+        assert captured.err == rows[0] + "\n"
 
 
 class TestHinges:

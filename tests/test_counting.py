@@ -570,6 +570,35 @@ class TestSpectralClasses:
             check_against_full_spectrum(HingeSweep(random_set(q, 2, Fraction(1, 2), seed=0)))
 
 
+class TestHalfSpectrum:
+    """counting._half_spectrum, the character-matrix DFT, against numpy's rfftn."""
+
+    @pytest.mark.parametrize("q", (3, 5, 13, 61, 101, 211))
+    def test_matches_rfftn(self, q):
+        arrays = np.random.default_rng(q).standard_normal((3, q, q))
+        re, im = counting._half_spectrum(arrays)
+        oracle = np.fft.rfftn(arrays, axes=(1, 2))
+        assert re.shape == im.shape == oracle.shape
+        assert np.abs(re - oracle.real).max() <= 1e-9 * q**2
+        assert np.abs(im - oracle.imag).max() <= 1e-9 * q**2
+
+    @pytest.mark.parametrize("q", (13, 101))
+    @pytest.mark.parametrize("size", (7, 19))
+    def test_an_array_alone_equals_it_in_a_stack(self, q, size):
+        # 7 arrays go through one pair of stacked products, 19 through 8 + 8 + 3
+        stack = np.random.default_rng(size).standard_normal((size, q, q))
+        re, im = counting._half_spectrum(stack)
+        for k in (0, 3, size - 1):
+            alone_re, alone_im = counting._half_spectrum(stack[k : k + 1])
+            assert np.array_equal(alone_re[0], re[k]) and np.array_equal(alone_im[0], im[k])
+
+    def test_character_matrices_are_cached_read_only(self):
+        by_m0, by_m1 = counting._character_matrices(13)
+        assert by_m0.shape == (13, 14) and by_m1.shape == (26, 13)
+        assert not by_m0.flags.writeable and not by_m1.flags.writeable
+        assert counting._character_matrices(13)[0] is by_m0
+
+
 def test_hinge_report_split():
     # the main term and remainder at (a, b) = (2, 5), and the library's q^2 R
     # and printed ratio against them
