@@ -159,7 +159,8 @@ def charge_character_sums(q: int, budget: int) -> None:
 
 def charge_midpoint_pairs(card: int, budget: int) -> None:
     """Charge an exhaustive midpoint check's |E|^2 steps, one per ordered pair
-    covered (the scan evaluates each unordered pair once)."""
+    covered (the scan evaluates one row per orbit of E's verified coordinate
+    symmetries)."""
     if card * card > budget:
         raise BudgetError(f"exhaustive midpoint check needs {card}^2 pairs, budget {budget}")
 

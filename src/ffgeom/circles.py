@@ -39,10 +39,15 @@ the parallelogram identity forces |x - y| = 2|x| + 2|y| - 4|(x+y)/2| into the
 sumset otherwise.  midpoint_exclusion_check tests this on pairs of points by
 gathers from tables of length 2q - 1, indexed by coordinate differences and
 sums (squares d^2 mod q, halves s/2 mod q), so no pair is reduced mod q.
-Both tests are symmetric in the pair, so the exhaustive check evaluates each
-unordered pair once and counts it for both orders; the sampled check reads
-its index pairs in bulk from the Random(seed) stream that randrange would
-draw them from one by one.
+The signed coordinate permutations (x, y) -> (+-x, +-y), (+-y, +-x) are
+linear and keep the norm, so each one that maps E onto itself gives every
+pair the same answers as its image pair.  The exhaustive check verifies
+which of the eight do, on E's own points, and scans one row per orbit of
+that group against all of E, weighed by the orbit's size: 33 rows for the
+256 points of the built set at q = 257, 381 for its 3024 at q = 1009, and
+one per point for a set with no symmetry.  The sampled check reads its
+index pairs in bulk from the Random(seed) stream that randrange would draw
+them from one by one.
 """
 
 from __future__ import annotations
@@ -355,7 +360,7 @@ def build_counterexample(field: PrimeField) -> CounterexampleSet:
 
 
 _PAIR_BLOCK = 2**15  # sampled pairs per block of the midpoint check, so memory stays flat
-_SCAN_BLOCK = 2**17  # pairs per block of the exhaustive midpoint scan
+_SCAN_BLOCK = 2**16  # pairs per block of the exhaustive midpoint scan
 
 
 @dataclass(frozen=True)
@@ -418,10 +423,14 @@ def midpoint_exclusion_check(
     Sampled pairs are index pairs (i, j) drawn in turn as randrange(n) from
     a Random(seed), in blocks of _PAIR_BLOCK pairs whose draws are read in
     bulk from the same stream (_randrange_draws).  The exhaustive check
-    covers every ordered pair but evaluates each unordered pair {i, j} once:
-    both tests are symmetric in the pair, as d^2 = (-d)^2 and the midpoint
-    does not depend on the order.  It walks rows i against columns j >= i,
-    in blocks of about _SCAN_BLOCK pairs, and counts the pairs i != j twice.
+    covers every ordered pair but evaluates one row per orbit of E under the
+    signed coordinate permutations verified to map E onto itself (_orbits):
+    each such g is linear and keeps the norm, so |gx - gy| = |x - y| and
+    g((x + y)/2) = (gx + gy)/2 lies in E exactly when (x + y)/2 does, and
+    the row of x = g r against all of E counts as the row of r.  It scans
+    the representatives against all of E, _SCAN_BLOCK // n rows per block,
+    and weighs each row's counts by its orbit size.  A set with no symmetry
+    has the trivial group, one orbit per point, and every row is scanned.
     pairs_checked is n^2 or samples, the count the caller charges
     (`bounds.charge_midpoint_pairs`/`_samples`).  The sampled check needs
     samples >= 1; the exhaustive one ignores samples.
@@ -442,31 +451,69 @@ def midpoint_exclusion_check(
     half = np.arange(2 * q - 1, dtype=np.int64) * cs.field.inv(2) % q
     member = E.indicator.view(bool)
 
-    def scan(x, y, x2, y2) -> Tuple[int, int]:
-        """(applicable, violations) over the pairs (x, y), (x2, y2), broadcast."""
+    def scan(x, y, x2, y2) -> Tuple[np.ndarray, np.ndarray]:
+        """The applicable and violating masks of the pairs (x, y), (x2, y2), broadcast."""
         out = outside[sq[x + (q - 1) - x2] + sq[y + (q - 1) - y2]]
         mid = half[x + x2] + q * half[y + y2]
-        return np.count_nonzero(out), np.count_nonzero(out & member[mid])
+        return out, out & member[mid]
 
     applicable = violations = 0
     if exhaustive:
         pairs_checked = n * n
-        # rows lo:hi against columns lo:n; the square lo:hi x lo:hi holds its
-        # pairs i != j in both orders, so only the columns from hi on count twice
+        reps, weights = _orbits(q, idx, member)
         rows = max(1, _SCAN_BLOCK // n)
-        for lo in range(0, n, rows):
-            hi = min(lo + rows, n)
-            x, y = xs[lo:hi, None], ys[lo:hi, None]
-            square, rest = scan(x, y, xs[lo:hi], ys[lo:hi]), scan(x, y, xs[hi:], ys[hi:])
-            applicable += square[0] + 2 * rest[0]
-            violations += square[1] + 2 * rest[1]
+        for lo in range(0, reps.size, rows):
+            r, w = reps[lo:lo + rows], weights[lo:lo + rows]
+            out, bad = scan(xs[r, None], ys[r, None], xs, ys)
+            applicable += np.count_nonzero(out, axis=1) @ w
+            violations += np.count_nonzero(bad, axis=1) @ w
     else:
         pairs_checked = samples
         sizes = (2 * min(_PAIR_BLOCK, samples - k) for k in range(0, samples, _PAIR_BLOCK))
         for draws in _randrange_draws(seed, n, sizes):
             i, j = draws[0::2], draws[1::2]
-            a, v = scan(xs[i], ys[i], xs[j], ys[j])
-            applicable += a
-            violations += v
+            out, bad = scan(xs[i], ys[i], xs[j], ys[j])
+            applicable += np.count_nonzero(out)
+            violations += np.count_nonzero(bad)
     return MidpointReport(pairs_checked=pairs_checked, applicable=int(applicable),
                           violations=int(violations), exhaustive=exhaustive)
+
+
+# (swap, sign of the first coordinate, sign of the second): the eight signed
+# coordinate permutations (x, y) -> (+-x, +-y), (+-y, +-x), each linear and
+# keeping x^2 + y^2
+_SIGNED_PERMUTATIONS = tuple((swap, sx, sy) for swap in (False, True)
+                             for sx in (1, -1) for sy in (1, -1))
+
+
+def _orbits(q: int, idx: np.ndarray, member: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The orbits of the points idx (grid indices x + q y, increasing) of the
+    set whose boolean indicator is member, under the maps of
+    _SIGNED_PERMUTATIONS that map it onto itself: the position in idx of
+    each orbit's least grid index, in increasing order, and the orbit's size.
+
+    Each map g is kept when every image g(x) lies in the set, one gather; g
+    is a bijection of the grid, so then g(E) = E, and the kept maps form a
+    group G, the identity always among them.  A point's representative is
+    its image of least index, the same for every point of its orbit, and
+    the orbit's size is |G| over the number of kept maps that fix the point
+    (orbit-stabilizer).  No image is stored beyond the map in hand.  The
+    sizes are checked to sum to |E|; a failure raises AssertionError.
+    """
+    xs, ys = idx % q, idx // q
+    least = idx.copy()
+    fixed = np.zeros(idx.size, dtype=np.int64)
+    group = 0
+    for swap, sx, sy in _SIGNED_PERMUTATIONS:
+        u, v = (ys, xs) if swap else (xs, ys)
+        image = sx * u % q + q * (sy * v % q)
+        if member[image].all():
+            group += 1
+            np.minimum(least, image, out=least)
+            fixed += image == idx
+    rows = np.flatnonzero(least == idx)
+    sizes = group // fixed[rows]
+    if sizes.sum() != idx.size:
+        raise AssertionError(f"orbits of {group} maps at q={q} cover {sizes.sum()} "
+                             f"of {idx.size} points")
+    return rows, sizes

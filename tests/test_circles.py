@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from ffgeom import circles, counting
 from ffgeom.bounds import sphere_size
 from ffgeom.charsums import Sphere, norm_values
+from ffgeom.counting import PointSet
 from ffgeom.circles import (
     CircleSystem,
     CounterexampleSet,
@@ -459,7 +461,18 @@ def midpoint_case(name: str) -> CounterexampleSet:
     """The built set at q = 257 (256 points), the same with an empty sumset,
     or the built sumset over 300 seeded random points: no union of circles,
     not rotation invariant.  Blocks of 109 rows leave a partial last block
-    of either set."""
+    of the random set's rows, blocks of 7 one of every set's orbits.
+
+    The orbit cases: the built set at q = 263 (q = 3 mod 4); the q = 257
+    set less a point p and its image under x -> -x, kept by that map and
+    the identity only; and two small sets under the built sumset at
+    q = 257, one kept by all eight maps with the origin, an axis orbit, a
+    diagonal orbit and generic ones, one kept by the four sign changes only
+    with the origin, an axis pair and generic orbits of four.  Under all
+    eight maps no orbit has two points, since every subgroup of order four
+    holds x -> -x, which fixes only the origin."""
+    if name == "q263":
+        return build_counterexample(PrimeField(263))
     cs = build_counterexample(PrimeField(257))
     if name == "empty_sumset":
         # every pair applies, so x = y and other midpoints in E count as violations
@@ -468,17 +481,79 @@ def midpoint_case(name: str) -> CounterexampleSet:
         E = random_set(257, 2, Fraction(300, 257**2), seed=3)
         assert E.cardinality == 300
         return CounterexampleSet(cs.field, cs.A, E, cs.sumset)
+    if name == "half_symmetric":
+        pts = [p.as_ints() for p in cs.E.points()]
+        x, y = next((x, y) for x, y in pts if 0 not in (x, y) and x != y and x + y != 257)
+        E = PointSet.from_points(cs.field, 2, set(pts) - {(x, y), (257 - x, y)})
+        return CounterexampleSet(cs.field, cs.A, E, cs.sumset)
+    if name in ("orbit_sizes", "sign_flips"):
+        seeds = [(0, 0), (5, 0), (1, 2), (3, 10), (40, 7), (100, 33)]
+        maps = SIGNED_PERMUTATIONS if name == "orbit_sizes" else SIGNED_PERMUTATIONS[:4]
+        if name == "orbit_sizes":
+            seeds += [(3, 3), (60, 61)]
+        E = PointSet.from_points(cs.field, 2, {g(p, 257) for p in seeds for g in maps})
+        return CounterexampleSet(cs.field, cs.A, E, cs.sumset)
     return cs
 
 
+# the signed coordinate permutations, the four sign changes first
+SIGNED_PERMUTATIONS = [
+    lambda p, q: (p[0], p[1]),
+    lambda p, q: (-p[0] % q, p[1]),
+    lambda p, q: (p[0], -p[1] % q),
+    lambda p, q: (-p[0] % q, -p[1] % q),
+    lambda p, q: (p[1], p[0]),
+    lambda p, q: (-p[1] % q, p[0]),
+    lambda p, q: (p[1], -p[0] % q),
+    lambda p, q: (-p[1] % q, -p[0] % q),
+]
+
+# maps verified and the number of orbits of each size
+ORBITS = {
+    "built": (8, {4: 2, 8: 31}),
+    "off_circle": (1, {1: 300}),
+    "q263": (8, {4: 2, 8: 32}),
+    "half_symmetric": (2, {1: 2, 2: 126}),
+    "orbit_sizes": (8, {1: 1, 4: 2, 8: 5}),
+    "sign_flips": (4, {1: 1, 2: 1, 4: 4}),
+}
+
+
+def orbits_of(cs: CounterexampleSet):
+    return circles._orbits(cs.q, cs.E.indices(), cs.E.indicator.view(bool))
+
+
 class TestMidpointExclusion:
-    @pytest.mark.parametrize("name", ["built", "empty_sumset", "off_circle"])
+    @pytest.mark.parametrize("name", ["built", "empty_sumset", "off_circle", "q263",
+                                      "half_symmetric", "orbit_sizes", "sign_flips"])
     def test_exhaustive_report_matches_every_pair_oracle(self, name):
         cs = midpoint_case(name)
         r = midpoint_exclusion_check(cs, exhaustive=True)
         assert r.pairs_checked == cs.E.cardinality**2
         assert (r.applicable, r.violations) == every_pair_oracle(cs)
-        assert r.violations == 0 if name == "built" else r.violations > 0
+        # the built sets and their subsets avoid their midpoints
+        assert r.violations == 0 if name in ("built", "q263", "half_symmetric") else r.violations > 0
+
+    @pytest.mark.parametrize("name", sorted(ORBITS))
+    def test_orbits_match_images_of_every_point(self, name):
+        """_orbits against the maps that send E onto itself, found in plain
+        ints: the orbit of each point is its set of images, and its
+        representative the image of least grid index x + q y."""
+        cs = midpoint_case(name)
+        q = cs.q
+        pts = {p.as_ints() for p in cs.E.points()}
+        maps = [g for g in SIGNED_PERMUTATIONS if {g(p, q) for p in pts} == pts]
+        orbits = {frozenset(g(p, q) for g in maps) for p in pts}
+        group, sizes = ORBITS[name]
+        assert len(maps) == group and Counter(map(len, orbits)) == sizes
+        size_of = {min(x + q * y for x, y in orbit): len(orbit) for orbit in orbits}
+        reps, sizes = orbits_of(cs)
+        assert dict(zip(cs.E.indices()[reps].tolist(), sizes.tolist())) == size_of
+        assert reps.tolist() == sorted(reps.tolist())
+
+    @pytest.mark.parametrize("q,orbits", [(1009, {4: 6, 8: 375}), (2053, {4: 8, 8: 2048})])
+    def test_built_set_keeps_every_symmetry(self, q, orbits):
+        assert Counter(orbits_of(build_counterexample(PrimeField(q)))[1].tolist()) == orbits
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_sampled_off_circle_report_matches_pair_replay(self, seed):
@@ -496,13 +571,14 @@ class TestMidpointExclusion:
 
     @pytest.mark.parametrize("name", ["built", "empty_sumset", "off_circle"])
     def test_exhaustive_blocks_match_every_pair_oracle(self, name, monkeypatch):
-        # one row per block, 109 rows with a partial last block, one block of all rows;
-        # the empty sumset makes every diagonal pair (x, x) a violation
+        # one row per block, 7 and 109 rows with a partial last block of orbits,
+        # one block of all rows; the empty sumset makes every diagonal pair
+        # (x, x) a violation
         cs = midpoint_case(name)
         n = cs.E.cardinality
-        assert n % 109
+        assert n % 109 and orbits_of(cs)[0].size % 7
         expected = every_pair_oracle(cs)
-        for rows in (1, 109, n):
+        for rows in (1, 7, 109, n):
             monkeypatch.setattr(circles, "_SCAN_BLOCK", rows * n)
             r = midpoint_exclusion_check(cs, exhaustive=True)
             assert (r.pairs_checked, r.applicable, r.violations) == (n * n, *expected), rows
@@ -572,6 +648,19 @@ class TestMidpointExclusion:
                 tracemalloc.stop()
         # drawing every pair at once would hold about four times the first peak
         assert peaks[1] <= peaks[0] + 2**16, peaks
+
+    def test_exhaustive_peak_memory_at_q1009(self):
+        cs = build_counterexample(PrimeField(1009))
+        tracemalloc.start()
+        try:
+            r = midpoint_exclusion_check(cs, exhaustive=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.violations == 0
+        # one block of _SCAN_BLOCK pairs and the orbit images; the scan of
+        # unordered pairs peaked at 3.18 MiB
+        assert peak <= 3.2 * 2**20, peak
 
     def test_applicable_pairs_have_midpoints_outside(self):
         # replay the definition on a few concrete pairs
