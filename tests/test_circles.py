@@ -544,8 +544,8 @@ class TestMidpointExclusion:
         pts = {p.as_ints() for p in cs.E.points()}
         maps = [g for g in SIGNED_PERMUTATIONS if {g(p, q) for p in pts} == pts]
         orbits = {frozenset(g(p, q) for g in maps) for p in pts}
-        group, sizes = ORBITS[name]
-        assert len(maps) == group and Counter(map(len, orbits)) == sizes
+        group, counts = ORBITS[name]
+        assert len(maps) == group and Counter(map(len, orbits)) == counts
         size_of = {min(x + q * y for x, y in orbit): len(orbit) for orbit in orbits}
         reps, sizes = orbits_of(cs)
         assert dict(zip(cs.E.indices()[reps].tolist(), sizes.tolist())) == size_of
@@ -571,9 +571,9 @@ class TestMidpointExclusion:
 
     @pytest.mark.parametrize("name", ["built", "empty_sumset", "off_circle"])
     def test_exhaustive_blocks_match_every_pair_oracle(self, name, monkeypatch):
-        # one row per block, 7 and 109 rows with a partial last block of orbits,
-        # one block of all rows; the empty sumset makes every diagonal pair
-        # (x, x) a violation
+        # one row per block, 7 rows with a partial last block of orbits, 109 rows
+        # with a partial last block of the random set's rows, one block of all
+        # rows; the empty sumset makes every diagonal pair (x, x) a violation
         cs = midpoint_case(name)
         n = cs.E.cardinality
         assert n % 109 and orbits_of(cs)[0].size % 7
