@@ -21,7 +21,8 @@ counting kernel (counting.HingeSweep) computes.  Each of the first four is a
 it prints.
 
 The charges at the end are the work budget's one cost model: the CLI runners
-and the sweep charge each stage before it runs; kernels guard only memory.
+and the sweep charge each stage before it runs; kernels guard memory, but
+circles.radius_counts, whose callers charge no budget, caps its work.
 A step is one element operation of the stage's numpy or scalar work; the
 BLAS products inside the triangle table and HingeSweep are not counted.
 """

@@ -127,10 +127,9 @@ class PointSet:
     def from_points(
         cls, field: PrimeField, d: int, points: Iterable[Union[PointD, Sequence[int]]]
     ) -> "PointSet":
-        grid = SpectralGrid(field, d)
-        indicator = np.zeros(field.q**d, dtype=np.uint8)
+        indicator = np.zeros(_check_grid_size(field.q, d), dtype=np.uint8)
         for p in points:
-            indicator[grid._index_of(field, d, p)] = 1
+            indicator[SpectralGrid._index_of(field, d, p)] = 1
         return cls(field, d, indicator)
 
     @classmethod

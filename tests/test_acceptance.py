@@ -284,24 +284,23 @@ def test_criterion_09_full_grid_expected_failure():
 def test_criterion_10_representable_radii(record_property):
     """At least (q-3)/2 nonzero c yield a nonempty circle intersection.
 
-    All q <= 31, all a, b != 0, every witness w on S_a, read from one
-    radius_counts table per (q, a); the table and the scalar solver both
-    equal an independent grid scan everywhere at q <= 13.  Exact.
+    All q <= 31, all a, b != 0, every witness w on S_a: radius_counts
+    solves and checks every (w, b, c) and returns the one table count[b, c]
+    that every witness's systems equal; the table and the scalar solver both
+    equal an independent grid scan for every witness at q <= 13.  Exact.
     """
     systems_solved = 0
     for q in PRIMES_TO_31:
         F = PrimeField(q)
         floor = (q - 3) // 2
         for a in range(1, q):
-            counts = radius_counts(F, a)[:, 1:]  # rows follow Sphere(F, a, 2).points; b != 0
-            assert counts.shape[0] == len(Sphere(F, a, 2)), (q, a)
-            systems_solved += counts.size  # one circle system per (w, b, c)
-            nonzero = np.count_nonzero(counts[:, :, 1:], axis=2)
+            counts = radius_counts(F, a)[1:]  # b != 0
+            systems_solved += len(Sphere(F, a, 2)) * counts.size  # one per (w, b, c)
+            nonzero = np.count_nonzero(counts[:, 1:], axis=1)
             if nonzero.min() < floor:
-                row, b = np.argwhere(nonzero < floor)[0]
-                w = Sphere(F, a, 2).points[row]
-                pytest.fail(f"{nonzero[row, b]} nonzero c < {floor} at "
-                            f"{(q, a, int(b) + 1, w.as_ints())}")
+                b = int(np.argmax(nonzero < floor))
+                pytest.fail(f"{nonzero[b]} nonzero c < {floor} at (q, a, b) = "
+                            f"{(q, a, b + 1)}, every witness")
 
     # independent check: bucket the points of |y| = b by |y - w|
     for q in (3, 5, 7, 11, 13):
@@ -309,8 +308,8 @@ def test_criterion_10_representable_radii(record_property):
         origin = PointD(F, (0, 0))
         pts = [PointD.from_index(F, i, 2) for i in range(q * q)]
         for a in range(1, q):
-            counts = radius_counts(F, a)
-            for row, w in enumerate(Sphere(F, a, 2).points):
+            table = radius_counts(F, a)
+            for w in Sphere(F, a, 2).points:
                 buckets = {}
                 for y in pts:
                     key = (y.norm().value, (y - w).norm().value)
@@ -320,7 +319,7 @@ def test_criterion_10_representable_radii(record_property):
                         got = intersect_circles(CircleSystem(origin, w, b, c))
                         expected = sorted(buckets.get((b, c), []))
                         assert [p.as_ints() for p in got] == expected
-                        assert counts[row, b, c] == len(expected), (q, a, w.as_ints(), b, c)
+                        assert table[b, c] == len(expected), (q, a, w.as_ints(), b, c)
     record_property("systems_solved", systems_solved)
 
 

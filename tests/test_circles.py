@@ -175,13 +175,13 @@ def test_representable_values_validation(a, b, w, error):
 
 @pytest.mark.parametrize("q", (17, 19, 31))
 def test_representable_values_read_their_table_rows(q):
-    """Every (a, w, b) read, b = 0 included, is the nonzero c of row (w, b)."""
+    """Every (a, w, b) read, b = 0 included, is the nonzero c of table row b."""
     F = PrimeField(q)
     for a in range(1, q):
         table = radius_counts(F, a)
-        for i, w in enumerate(Sphere(F, a, 2).points):
+        for w in Sphere(F, a, 2).points:
             for b in range(q):
-                assert representable_c_values(F, a, b, w) == np.flatnonzero(table[i, b]).tolist(), \
+                assert representable_c_values(F, a, b, w) == np.flatnonzero(table[b]).tolist(), \
                     (a, w.as_ints(), b)
 
 
@@ -276,7 +276,7 @@ def test_radius_capacity_guard_before_any_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2**16, peak  # a q^3 int8 table alone is 11 MB
+    assert peak < 2**16, peak  # each q x q int32 intermediate alone is 199 KB
 
 
 def test_radius_int32_guard_before_any_array(monkeypatch):
@@ -296,7 +296,7 @@ def test_radius_int32_guard_before_any_array(monkeypatch):
 
 def test_radius_oracle_at_q211():
     """At the top of the domain, where the int32 intermediates are largest:
-    every row against eta(4ab - (a + b - c)^2) + 1 in Python ints, and 50
+    the table against eta(4ab - (a + b - c)^2) + 1 in Python ints, and 50
     seeded (w, b) reads against the scalar solver."""
     q = 211
     F = PrimeField(q)
@@ -306,10 +306,9 @@ def test_radius_oracle_at_q211():
     for a in (1, nonsquare, q - 1):
         expected = np.array([[F.legendre(4 * a * b - (a + b - c) ** 2) + 1 for c in range(q)]
                              for b in range(q)])
-        counts = radius_counts(F, a)
         witnesses = Sphere(F, a, 2).points
-        assert counts.shape == (len(witnesses), q, q) == (212, q, q)
-        assert all(np.array_equal(row, expected) for row in counts), a
+        assert len(witnesses) == 212
+        assert np.array_equal(radius_counts(F, a), expected), a
         for _ in range(50):
             w, b = rng.choice(witnesses), rng.randrange(q)
             assert representable_c_values(F, a, b, w) == [
@@ -326,11 +325,11 @@ def test_representable_values_read_path_contract(q):
     first.append(-1)
     first[0] = -1
     counts = radius_counts(F, 2)
-    assert representable_c_values(F, 2, 1, w) == expected == np.flatnonzero(counts[0, 1]).tolist()
-    assert counts.dtype == np.int8 and counts.shape == (len(Sphere(F, 2, 2)), q, q)
-    assert not counts.flags.writeable and counts.strides[0] == 0
+    assert representable_c_values(F, 2, 1, w) == expected == np.flatnonzero(counts[1]).tolist()
+    assert counts.dtype == np.int8 and counts.shape == (q, q)
+    assert not counts.flags.writeable
     with pytest.raises(ValueError):
-        counts[0, 0, 0] = 1
+        counts[0, 0] = 1
 
 
 def test_radius_rejects_zero_radius():
@@ -410,6 +409,25 @@ class TestCounterexample:
         norm_values.cache_clear()
         build_counterexample(PrimeField(1009))
         assert norm_values.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("rows_per_block", (1, 7))  # 7 does not divide q = 521
+    def test_indicator_is_the_norm_mask_across_blocks(self, rows_per_block, monkeypatch):
+        q = 521
+        monkeypatch.setattr(counting, "_BLOCK_VALUES", rows_per_block * q)
+        cs = build_counterexample(PrimeField(q))
+        r = np.arange(q)
+        assert np.array_equal(cs.E.cube(), np.isin((r[:, None] ** 2 + r ** 2) % q, cs.A))
+
+    def test_build_peak_memory_at_q2053(self):
+        tracemalloc.start()
+        try:
+            build_counterexample(PrimeField(2053))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the q x q uint8 indicator and PointSet's checks and copy; gathering
+        # through one q x q int32 index table peaked at 20.18 MiB
+        assert peak < 14 * 2**20, peak
 
     def test_sumset_members_stay_small_multiples_of_eight(self):
         cs = build_counterexample(PrimeField(1009))
