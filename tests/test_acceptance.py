@@ -281,13 +281,14 @@ def test_criterion_09_full_grid_expected_failure():
         assert energy <= 8 * 13 * E.cardinality, a
 
 
-def test_criterion_10_representable_radii(record_property):
+def test_criterion_10_representable_radii(record_property, radius_checks):
     """At least (q-3)/2 nonzero c yield a nonempty circle intersection.
 
     All q <= 31, all a, b != 0, every witness w on S_a: radius_counts
-    solves and checks every (w, b, c) and returns the one table count[b, c]
-    that every witness's systems equal; the table and the scalar solver both
-    equal an independent grid scan for every witness at q <= 13.  Exact.
+    solves and checks every (w, b, c), which radius_checks sees witness by
+    witness, and returns the one table count[b, c] that every witness's
+    systems equal; the table and the scalar solver both equal an independent
+    grid scan for every witness at q <= 13.  Exact.
     """
     systems_solved = 0
     for q in PRIMES_TO_31:
@@ -295,7 +296,8 @@ def test_criterion_10_representable_radii(record_property):
         floor = (q - 3) // 2
         for a in range(1, q):
             counts = radius_counts(F, a)[1:]  # b != 0
-            systems_solved += len(Sphere(F, a, 2)) * counts.size  # one per (w, b, c)
+            # one system per (w, b, c), every w on S_a seen by both checks
+            systems_solved += radius_checks.witnesses_checked(F, a) * counts.size
             nonzero = np.count_nonzero(counts[:, 1:], axis=1)
             if nonzero.min() < floor:
                 b = int(np.argmax(nonzero < floor))

@@ -231,15 +231,19 @@ def test_radius_checks_reach_later_blocks(monkeypatch):
 
 @pytest.mark.parametrize("q", (13, 31))
 @pytest.mark.parametrize("witnesses_per_block", (1, 5))
-def test_radius_block_boundaries(q, witnesses_per_block, monkeypatch):
+def test_radius_block_boundaries(q, witnesses_per_block, monkeypatch, radius_checks):
     # one witness per block, and blocks of 5, which divides neither |S_a| = 12 at
     # q = 13 nor |S_a| = 32 at q = 31
     F = PrimeField(q)
-    default = [radius_counts(F, a) for a in range(1, q)]
+    default = []
+    for a in range(1, q):
+        default.append(radius_counts(F, a))
+        radius_checks.witnesses_checked(F, a)
     monkeypatch.setattr(counting, "_BLOCK_VALUES", witnesses_per_block * q * q)
     for a, expected in enumerate(default, start=1):
         circles._radius.cache_clear()
         assert np.array_equal(radius_counts(F, a), expected), a
+        radius_checks.witnesses_checked(F, a)
 
 
 def test_radius_cache_keys():
@@ -294,10 +298,11 @@ def test_radius_int32_guard_before_any_array(monkeypatch):
     assert peak < 2**16, peak
 
 
-def test_radius_oracle_at_q211():
+def test_radius_oracle_at_q211(radius_checks):
     """At the top of the domain, where the int32 intermediates are largest:
-    the table against eta(4ab - (a + b - c)^2) + 1 in Python ints, and 50
-    seeded (w, b) reads against the scalar solver."""
+    the table against eta(4ab - (a + b - c)^2) + 1 in Python ints, every
+    witness seen by both checks across 43 blocks, and 50 seeded (w, b)
+    reads against the scalar solver."""
     q = 211
     F = PrimeField(q)
     origin = PointD(F, (0, 0))
@@ -307,8 +312,8 @@ def test_radius_oracle_at_q211():
         expected = np.array([[F.legendre(4 * a * b - (a + b - c) ** 2) + 1 for c in range(q)]
                              for b in range(q)])
         witnesses = Sphere(F, a, 2).points
-        assert len(witnesses) == 212
         assert np.array_equal(radius_counts(F, a), expected), a
+        assert radius_checks.witnesses_checked(F, a) == len(witnesses) == 212
         for _ in range(50):
             w, b = rng.choice(witnesses), rng.randrange(q)
             assert representable_c_values(F, a, b, w) == [
@@ -410,10 +415,8 @@ class TestCounterexample:
         build_counterexample(PrimeField(1009))
         assert norm_values.cache_info().currsize == 0
 
-    @pytest.mark.parametrize("rows_per_block", (1, 7))  # 7 does not divide q = 521
-    def test_indicator_is_the_norm_mask_across_blocks(self, rows_per_block, monkeypatch):
+    def test_indicator_is_the_norm_mask(self):
         q = 521
-        monkeypatch.setattr(counting, "_BLOCK_VALUES", rows_per_block * q)
         cs = build_counterexample(PrimeField(q))
         r = np.arange(q)
         assert np.array_equal(cs.E.cube(), np.isin((r[:, None] ** 2 + r ** 2) % q, cs.A))
@@ -425,8 +428,8 @@ class TestCounterexample:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the q x q uint8 indicator and PointSet's checks and copy; gathering
-        # through one q x q int32 index table peaked at 20.18 MiB
+        # the q x q uint16 index table and uint8 indicator, then PointSet's
+        # checks; gathering through a q x q int32 index table peaked at 20.18 MiB
         assert peak < 14 * 2**20, peak
 
     def test_sumset_members_stay_small_multiples_of_eight(self):
