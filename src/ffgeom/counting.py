@@ -113,8 +113,14 @@ class PointSet:
         arr = np.asarray(indicator).ravel()
         if arr.size != size:
             raise ValueError(f"expected {size} indicator entries, got {arr.size}")
-        # equal to its own nonzero mask exactly when every entry is 0 or 1
-        if not np.array_equal(arr, arr != 0):
+        # bool and integer entries are 0 or 1 exactly when they lie in [0, 1],
+        # checked with two reductions before the cast can wrap 256 to 0; any
+        # other entry must equal its own nonzero mask, a q^d bool array
+        if arr.dtype.kind in "biu":
+            valid = arr.min() >= 0 and arr.max() <= 1
+        else:
+            valid = np.array_equal(arr, arr != 0)
+        if not valid:
             raise ValueError("indicator entries must be 0 or 1")
         self.field = field
         self.d = d

@@ -3,6 +3,7 @@
 import random
 import tracemalloc
 from collections import Counter
+from functools import lru_cache
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -478,23 +479,61 @@ def every_pair_oracle(cs: CounterexampleSet):
     return applicable, violations
 
 
+@lru_cache(maxsize=None)
+def orthogonal_group(q: int):
+    """Every element of O_2(F_q) in plain ints, as the matrix (a, b, c, d) of
+    (x, y) -> (a x + b y, c x + d y): the rotation [[c, -s], [s, c]] and the
+    reflection [[c, s], [s, -c]] of each (c, s) with c^2 + s^2 = 1, the
+    rotations at even positions."""
+    circle = [(c, s) for c in range(q) for s in range(q) if (c * c + s * s) % q == 1]
+    assert len(circle) == (q - 1 if q % 4 == 1 else q + 1)
+    return tuple(g for c, s in circle for g in ((c, -s % q, s, c), (c, s, s, -c % q)))
+
+
+def act(g, p, q: int):
+    return (g[0] * p[0] + g[1] * p[1]) % q, (g[2] * p[0] + g[3] * p[1]) % q
+
+
+def compose(g, h, q: int):
+    """The matrix of g after h."""
+    return ((g[0] * h[0] + g[1] * h[2]) % q, (g[0] * h[1] + g[1] * h[3]) % q,
+            (g[2] * h[0] + g[3] * h[2]) % q, (g[2] * h[1] + g[3] * h[3]) % q)
+
+
+def rotation_powers(q: int):
+    """r^0, ..., r^(N - 1) for the first rotation r of order N = |SO_2(F_q)|."""
+    N = len(orthogonal_group(q)) // 2
+    for r in orthogonal_group(q)[0::2]:
+        powers = [(1, 0, 0, 1)]
+        while len(powers) <= N and (g := compose(r, powers[-1], q)) != powers[0]:
+            powers.append(g)
+        if len(powers) == N:
+            return powers
+
+
 def midpoint_case(name: str) -> CounterexampleSet:
     """The built set at q = 257 (256 points), the same with an empty sumset,
     or the built sumset over 300 seeded random points: no union of circles,
     not rotation invariant.  Blocks of 109 rows leave a partial last block
-    of the random set's rows, blocks of 7 one of every set's orbits.
+    of the random set's rows, blocks of 7 one of orbit_sizes' orbits.
 
-    The orbit cases: the built set at q = 263 (q = 3 mod 4); the q = 257
-    set less a point p and its image under x -> -x, kept by that map and
-    the identity only; and two small sets under the built sumset at
-    q = 257, one kept by all eight maps with the origin, an axis orbit, a
-    diagonal orbit and generic ones, one kept by the four sign changes only
-    with the origin, an axis pair and generic orbits of four.  Under all
-    eight maps no orbit has two points, since every subgroup of order four
-    holds x -> -x, which fixes only the origin."""
-    if name == "q263":
-        return build_counterexample(PrimeField(263))
-    cs = build_counterexample(PrimeField(257))
+    The orbit cases, each under its own built sumset: the built set at
+    q = 263 (q = 3 mod 4); the q = 257 set less a point p and its image
+    under x -> -x, kept by that map and the identity only; two small sets at
+    q = 257 made of orbits of the signed coordinate permutations
+    (x, y) -> (+-x, +-y), (+-y, +-x), one of all eight with the origin, an
+    axis orbit, a diagonal orbit and generic ones, one of the four sign
+    changes with the origin, an axis pair and generic orbits of four; at
+    q = 263, unions of orbits of the rotations <r^3> (order 88), of <r^11>
+    (order 24, with the origin) and of both (kept by <r^33>, order 8), none
+    of them a signed permutation past order 4; at q = 257, points and their
+    images under one reflection that is no signed permutation, with three
+    points it fixes; and the origin with the <r^4> orbits (64 points) of a
+    point on the isotropic line y = 16 x (16^2 = -1) and of a circle point."""
+    q = 263 if name in ("q263", "rot3", "rot11", "rot3_11") else 257
+    cs = build_counterexample(PrimeField(q))
+    if name in ("built", "q263"):
+        return cs
     if name == "empty_sumset":
         # every pair applies, so x = y and other midpoints in E count as violations
         return CounterexampleSet(cs.field, cs.A, cs.E, np.zeros(cs.q, dtype=bool))
@@ -502,41 +541,66 @@ def midpoint_case(name: str) -> CounterexampleSet:
         E = random_set(257, 2, Fraction(300, 257**2), seed=3)
         assert E.cardinality == 300
         return CounterexampleSet(cs.field, cs.A, E, cs.sumset)
+    listed = [p.as_ints() for p in cs.E.points()]
+    pts = set(listed)
     if name == "half_symmetric":
-        pts = [p.as_ints() for p in cs.E.points()]
-        x, y = next((x, y) for x, y in pts if 0 not in (x, y) and x != y and x + y != 257)
-        E = PointSet.from_points(cs.field, 2, set(pts) - {(x, y), (257 - x, y)})
-        return CounterexampleSet(cs.field, cs.A, E, cs.sumset)
-    if name in ("orbit_sizes", "sign_flips"):
+        x, y = next((x, y) for x, y in listed if 0 not in (x, y) and x != y and x + y != 257)
+        pts -= {(x, y), (257 - x, y)}
+    elif name in ("orbit_sizes", "sign_flips"):
+        signed = [g for g in orthogonal_group(q) if set(g) <= {0, 1, q - 1}]
+        maps = signed if name == "orbit_sizes" else [g for g in signed if g[1] == g[2] == 0]
+        assert len(maps) == (8 if name == "orbit_sizes" else 4)
         seeds = [(0, 0), (5, 0), (1, 2), (3, 10), (40, 7), (100, 33)]
-        maps = SIGNED_PERMUTATIONS if name == "orbit_sizes" else SIGNED_PERMUTATIONS[:4]
         if name == "orbit_sizes":
             seeds += [(3, 3), (60, 61)]
-        E = PointSet.from_points(cs.field, 2, {g(p, 257) for p in seeds for g in maps})
-        return CounterexampleSet(cs.field, cs.A, E, cs.sumset)
-    return cs
+        pts = {act(g, p, q) for p in seeds for g in maps}
+    elif name.startswith("rot"):
+        powers = rotation_powers(q)
+        orbits = {"rot3": [(3, (1, 0)), (3, (5, 7)), (3, (100, 3))],
+                  "rot11": [(11, p) for p in [(0, 0), (1, 0), (5, 7), (100, 3), (2, 9), (40, 41)]],
+                  "rot3_11": [(3, (5, 7)), (11, (1, 0)), (11, (100, 3))]}[name]
+        pts = {act(g, p, q) for k, p in orbits for g in powers[::k]}
+    elif name == "one_reflection":
+        tau = (3, 121, 121, 254)
+        assert tau in orthogonal_group(q)[1::2]
+        rng = random.Random(11)
+        seeds = [(rng.randrange(q), rng.randrange(q)) for _ in range(40)]
+        # p + tau(p) is fixed by tau, an involution
+        fixed = [tuple((u + v) % q for u, v in zip(p, act(tau, p, q))) for p in seeds[:3]]
+        assert all(act(tau, p, q) == p for p in fixed)
+        pts = set(fixed) | {r for p in seeds for r in (p, act(tau, p, q))}
+    elif name == "isotropic":
+        assert 16 * 16 % q == q - 1
+        pts = {(0, 0)} | {act(g, p, q) for p in [(1, 16), (3, 5)] for g in rotation_powers(q)[::4]}
+    return CounterexampleSet(cs.field, cs.A, PointSet.from_points(cs.field, 2, pts), cs.sumset)
 
 
-# the signed coordinate permutations, the four sign changes first
-SIGNED_PERMUTATIONS = [
-    lambda p, q: (p[0], p[1]),
-    lambda p, q: (-p[0] % q, p[1]),
-    lambda p, q: (p[0], -p[1] % q),
-    lambda p, q: (-p[0] % q, -p[1] % q),
-    lambda p, q: (p[1], p[0]),
-    lambda p, q: (-p[1] % q, p[0]),
-    lambda p, q: (p[1], -p[0] % q),
-    lambda p, q: (-p[1] % q, -p[0] % q),
-]
+@lru_cache(maxsize=None)
+def stabilizer_orbits(name: str):
+    """|G| and {least grid index x + q y of the orbit: its size} for the maps
+    G of O_2(F_q) that send the set onto itself, found in plain ints: the
+    orbit of each point is its set of images."""
+    cs = midpoint_case(name)
+    q = cs.q
+    pts = {p.as_ints() for p in cs.E.points()}
+    group = [g for g in orthogonal_group(q) if all(act(g, p, q) in pts for p in pts)]
+    orbits = {frozenset(act(g, p, q) for g in group) for p in pts}
+    return len(group), {min(x + q * y for x, y in orbit): len(orbit) for orbit in orbits}
 
-# maps verified and the number of orbits of each size
+
+# |G| and the number of orbits of each size
 ORBITS = {
-    "built": (8, {4: 2, 8: 31}),
+    "built": (512, {256: 1}),
     "off_circle": (1, {1: 300}),
-    "q263": (8, {4: 2, 8: 32}),
+    "q263": (528, {264: 1}),
     "half_symmetric": (2, {1: 2, 2: 126}),
     "orbit_sizes": (8, {1: 1, 4: 2, 8: 5}),
     "sign_flips": (4, {1: 1, 2: 1, 4: 4}),
+    "rot3": (88, {88: 3}),
+    "rot11": (24, {1: 1, 24: 5}),
+    "rot3_11": (8, {8: 17}),
+    "one_reflection": (2, {1: 3, 2: 40}),
+    "isotropic": (64, {1: 1, 64: 2}),
 }
 
 
@@ -545,36 +609,50 @@ def orbits_of(cs: CounterexampleSet):
 
 
 class TestMidpointExclusion:
-    @pytest.mark.parametrize("name", ["built", "empty_sumset", "off_circle", "q263",
-                                      "half_symmetric", "orbit_sizes", "sign_flips"])
+    @pytest.mark.parametrize("name", ["empty_sumset", *sorted(ORBITS)])
     def test_exhaustive_report_matches_every_pair_oracle(self, name):
         cs = midpoint_case(name)
         r = midpoint_exclusion_check(cs, exhaustive=True)
         assert r.pairs_checked == cs.E.cardinality**2
         assert (r.applicable, r.violations) == every_pair_oracle(cs)
-        # the built sets and their subsets avoid their midpoints
+        # the built sets and their subset avoid their midpoints
         assert r.violations == 0 if name in ("built", "q263", "half_symmetric") else r.violations > 0
 
     @pytest.mark.parametrize("name", sorted(ORBITS))
     def test_orbits_match_images_of_every_point(self, name):
-        """_orbits against the maps that send E onto itself, found in plain
-        ints: the orbit of each point is its set of images, and its
-        representative the image of least grid index x + q y."""
+        """_orbits against the full stabilizer of E in O_2(F_q), found in
+        plain ints over all of its 2N elements."""
+        group, size_of = stabilizer_orbits(name)
+        assert (group, Counter(size_of.values())) == ORBITS[name]
         cs = midpoint_case(name)
-        q = cs.q
-        pts = {p.as_ints() for p in cs.E.points()}
-        maps = [g for g in SIGNED_PERMUTATIONS if {g(p, q) for p in pts} == pts]
-        orbits = {frozenset(g(p, q) for g in maps) for p in pts}
-        group, counts = ORBITS[name]
-        assert len(maps) == group and Counter(map(len, orbits)) == counts
-        size_of = {min(x + q * y for x, y in orbit): len(orbit) for orbit in orbits}
         reps, sizes = orbits_of(cs)
         assert dict(zip(cs.E.indices()[reps].tolist(), sizes.tolist())) == size_of
         assert reps.tolist() == sorted(reps.tolist())
 
-    @pytest.mark.parametrize("q,orbits", [(1009, {4: 6, 8: 375}), (2053, {4: 8, 8: 2048})])
+    @pytest.mark.parametrize("name", sorted(ORBITS))
+    def test_orbits_confirm_every_probed_map(self, name, monkeypatch):
+        # probing one point passes maps that do not keep E, and the full
+        # check over E must turn them down
+        monkeypatch.setattr(circles, "_PROBE_POINTS", 1)
+        cs = midpoint_case(name)
+        reps, sizes = orbits_of(cs)
+        size_of = stabilizer_orbits(name)[1]
+        assert dict(zip(cs.E.indices()[reps].tolist(), sizes.tolist())) == size_of
+
+    @pytest.mark.parametrize("q,orbits", [(1009, {1008: 3}), (2053, {2052: 8})])
     def test_built_set_keeps_every_symmetry(self, q, orbits):
+        # each circle |x| = t, t in A, is one orbit of SO_2, of q - eta(-1) points
         assert Counter(orbits_of(build_counterexample(PrimeField(q)))[1].tolist()) == orbits
+
+    @pytest.mark.parametrize("q,applicable", [(257, 65280), (263, 69432), (1009, 9026640),
+                                              (2053, 265223052)])
+    def test_built_set_exhaustive_reports_pinned(self, q, applicable):
+        cs = build_counterexample(PrimeField(q))
+        n = cs.E.cardinality
+        r = midpoint_exclusion_check(cs, exhaustive=True)
+        assert (r.pairs_checked, r.applicable, r.violations) == (n * n, applicable, 0)
+        # one row per circle |x| = t, t in A
+        assert orbits_of(cs)[0].size == len(cs.A)
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_sampled_off_circle_report_matches_pair_replay(self, seed):
@@ -590,11 +668,12 @@ class TestMidpointExclusion:
         assert (r.applicable, r.violations) == replay_sampled_pairs(cs, 1500, seed)
         assert r.violations > 0 if empty_sumset else r.violations == 0
 
-    @pytest.mark.parametrize("name", ["built", "empty_sumset", "off_circle"])
+    @pytest.mark.parametrize("name", ["built", "empty_sumset", "off_circle", "orbit_sizes"])
     def test_exhaustive_blocks_match_every_pair_oracle(self, name, monkeypatch):
-        # one row per block, 7 rows with a partial last block of orbits, 109 rows
-        # with a partial last block of the random set's rows, one block of all
-        # rows; the empty sumset makes every diagonal pair (x, x) a violation
+        # one row per block, 7 rows with a partial last block of orbit_sizes'
+        # 8 orbits, 109 rows with a partial last block of the random set's
+        # rows, one block of all rows; the empty sumset makes every diagonal
+        # pair (x, x) a violation
         cs = midpoint_case(name)
         n = cs.E.cardinality
         assert n % 109 and orbits_of(cs)[0].size % 7

@@ -197,6 +197,33 @@ class TestPointSet:
         with pytest.raises(ValueError, match="indicator entries must be 0 or 1"):
             PointSet(PrimeField(5), 2, indicator)
 
+    @pytest.mark.parametrize("dtype,bad", [(np.int8, -1), (np.uint16, 256), (np.float64, 0.5)])
+    def test_rejects_entries_the_cast_would_hide(self, dtype, bad):
+        # uint16 256 casts to uint8 0, and int8 -1 to 255
+        indicator = np.ones(25, dtype=dtype)
+        indicator[4] = bad
+        with pytest.raises(ValueError, match="indicator entries must be 0 or 1"):
+            PointSet(PrimeField(5), 2, indicator)
+
+    def test_accepts_bool_entries(self):
+        E = PointSet(PrimeField(5), 2, np.arange(25) % 2 == 1)
+        assert E.cardinality == 12 and E.indicator.dtype == np.uint8
+
+    def test_peak_memory_is_one_copy_at_q2053(self):
+        q = 2053
+        indicator = np.zeros(q * q, dtype=np.uint8)
+        indicator[::7] = 1
+        tracemalloc.start()
+        try:
+            E = PointSet(PrimeField(q), 2, indicator)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert E.cardinality == len(range(0, q * q, 7))
+        # the uint8 copy it keeps (4.02 MiB); a q^2 bool mask for the 0/1
+        # check took the peak to 8.05 MiB
+        assert peak <= 4.2 * 2**20, peak
+
     def test_rejects_oversized_grid(self):
         with pytest.raises(CapacityError):
             PointSet(PrimeField(3163), 2, np.zeros(1))
