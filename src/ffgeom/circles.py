@@ -477,10 +477,11 @@ def midpoint_exclusion_check(
                           violations=int(violations), exhaustive=exhaustive)
 
 
+@lru_cache(maxsize=4)
 def _rotations(q: int) -> Tuple[int, np.ndarray, np.ndarray]:
     """N = |SO_2(F_q)| = q - eta(-1) and every power of one generator r of
     that cyclic group: r^k is the rotation (x, y) -> (c x - s y, s x + c y)
-    with c, s = c[k], s[k], for 0 <= k < N.
+    with c, s = c[k], s[k], for 0 <= k < N.  Cached per q, read-only.
 
     r is the first point (1 - t^2, 2t) / (1 + t^2) of the unit circle,
     t = 1, 2, ..., whose plain-int powers give r^N = I and r^(N/p) != I for
@@ -515,7 +516,9 @@ def _rotations(q: int) -> Tuple[int, np.ndarray, np.ndarray]:
         rc, rs = power(r, c.size)
         c, s = (np.concatenate((c, (c * rc - s * rs) % q)),
                 np.concatenate((s, (c * rs + s * rc) % q)))
-    return N, c[:N], s[:N]
+    c, s = c[:N], s[:N]
+    c.flags.writeable = s.flags.writeable = False
+    return N, c, s
 
 
 def _orbits(q: int, idx: np.ndarray, member: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -28,8 +28,12 @@ invertible, the Gram data and the distance triple (|u|, |v|, |u - v|)
 determine each other, so signatures are counted as Gram codes.  By the
 Lagrange identity det^2 = |u||v| - (u.v)^2 the Gram data fixes det up to
 sign, so each Gram code needs three cells: 0 for a dependent pair, 1 for
-det in 1 .. (q - 1)/2 and 2 for det above.  One pass marks each realized
-pair's code Gram * 3 + cell in a table of about 3 q^3 bools.
+det in 1 .. (q - 1)/2 and 2 for det above.  The code Gram * 3 + cell of
+each pair is marked in a uint8 table of about 3 q^3 entries by one
+np.maximum.at per slab, over views of the slab's codes and of its sign
+table: a max over 0/1 marks is their OR in any order, so the realized
+pairs are never compacted or copied.  The counts are read from the three
+cell columns and the isotropic rows with | and count_nonzero.
 
 A dependent pair (det(u, v) = 0) is (0, 0), (0, w) or (w, lambda w) with
 w != 0.  SO_2 acts simply transitively on each circle S_t with t != 0, so
@@ -319,18 +323,21 @@ def _triangle_counts(q: int, indicator: bytes) -> Tuple[int, int, int, int]:
     """
     if q**4 > PAIR_CAPACITY:
         raise CapacityError(f"pair table of size {q}^4 exceeds {PAIR_CAPACITY}")
-    seen = np.zeros(3 * q**3 + 2 * (q + 1), dtype=bool)
+    seen = np.zeros(3 * q**3 + 2 * (q + 1), dtype=np.uint8)
     for u2s, realized in _realized_slabs(q, indicator):
-        seen[_slab_codes(q, int(u2s[0]), int(u2s[-1]) + 1)[realized]] = True
-    cells = seen[:3 * q**3].reshape(q**3, 3)
-    iso = seen[3 * q**3:].reshape(2, q + 1)
+        codes = _slab_codes(q, int(u2s[0]), int(u2s[-1]) + 1)
+        # a max over 0/1 marks is their OR, in any order; both operands are views
+        np.maximum.at(seen, codes.ravel(), realized.ravel().view(np.uint8))
+    dependent, cell1, cell2 = seen[:3 * q**3].reshape(q**3, 3).T
+    line1, line2 = seen[3 * q**3:].reshape(2, q + 1)
     # (0, 0) is realized whenever any pair is, and keeps Gram code 0
-    dependent = int(np.count_nonzero(cells[:, 0]))
-    signatures_nondeg = int(np.count_nonzero(cells[:, 1:].any(axis=1)))
-    return (int(np.count_nonzero(cells.any(axis=1))),
+    nondeg = cell1 | cell2
+    signatures_nondeg = int(np.count_nonzero(nondeg))
+    return (int(np.count_nonzero(nondeg | dependent)),
             signatures_nondeg,
-            int(np.count_nonzero(cells[:, 1:])) + dependent + int(np.count_nonzero(iso)),
-            signatures_nondeg + dependent + int(np.count_nonzero(iso.any(axis=0))))
+            sum(int(np.count_nonzero(marks)) for marks in (dependent, cell1, cell2, line1, line2)),
+            signatures_nondeg + int(np.count_nonzero(dependent))
+            + int(np.count_nonzero(line1 | line2)))
 
 
 def distinct_signature_count(E: PointSet, mode: str = "all") -> int:

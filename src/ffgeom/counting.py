@@ -8,11 +8,11 @@ stages.  With the cube's axis 0 holding x_1 and axis 1 holding x_0,
     H[c, r, x_0]    = sum over z_0 with z_0^2 = c of E(r, x_0 - z_0),
     n_a(x_1, x_0)   = sum over z_1 of H[a - z_1^2, x_1 - z_1, x_0]:
 
-q shifts of E along axis 1 give H, then q shifted views of H, one per z_1,
-are added into a q x q x q accumulator over (a, x_1, x_0): q^3 + q^4
-element adds in 2q array operations.  circle_profile, one shifted copy of E
-per point z of S_a, is the readable one-radius oracle the stack is tested
-against.
+q shifted views of E, stored twice along axis 1, are added into H, then q
+shifted views of H, one per z_1, into a q x q x q accumulator over
+(a, x_1, x_0): q^3 + q^4 element adds in 2q array operations, with no
+shifted copy made.  circle_profile, one shifted copy of E per point z of
+S_a, is the readable one-radius oracle the stack is tested against.
 HingeSweep stacks the profiles of every nonzero radius of a planar set, a
 (q - 1) x q^2 int16 array, and is the one kernel for the statistics built on
 them: pair counts sum_{x in E} n_a(x), hinge counts
@@ -213,10 +213,12 @@ def circle_profile_stack(E: PointSet) -> np.ndarray:
     q = E.q
     squares = (np.arange(q) ** 2) % q
     cube = E.cube().astype(np.int16)
+    # E stored twice along x_0, so that wide[:, q - z_0 : 2q - z_0][r, x_0] = E(r, x_0 - z_0)
+    wide = np.concatenate((cube, cube), axis=1)
     # H over (c, r, x_0), stored twice along r so that every shift in r is a view
     h = np.zeros((q, 2 * q, q), dtype=np.int16)
     for z0 in range(q):
-        h[squares[z0], :q] += np.roll(cube, z0, axis=1)
+        h[squares[z0], :q] += wide[:, q - z0 : 2 * q - z0]
     h[:, q:] = h[:, :q]
     stack = np.zeros((q, q, q), dtype=np.int16)
     for z1 in range(q):

@@ -649,10 +649,24 @@ class TestMidpointExclusion:
     def test_built_set_exhaustive_reports_pinned(self, q, applicable):
         cs = build_counterexample(PrimeField(q))
         n = cs.E.cardinality
-        r = midpoint_exclusion_check(cs, exhaustive=True)
-        assert (r.pairs_checked, r.applicable, r.violations) == (n * n, applicable, 0)
+        # a cold and a warm rotation table give the same report
+        circles._rotations.cache_clear()
+        for _ in range(2):
+            r = midpoint_exclusion_check(cs, exhaustive=True)
+            assert (r.pairs_checked, r.applicable, r.violations) == (n * n, applicable, 0)
+        assert circles._rotations.cache_info().misses == 1
         # one row per circle |x| = t, t in A
         assert orbits_of(cs)[0].size == len(cs.A)
+
+    def test_rotation_table_is_cached_read_only(self):
+        circles._rotations.cache_clear()
+        N, c, s = circles._rotations(257)
+        assert circles._rotations(257)[1] is c
+        assert circles._rotations.cache_info().misses == 1
+        assert N == c.size == s.size == 256
+        for table in (c, s):
+            with pytest.raises(ValueError):
+                table[0] = 0
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_sampled_off_circle_report_matches_pair_replay(self, seed):
@@ -739,15 +753,16 @@ class TestMidpointExclusion:
     def test_sampled_peak_memory_is_flat_in_samples(self):
         cs = build_counterexample(PrimeField(257))
         peaks = []
-        for samples in (circles._PAIR_BLOCK, 4 * circles._PAIR_BLOCK + 5):
+        for samples in (circles._PAIR_BLOCK, 16 * circles._PAIR_BLOCK + 5):
             tracemalloc.start()
             try:
                 midpoint_exclusion_check(cs, samples=samples, seed=0)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # drawing every pair at once would hold about four times the first peak
-        assert peaks[1] <= peaks[0] + 2**16, peaks
+        # drawing every pair at once would hold the 2 * 16 * _PAIR_BLOCK uint32
+        # draws alone, 4 MiB more, against 2^17 bytes of allocator noise
+        assert peaks[1] <= peaks[0] + 2**17, peaks
 
     def test_exhaustive_peak_memory_at_q1009(self):
         cs = build_counterexample(PrimeField(1009))

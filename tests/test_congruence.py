@@ -572,6 +572,27 @@ def table_counts(E: PointSet):
     return congruence._triangle_counts.__wrapped__(E.q, E.indicator.tobytes())
 
 
+def boolean_mask_counts(E: PointSet):
+    """The earlier marking, on the library's slabs and codes: each slab's
+    realized codes compacted through its boolean mask into a bool table,
+    then counted with .any reductions.  Returns the counts and the slabs."""
+    q = E.q
+    seen = np.zeros(3 * q**3 + 2 * (q + 1), dtype=bool)
+    slabs = 0
+    for u2s, realized in congruence._realized_slabs(q, E.indicator.tobytes()):
+        seen[congruence._slab_codes(q, int(u2s[0]), int(u2s[-1]) + 1)[realized]] = True
+        slabs += 1
+    cells = seen[:3 * q**3].reshape(q**3, 3)
+    iso = seen[3 * q**3:].reshape(2, q + 1)
+    dependent = int(np.count_nonzero(cells[:, 0]))
+    nondeg = int(np.count_nonzero(cells[:, 1:].any(axis=1)))
+    counts = (int(np.count_nonzero(cells.any(axis=1))),
+              nondeg,
+              int(np.count_nonzero(cells[:, 1:])) + dependent + int(np.count_nonzero(iso)),
+              nondeg + dependent + int(np.count_nonzero(iso.any(axis=0))))
+    return counts, slabs
+
+
 class TestSlabCache:
     """The set-independent slab codes, built once per (q, slab) and shared."""
 
@@ -620,6 +641,18 @@ class TestSlabCache:
         finally:
             tracemalloc.stop()
         assert peak < 31 * 10**6, peak
+
+    @pytest.mark.parametrize("q,slabs", [(47, 5), (61, 16)])
+    @pytest.mark.parametrize("rho", ("1/20", "1/400"))
+    def test_marks_match_the_boolean_mask_on_real_slabs(self, q, slabs, rho):
+        # past four slabs the cached codes are rebuilt within every set: at
+        # q = 47 in slabs of ten u_2 lines, at q = 61 of four.  At rho = 1/20
+        # nearly every realizable class is marked; the 6 and 10 points of
+        # rho = 1/400 mark a few hundred, so a lost mark changes a count
+        E = random_set(q, 2, Fraction(rho), 0)
+        counts, built = boolean_mask_counts(E)
+        assert built == slabs
+        assert table_counts(E) == counts
 
     def test_codes_fit_the_table_at_q97(self):
         # q = 97 = 1 mod 4 is the largest q under PAIR_CAPACITY; the last code,

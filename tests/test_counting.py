@@ -280,7 +280,7 @@ class TestCircleProfileStack:
         for mask in range(1, 2**9):
             self.check(PointSet(F, 2, np.array([(mask >> i) & 1 for i in range(9)], dtype=np.uint8)))
 
-    @pytest.mark.parametrize("q", (5, 7, 11, 13, 17))
+    @pytest.mark.parametrize("q", (5, 7, 11, 13, 17, 19, 23, 29))
     @pytest.mark.parametrize("rho", ("1/10", "1/2", "1"))
     @pytest.mark.parametrize("seed", (0, 1))
     def test_random_sets(self, q, rho, seed):
