@@ -17,10 +17,12 @@ routed to the direct transform (the closed form's decay consequences are
 only claimed for t != 0).
 
 For t != 0 the right side depends on l only through the norm |l|, so it is
-evaluated once per norm value n in F_q (a (q - 1) x q table of phases
-n/(4j) + j t, summed over j) and then read off at every frequency through
-the grid's norm table: O(q^2 + q^d) per t rather than O(q^{d+1}).  The
-single-frequency sphere_fourier_closed reads the same per-norm table.
+evaluated once per norm value n in F_q and then read off at every frequency
+through the grid's norm table: O(q^2 + q^d) per t rather than O(q^{d+1}).
+Since j -> k = -1/(4j) permutes F_q^*, chi(n/(4j)) = chi(-kn) is entry
+(k, n) of the character matrix C of ffgeom.fourier, and the q values are
+one vector-matrix product v @ C with v[k] = eta^d(-j) chi(jt) and v[0] = 0.
+The single-frequency sphere_fourier_closed reads the same per-norm table.
 
 Kloosterman sums K(a) = sum_{s != 0} chi(as + s^{-1}) psi(s) are evaluated
 directly; only the trivial and quadratic psi arise here (eta^d for d = 2, 3).
@@ -41,7 +43,8 @@ from typing import Callable, List, Sequence, Tuple, Union
 import numpy as np
 
 from .field import FieldElement, PrimeField
-from .fourier import PointD, SpectralGrid, _check_grid_size, chi_table, forward
+from .fourier import (PointD, SpectralGrid, _check_grid_size, character_matrix, chi_table,
+                      forward)
 
 Scalar = Union[int, FieldElement]
 
@@ -295,17 +298,18 @@ def _closed_form_by_norm(field: PrimeField, t: int, d: int) -> np.ndarray:
     """Q^d q^{-(d+2)/2} sum_{j != 0} chi(n/(4j) + j t) eta^d(-j) for every n in F_q, t != 0.
 
     Entry n is Shat_t(l) at every l with |l| = n, less the q^{-1} delta(l)
-    term.  One (q - 1) x q phase table, one chi gather and one sum over j:
-    O(q^2) per t, whatever d is.
+    term.  One product v @ C with the cached character matrix (see the
+    module docstring): O(q^2) per t, whatever d is.
     """
     q = field.q
     prefactor = gauss_constant(field).Q**d * q ** (-(d + 2) / 2)
     j = np.arange(1, q, dtype=np.int64)
-    inv_4j = inverse_table(field)[(4 * j) % q]
+    # k = -1/(4j), so that chi(n/(4j)) = chi(-kn) = C[k, n]
+    k = (q - inverse_table(field)[(4 * j) % q]) % q
     signs = legendre_table(field)[(q - j) % q].astype(np.float64) ** d
-    n = np.arange(q, dtype=np.int64)
-    phases = (inv_4j[:, None] * n[None, :] + ((j * t) % q)[:, None]) % q
-    return (signs[:, None] * chi_table(q)[phases]).sum(axis=0) * prefactor
+    v = np.zeros(q, dtype=np.complex128)
+    v[k] = signs * chi_table(q)[(j * t) % q]
+    return (v @ character_matrix(q)) * prefactor
 
 
 def sphere_fourier_closed(

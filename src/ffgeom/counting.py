@@ -14,12 +14,12 @@ shifted views of H, one per z_1, into a q x q x q accumulator over
 shifted copy made.  circle_profile, one shifted copy of E per point z of
 S_a, is the readable one-radius oracle the stack is tested against.
 HingeSweep stacks the profiles of every nonzero radius of a planar set, a
-(q - 1) x q^2 int16 array, and is the one kernel for the statistics built on
+(q - 1) x q^2 uint8 array, and is the one kernel for the statistics built on
 them: pair counts sum_{x in E} n_a(x), hinge counts
 sum_{x in E} n_a(x) n_b(x) (the energies sum_{x in E} n_a(x)^2 on the
 diagonal), and the sums sum_x n_a(x)^2 behind the fluctuation bound.  The
-stack stays int16; every product of its entries is formed in float64 or
-int64.
+stack stays uint8; every sum and product of its entries is formed in float64
+or int64.
 
 The Fourier route exists to verify the counting identity
 
@@ -53,7 +53,8 @@ row of G is one bincount over the q x (q // 2 + 1) class array.
 Every half-spectrum transform here is a direct DFT written as two real
 matrix products per q x q array (_half_spectrum): the array times the
 cos/sin columns of chi(-m_0 x_0) for m_0 <= q // 2, then the real and
-imaginary rows of chi(-m_1 x_1) times that.  At the prime lengths q <= 211
+imaginary rows of chi(-m_1 x_1) times that, both taken from
+ffgeom.fourier.character_matrix.  At the prime lengths q <= 211
 that HingeSweep allows, these character-matrix products run faster than an
 FFT, and since each array goes through products of one fixed shape, its
 transform does not depend on how many arrays share a block.  The tests
@@ -74,7 +75,7 @@ from . import bounds
 from .charsums import Sphere, norm_values, sphere_size_table
 from .field import FieldElement, PrimeField
 from .fourier import (GRID_CAPACITY, CapacityError, PointD, SpectralGrid, _check_grid_size,
-                      chi_table, decode)
+                      character_matrix, decode)
 
 Scalar = Union[int, FieldElement]
 
@@ -82,6 +83,8 @@ Scalar = Union[int, FieldElement]
 _BLOCK_VALUES = 2**18
 # at most this many q x q arrays per pair of character-matrix products in _half_spectrum
 _TRANSFORM_ARRAYS = 8
+# about this many points of E per block of the profiles gathered on E, in HingeSweep
+_GATHER_POINTS = 4096
 
 
 def _radius_blocks(q: int) -> List[slice]:
@@ -201,26 +204,37 @@ def circle_profile(E: PointSet, a: Scalar) -> np.ndarray:
     return out.reshape(-1)
 
 
+def _check_stack_size(q: int) -> None:
+    """Cap a (q - 1) x q^2 profile stack like a grid: q <= 211, which keeps
+    its uint8 entries exact (see HingeSweep for the bound)."""
+    if (q - 1) * q * q > GRID_CAPACITY:
+        raise CapacityError(f"hinge profile stack of {(q - 1) * q * q} entries at q={q} "
+                            f"exceeds capacity {GRID_CAPACITY}")
+
+
 def circle_profile_stack(E: PointSet) -> np.ndarray:
     """Row a - 1 is circle_profile(E, a), for every nonzero radius a of a planar set.
 
-    Exact integers as a (q - 1) x q^2 int16 array.  The two stages are in the
-    module docstring; both accumulate in int16 (see HingeSweep for the bound),
-    and the stack is returned as it was built, never widened.
+    Exact integers as a (q - 1) x q^2 uint8 array.  The two stages are in the
+    module docstring; both accumulate in uint8 (see HingeSweep for the bound),
+    and the stack is returned as it was built, never widened.  Row 0 of the
+    accumulator, the radius 0 that is dropped, may wrap; no row adds into
+    another.
     """
     if E.d != 2:
         raise ValueError("the profile stack is built for planar sets (d = 2)")
     q = E.q
+    _check_stack_size(q)
     squares = (np.arange(q) ** 2) % q
-    cube = E.cube().astype(np.int16)
+    cube = E.cube()
     # E stored twice along x_0, so that wide[:, q - z_0 : 2q - z_0][r, x_0] = E(r, x_0 - z_0)
     wide = np.concatenate((cube, cube), axis=1)
     # H over (c, r, x_0), stored twice along r so that every shift in r is a view
-    h = np.zeros((q, 2 * q, q), dtype=np.int16)
+    h = np.zeros((q, 2 * q, q), dtype=np.uint8)
     for z0 in range(q):
         h[squares[z0], :q] += wide[:, q - z0 : 2 * q - z0]
     h[:, q:] = h[:, :q]
-    stack = np.zeros((q, q, q), dtype=np.int16)
+    stack = np.zeros((q, q, q), dtype=np.uint8)
     for z1 in range(q):
         # shifted[c, x_1] = H[c, x_1 - z_1]; row a takes row c = a - z_1^2 of it
         shifted = h[:, q - z1 : 2 * q - z1]
@@ -247,15 +261,13 @@ def _character_matrices(q: int) -> Tuple[np.ndarray, np.ndarray]:
 
     A q x 2h matrix over (x_0, m_0), h = q // 2 + 1, holding Re then Im of
     chi(-m_0 x_0) for m_0 < h, and a 2q x q matrix over (m_1, x_1) holding
-    Re then Im of chi(-m_1 x_1); the entries are those of
-    ffgeom.fourier.chi_table.
+    Re then Im of chi(-m_1 x_1); both are blocks of
+    ffgeom.fourier.character_matrix.
     """
-    chi = chi_table(q)
-    x = np.arange(q)
-    by_m0 = chi[(-np.outer(x, x[: q // 2 + 1])) % q]
-    by_m1 = chi[(-np.outer(x, x)) % q]
+    chi = character_matrix(q)
+    by_m0 = chi[:, : q // 2 + 1]
     pair = (np.concatenate([by_m0.real, by_m0.imag], axis=1),
-            np.concatenate([by_m1.real, by_m1.imag], axis=0))
+            np.concatenate([chi.real, chi.imag], axis=0))
     for matrix in pair:
         matrix.setflags(write=False)
     return pair
@@ -337,24 +349,31 @@ class HingeSweep:
             raise ValueError("hinge counting is defined on the plane (d = 2)")
         self.E = E
         q = E.q
-        # Each (q - 1) x q^2 int16 stack is capped like a grid, so q <= 211.
-        # There circle_profile_stack's int16 entries, partial sums of
-        # n_c(x) <= |S_c| <= 2q - 1 <= 421 (|S_0| = 2q - 1 when q = 1 mod 4,
-        # |S_c| <= q + 1 otherwise), stay far below 2^15.  A product of two
-        # entries does not (212^2 > 2^15), so no product is formed in int16.
-        # Every count is at most q^2 (q + 1)^2, the bound its float64
-        # product is checked against, and every numerator that ffgeom.bounds
-        # forms (exact q^2, sum n_a^2 q^2) at most q^4 (q + 1)^2 < 2^47: no
-        # int64 wrap, and exact in float64.
-        if (q - 1) * q * q > GRID_CAPACITY:
-            raise CapacityError(f"hinge profile stack of {(q - 1) * q * q} entries at q={q} "
-                                f"exceeds capacity {GRID_CAPACITY}")
+        # Each (q - 1) x q^2 uint8 stack is capped like a grid, so q <= 211.
+        # There circle_profile_stack's uint8 entries stay below 2^8: each
+        # entry of its stage one is at most 2, and each kept row c != 0 is a
+        # partial sum of n_c(x) <= |S_c| <= q + 1 <= 212.  Only the dropped
+        # row c = 0 can wrap (|S_0| = 2q - 1 > 255 when q = 1 mod 4 and
+        # q >= 137), and no row adds into another.  No sum or product of
+        # entries is formed in uint8: every statistic widens to int64 or
+        # float64.  Every count is at most q^2 (q + 1)^2, the bound its
+        # float64 product is checked against (also for each block of E's
+        # points below, whose partial sums are smaller), and every numerator
+        # that ffgeom.bounds forms (exact q^2, sum n_a^2 q^2) at most
+        # q^4 (q + 1)^2 < 2^47: no int64 wrap, and exact in float64.
+        _check_stack_size(q)
         self.profiles = circle_profile_stack(E)
-        # the hinge counts are the Gram matrix of the profiles restricted to E
-        on_e = self.profiles[:, E.indices()]
-        self.pair_counts = on_e.sum(axis=1, dtype=np.int64)
-        on_e = on_e.astype(np.float64)
-        self.exact = exact_matmul(on_e, on_e.T, bound=q * q * (q + 1) ** 2)
+        # the hinge counts are the Gram matrix of the profiles restricted to E,
+        # summed over blocks of E's points so that no (q - 1) x |E| float64
+        # copy of the profiles on E exists at once
+        points = E.indices()
+        self.pair_counts = np.zeros(q - 1, dtype=np.int64)
+        self.exact = np.zeros((q - 1, q - 1), dtype=np.int64)
+        for start in range(0, points.size, _GATHER_POINTS):
+            on_e = self.profiles[:, points[start : start + _GATHER_POINTS]]
+            self.pair_counts += on_e.sum(axis=1, dtype=np.int64)
+            on_e = on_e.astype(np.float64)
+            self.exact += exact_matmul(on_e, on_e.T, bound=q * q * (q + 1) ** 2)
         # sum_x n_a(x)^2 over the whole grid, at most q^2 (q + 1)^2, multiplied in int64
         self.sum_sq = np.einsum("ij,ij->i", self.profiles, self.profiles, dtype=np.int64)
         self.sphere_sizes = sphere_size_table(E.field, 2)[1:q]

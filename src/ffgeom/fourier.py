@@ -12,6 +12,20 @@ enc(x) = sum_i x_i q^{i-1} (first coordinate least significant).
 Two transform implementations share one entry point: a hand-written naive
 double sum straight from the definition (the test oracle) and a fast
 per-axis path.  They must agree to 1e-9; tests enforce this.
+
+The fast path contracts each axis of the (q,)*d cube with the symmetric
+character matrix C[j, k] = chi(-jk) (character_matrix, cached per q), one
+complex matrix product per axis: q^{d+1} multiply-adds per transform, against the
+O(q^d log q) of an FFT, whose prime-length plans lose to BLAS at small q.
+The inverse uses conj(C).  On a 2-vCPU Intel Xeon host (numpy 2.4.6,
+OpenBLAS 0.3.31, two BLAS threads) a d = 2 forward took 0.27 ms at q = 101
+against 0.40 ms for np.fft.fftn, 1.9 against 2.4 ms at q = 211 and the same
+16 ms at q = 401, but 184 against 105 ms at q = 1009; at d = 3 it took 0.60
+against 1.4 ms at q = 31 and 5.9 against 26 ms at q = 61.  The slower large
+planes reach no caller in ffgeom's scripts or CLI: inside the package,
+forward is reached only from plancherel_lhs_rhs and from
+sphere_fourier_grid and sphere_fourier_closed at t = 0, library calls that
+the tests make at q <= 13.
 """
 
 from __future__ import annotations
@@ -83,6 +97,22 @@ def chi_table(q: int) -> np.ndarray:
     table = np.exp(2j * np.pi * np.arange(q) / q)
     table.setflags(write=False)
     return table
+
+
+# one entry is 16 q^2 bytes, 157 MB at q = 3137, so only the last two q are kept
+@lru_cache(maxsize=2)
+def character_matrix(q: int) -> np.ndarray:
+    """C[j, k] = chi(-jk) for j, k = 0 .. q-1, a symmetric q x q complex128 matrix.
+
+    Its entries are those of chi_table, and it is sized like a plane grid
+    (q^2 entries, bounded by GRID_CAPACITY).  The returned array is cached
+    and marked read-only; copy before mutating.
+    """
+    _check_grid_size(q, 2)
+    x = np.arange(q, dtype=np.int64)
+    matrix = chi_table(q)[(-np.outer(x, x)) % q]
+    matrix.setflags(write=False)
+    return matrix
 
 
 class PointD:
@@ -259,16 +289,29 @@ def _naive_transform(grid: SpectralGrid, sign: int) -> np.ndarray:
     return out
 
 
+def _per_axis(cube: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """sum over x of cube[x] prod_i matrix[m_i, x_i], flattened, for a symmetric matrix.
+
+    One product per axis, each in place of the axis it contracts: axis k is
+    the middle axis of the cube read as (q^k, q, rest), and the last axis is
+    contracted from the right, which needs the matrix to be symmetric.
+    """
+    q, d = matrix.shape[0], cube.ndim
+    for k in range(d - 1):
+        cube = matrix @ cube.reshape(q**k, q, -1)
+    return (cube.reshape(-1, q) @ matrix).ravel()
+
+
 def forward(grid: SpectralGrid, method: str = "fast") -> SpectralGrid:
     """fhat(m) = q^{-d} sum_x f(x) chi(-x.m).
 
-    method "fast" runs per-axis DFT passes; "naive" evaluates the double
-    sum from the definition and is the oracle the fast path is tested
-    against.
+    method "fast" contracts each axis with character_matrix (see the
+    module docstring); "naive" evaluates the double sum from the definition
+    and is the oracle the fast path is tested against.
     """
     scale = 1.0 / grid.size
     if method == "fast":
-        raw = np.fft.fftn(grid.cube()).ravel()
+        raw = _per_axis(grid.cube(), character_matrix(grid.q))
     elif method == "naive":
         raw = _naive_transform(grid, sign=-1)
     else:
@@ -279,7 +322,7 @@ def forward(grid: SpectralGrid, method: str = "fast") -> SpectralGrid:
 def inverse(grid: SpectralGrid, method: str = "fast") -> SpectralGrid:
     """f(x) = sum_m g(m) chi(x.m); no normalization on this side."""
     if method == "fast":
-        raw = np.fft.ifftn(grid.cube()).ravel() * grid.size
+        raw = _per_axis(grid.cube(), character_matrix(grid.q).conj())
     elif method == "naive":
         raw = _naive_transform(grid, sign=+1)
     else:

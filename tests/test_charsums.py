@@ -237,6 +237,28 @@ def test_kloosterman_rejects_unknown_character():
         kloosterman(PrimeField(5), 1, "cubic")
 
 
+def _closed_form_by_phase_table(field, t, d):
+    """The per-norm closed form summed over j from a (q - 1) x q table of phases
+    n/(4j) + j t, the reference for the character-matrix product."""
+    q = field.q
+    prefactor = charsums.gauss_constant(field).Q ** d * q ** (-(d + 2) / 2)
+    j = np.arange(1, q, dtype=np.int64)
+    inv_4j = inverse_table(field)[(4 * j) % q]
+    signs = legendre_table(field)[(q - j) % q].astype(np.float64) ** d
+    n = np.arange(q, dtype=np.int64)
+    phases = (inv_4j[:, None] * n[None, :] + ((j * t) % q)[:, None]) % q
+    return (signs[:, None] * chi_table(q)[phases]).sum(axis=0) * prefactor
+
+
+@pytest.mark.parametrize("q", (5, 13, 101))
+@pytest.mark.parametrize("d", (2, 3))
+def test_closed_form_by_norm_matches_the_phase_table(q, d):
+    F = PrimeField(q)
+    for t in range(1, q):
+        got = charsums._closed_form_by_norm(F, t, d)
+        assert np.max(np.abs(got - _closed_form_by_phase_table(F, t, d))) <= 1e-12
+
+
 @pytest.mark.parametrize("q,d", [(3, 2), (5, 2), (7, 2), (11, 2), (13, 2), (5, 3), (7, 3)])
 def test_sphere_fourier_closed_matches_dft(q, d):
     # the per-norm grid against the direct DFT at every t != 0, and the

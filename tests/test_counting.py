@@ -28,7 +28,7 @@ from ffgeom.counting import (
 )
 from ffgeom.experiments import random_set
 from ffgeom.field import PrimeField
-from ffgeom.fourier import CapacityError, PointD
+from ffgeom.fourier import CapacityError, PointD, character_matrix
 
 
 def _dist(u, v, q: int) -> int:
@@ -271,7 +271,7 @@ class TestCircleProfileStack:
     def check(E: PointSet) -> None:
         stack = circle_profile_stack(E)
         oracle = np.stack([circle_profile(E, a) for a in range(1, E.q)])
-        assert stack.dtype == np.int16
+        assert stack.dtype == np.uint8
         assert stack.shape == (E.q - 1, E.q * E.q)
         assert np.array_equal(stack, oracle)
 
@@ -295,10 +295,31 @@ class TestCircleProfileStack:
         with pytest.raises(ValueError):
             circle_profile_stack(PointSet.full_grid(PrimeField(3), 3))
 
+    def test_capacity_guard(self):
+        # a kept uint8 row would wrap from q = 257 on (|S_a| >= q - 1 = 256), so the stack
+        # is capped like a grid, as in HingeSweep: (q - 1) q^2 first exceeds it at 223
+        with pytest.raises(CapacityError):
+            circle_profile_stack(PointSet.from_points(PrimeField(223), 2, [(0, 0)]))
+
+    def test_row_zero_wraps_on_the_full_grid_at_q197(self):
+        # q = 197 = 1 mod 4: the dropped row 0 of the uint8 accumulator sums to
+        # |S_0| = 2q - 1 = 393 > 255 and wraps, and every kept row still reads |S_a| = q - 1
+        q = 197
+        stack = circle_profile_stack(PointSet.full_grid(PrimeField(q), 2))
+        assert stack.dtype == np.uint8
+        assert (stack == q - 1).all()
+
+    def test_row_zero_wraps_on_a_random_set_at_q197(self):
+        E = random_set(197, 2, Fraction(1, 2), seed=3)
+        stack = circle_profile_stack(E)
+        for a in (1, 2, 98, 196):
+            assert np.array_equal(stack[a - 1], circle_profile(E, a))
+
     def test_full_grid_at_the_capacity_limit(self):
         # q = 211 is the largest q HingeSweep accepts; on the full grid n_a(x) = |S_a| at every
-        # x, the largest count (q + 1 = 212) the int16 accumulator holds in a returned row.
-        # Its square 212^2 = 44944 is past int16, so every statistic on it must be widened.
+        # x, the largest count (q + 1 = 212) the uint8 accumulator holds in a returned row.
+        # Its square 212^2 = 44944 is past uint8 and int16, so every statistic on it must be
+        # widened.
         q = 211
         sweep = HingeSweep(PointSet.full_grid(PrimeField(q), 2))
         sizes = sphere_size_table(PrimeField(q), 2)[1:]
@@ -453,7 +474,7 @@ def test_hinge_matrix_equals_integer_matmul(q, rho):
 
 class TestHingeSweep:
     def test_retains_little_past_the_profiles(self):
-        # the profiles are the one (q - 1) x q^2 int16 stack a sweep keeps; a second
+        # the profiles are the one (q - 1) x q^2 uint8 stack a sweep keeps; a second
         # stack of that size, or a widened copy of it, would at least double what it holds
         E = random_set(101, 2, Fraction(1, 2), 0)
         HingeSweep(E)  # the per-q tables are cached once, outside the measurement
@@ -465,6 +486,29 @@ class TestHingeSweep:
         finally:
             tracemalloc.stop()
         assert retained < 1.25 * sweep.profiles.nbytes, (retained, sweep.profiles.nbytes)
+
+    def test_peak_memory_at_the_capacity_limit(self):
+        # at q = 211 the uint8 stage-one table (2q^3 bytes, 18.8 MB) and the stack
+        # (q^3 bytes, 9.4 MB) peak near 28 MB, and each block of E's points gathers at
+        # most _GATHER_POINTS columns as float64; int16 stages, or one float64 gather
+        # of all 22261 points (37 MB), lift the peak to about 66 MB
+        E = random_set(211, 2, Fraction(1, 2), 0)
+        tracemalloc.start()
+        try:
+            HingeSweep(E)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40e6, peak
+
+    @pytest.mark.parametrize("points", (1, 100, 4096))
+    def test_gather_blocks_do_not_change_the_counts(self, points, monkeypatch):
+        E = random_set(31, 2, Fraction(1, 2), 1)
+        whole = HingeSweep(E)
+        monkeypatch.setattr(counting, "_GATHER_POINTS", points)
+        blocked = HingeSweep(E)
+        assert np.array_equal(blocked.exact, whole.exact)
+        assert np.array_equal(blocked.pair_counts, whole.pair_counts)
 
     def test_exact_matrix_symmetric(self):
         E = random_subset(11, 35, seed=14)
@@ -625,6 +669,10 @@ class TestHalfSpectrum:
         assert by_m0.shape == (13, 14) and by_m1.shape == (26, 13)
         assert not by_m0.flags.writeable and not by_m1.flags.writeable
         assert counting._character_matrices(13)[0] is by_m0
+        # both are blocks of the one character matrix of ffgeom.fourier
+        chi = character_matrix(13)
+        assert np.array_equal(by_m0, np.concatenate([chi.real[:, :7], chi.imag[:, :7]], axis=1))
+        assert np.array_equal(by_m1, np.concatenate([chi.real, chi.imag], axis=0))
 
 
 def test_hinge_report_split():

@@ -16,6 +16,8 @@ from ffgeom.fourier import (
     CapacityError,
     PointD,
     SpectralGrid,
+    character_matrix,
+    chi_table,
     decode,
     encode,
     forward,
@@ -57,6 +59,38 @@ def test_fast_transform_equals_naive(q, d):
     back_fast = inverse(forward(f)).values
     back_slow = inverse(forward(f), method="naive").values
     assert np.max(np.abs(back_fast - back_slow)) < 1e-10
+
+
+@pytest.mark.parametrize("q,d", [(101, 2), (211, 2), (31, 3), (61, 3)])
+def test_fast_transform_equals_numpy_fft(q, d):
+    # numpy's FFT as a test-side reference where the naive oracle is too slow
+    f = _random_grid(q, d, seed=q + d)
+    ref = np.fft.fftn(f.cube()).ravel() / q**d
+    assert np.max(np.abs(forward(f).values - ref)) <= 1e-12 * np.max(np.abs(ref))
+    ref = np.fft.ifftn(f.cube()).ravel() * q**d
+    assert np.max(np.abs(inverse(f).values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_character_matrix_is_read_only_and_built_once_per_q():
+    q = 13
+    C = character_matrix(q)
+    j = np.arange(q)
+    assert C.shape == (q, q) and C.dtype == np.complex128
+    assert not C.flags.writeable
+    assert np.array_equal(C, chi_table(q)[(-np.outer(j, j)) % q])
+    character_matrix.cache_clear()
+    f = _random_grid(q, 2, seed=1)
+    for _ in range(3):
+        forward(f)
+        inverse(f)
+        forward(_random_grid(q, 3, seed=2))
+    info = character_matrix.cache_info()
+    assert (info.misses, info.hits) == (1, 8)
+
+
+def test_character_matrix_is_capped_like_a_plane_grid():
+    with pytest.raises(CapacityError):
+        character_matrix(3163)  # 3163^2 > GRID_CAPACITY = 10^7
 
 
 @pytest.mark.parametrize("q,d", [(5, 2), (7, 2), (11, 2), (5, 3)])
