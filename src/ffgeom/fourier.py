@@ -15,17 +15,18 @@ per-axis path.  They must agree to 1e-9; tests enforce this.
 
 The fast path contracts each axis of the (q,)*d cube with the symmetric
 character matrix C[j, k] = chi(-jk) (character_matrix, cached per q), one
-complex matrix product per axis: q^{d+1} multiply-adds per transform, against the
-O(q^d log q) of an FFT, whose prime-length plans lose to BLAS at small q.
-The inverse uses conj(C).  On a 2-vCPU Intel Xeon host (numpy 2.4.6,
-OpenBLAS 0.3.31, two BLAS threads) a d = 2 forward took 0.27 ms at q = 101
-against 0.40 ms for np.fft.fftn, 1.9 against 2.4 ms at q = 211 and the same
-16 ms at q = 401, but 184 against 105 ms at q = 1009; at d = 3 it took 0.60
-against 1.4 ms at q = 31 and 5.9 against 26 ms at q = 61.  The slower large
-planes reach no caller in ffgeom's scripts or CLI: inside the package,
-forward is reached only from plancherel_lhs_rhs and from
-sphere_fourier_grid and sphere_fourier_closed at t = 0, library calls that
-the tests make at q <= 13.
+complex matrix product per axis: q^{d+1} multiply-adds per transform,
+against the O(q^d log q) of an FFT, whose prime-length plans lose to BLAS
+at small q.  The inverse uses conj(C).  On a 2-vCPU Intel Xeon host (numpy
+2.4.6, OpenBLAS 0.3.31, two BLAS threads; the range of three interleaved
+medians) a d = 2 forward took 0.22-0.30 ms at q = 101 against 0.38-0.72 ms
+for np.fft.fftn, 1.4-2.0 against 1.8-3.1 ms at q = 211 and 14 against
+11-14 ms at q = 401, but 125-172 against 73-100 ms at q = 1009; at d = 3
+it took 0.45-0.64 against 1.3-2.5 ms at q = 31 and 4.7-6.3 against
+17-29 ms at q = 61.  The slower large planes reach no caller in ffgeom's
+scripts or CLI: inside the package, forward is reached only from
+plancherel_lhs_rhs and from sphere_fourier_grid and sphere_fourier_closed
+at t = 0, library calls that the tests make at q <= 13.
 """
 
 from __future__ import annotations
