@@ -22,7 +22,9 @@ through the grid's norm table: O(q^2 + q^d) per t rather than O(q^{d+1}).
 Since j -> k = -1/(4j) permutes F_q^*, chi(n/(4j)) = chi(-kn) is entry
 (k, n) of the character matrix C of ffgeom.fourier, and the q values are
 one vector-matrix product v @ C with v[k] = eta^d(-j) chi(jt) and v[0] = 0.
-The single-frequency sphere_fourier_closed reads the same per-norm table.
+The single-frequency sphere_fourier_closed reads the same per-norm table,
+and so does ffgeom.counting's sphere class table, one planar vector per
+radius, which HingeSweep's spectral hinge identity multiplies by.
 
 Kloosterman sums K(a) = sum_{s != 0} chi(as + s^{-1}) psi(s) are evaluated
 directly; only the trivial and quadratic psi arise here (eta^d for d = 2, 3).
@@ -192,11 +194,6 @@ class GaussConstant:
                     f"Gauss constant check failed for q={field.q}: "
                     f"direct {direct}, expected {self.Q * math.sqrt(field.q)}"
                 )
-
-    @property
-    def Q_squared_sign(self) -> int:
-        """Q^2 as an integer sign; equals eta(-1)."""
-        return 1 if self.field.q % 4 == 1 else -1
 
     def __repr__(self) -> str:
         return f"GaussConstant(q={self.field.q}, Q={self.Q})"

@@ -43,12 +43,13 @@ G[a, k] = the weighted sum of Re(conj(fhat_a(m)) Ehat(m)) over the class k,
 
 where T[b, k] is Shat_b at any frequency of class k: a (q - 1) x (q + 1)
 product instead of a sum over all q^2 frequencies.  T depends only on q.
-_sphere_class_table builds it once per q from the direct DFT of the sphere
-indicators, not from the closed form of ffgeom.charsums, and checks every
-frequency against its class entry.  Both G and T are built one block of
-radii at a time, about _BLOCK_VALUES grid values per block: f, its transform
-and the spheres' transforms exist only for the radii of one block, and each
-row of G is one bincount over the q x (q // 2 + 1) class array.
+_sphere_class_table builds it once per q from the Gauss-sum closed form of
+ffgeom.charsums, one per-norm vector per radius, with |S_b| / q^2 at the
+origin; the tests check it against the direct DFT of every sphere
+indicator.  G is built one block of radii at a time, about _BLOCK_VALUES
+grid values per block: f and its transform exist only for the radii of one
+block, and each row of G is one bincount over the q x (q // 2 + 1) class
+array.
 
 Every half-spectrum transform here is a direct DFT written as two real
 matrix products per q x q array (_half_spectrum): the array times the
@@ -72,14 +73,14 @@ from typing import Iterable, List, Sequence, Tuple, Union
 import numpy as np
 
 from . import bounds
-from .charsums import Sphere, norm_values, sphere_size_table
+from .charsums import Sphere, _closed_form_by_norm, norm_values, sphere_size_table
 from .field import FieldElement, PrimeField
 from .fourier import (GRID_CAPACITY, CapacityError, PointD, SpectralGrid, _check_grid_size,
                       character_matrix, decode)
 
 Scalar = Union[int, FieldElement]
 
-# about this many grid values per block of radii, in fourier_counts and _sphere_class_table
+# about this many grid values per block of radii, in fourier_counts
 _BLOCK_VALUES = 2**18
 # at most this many q x q arrays per pair of character-matrix products in _half_spectrum
 _TRANSFORM_ARRAYS = 8
@@ -303,33 +304,29 @@ def _sphere_class_table(q: int) -> np.ndarray:
     """T[b - 1, k] = Shat_b(m) for any frequency m of class k, b = 1 .. q - 1.
 
     A (q - 1) x (q + 1) float64 table over the classes of
-    _half_spectrum_classes.  Shat_b depends on m != 0 only through |m| (the
-    Gauss-sum closed form in ffgeom.charsums), but the table is read off the
-    direct DFT of the sphere indicators instead, so that the spectral check
-    stays independent of that closed form; the DFT is the pair of
-    character-matrix products of _half_spectrum.  Every frequency of the half
-    spectrum is checked against its class entry.  The nonzero isotropic class
-    is empty when q = 3 mod 4 and its column stays 0.  The spheres are
-    transformed one block of radii at a time (_radius_blocks), never all
-    (q - 1) q^2 values at once.
+    _half_spectrum_classes.  Column n < q is the Gauss-sum closed form of
+    ffgeom.charsums at norm n, one _closed_form_by_norm vector per radius, and
+    column q, the origin, is |S_b| / q^2.  The nonzero isotropic class is
+    empty when q = 3 mod 4 and its column stays 0.  The build raises if a
+    closed form is not real or misses |S_b| / q^2 at the origin; the tests
+    check the table against the direct DFT of every sphere indicator.
 
     The returned array is cached and marked read-only; copy before mutating.
     """
-    norms = norm_values(PrimeField(q), 2).reshape(q, q)
-    classes = _half_spectrum_classes(q).ravel()
-    present, first = np.unique(classes, return_index=True)
+    field = PrimeField(q)
+    sizes = sphere_size_table(field, 2)[1:] / q**2
     table = np.zeros((q - 1, q + 1))
-    for block in _radius_blocks(q):
-        rows = table[block]
-        radii = np.arange(block.start + 1, block.stop + 1)
-        spheres = (norms[None, :, :] == radii[:, None, None]).astype(np.float64)
-        re, im = (part.reshape(len(rows), -1) / q**2 for part in _half_spectrum(spheres))
-        rows[:, present] = re[:, first]
-        # |Shat_b(m) - T[b - 1, class of m]|, the imaginary part included
-        err = np.hypot(re - rows[:, classes], im).max()
+    for b in range(1, q):
+        row = _closed_form_by_norm(field, b, 2)
+        # the origin's value is row[0] + 1/q, the delta term of the closed form
+        err = max(np.abs(row.imag).max(), abs(row[0].real + 1 / q - sizes[b - 1]))
         if not err <= 1e-12:
-            raise AssertionError(f"sphere transform at q={q}, radii {radii[0]}..{radii[-1]} "
-                                 f"is not constant on norm classes (off by {err})")
+            raise AssertionError(f"closed-form sphere transform at q={q}, radius {b} is not "
+                                 f"real or misses |S_b|/q^2 at the origin (off by {err})")
+        table[b - 1, :q] = row.real
+    table[:, q] = sizes
+    if q % 4 == 3:
+        table[:, 0] = 0
     table.setflags(write=False)
     return table
 
@@ -386,8 +383,9 @@ class HingeSweep:
         radii at a time: character-matrix products (_half_spectrum) of the
         block's profiles restricted to E and of E give Re(conj(fhat_a) Ehat)
         on the half spectrum, one bincount per radius sums it by class into
-        G, and the value is q^4 G @ T^T with T from _sphere_class_table.  Since m and -m pair up, nothing imaginary is
-        dropped: the full complex sum is real too.
+        G, and the value is q^4 G @ T^T with T from _sphere_class_table.
+        Since m and -m pair up, nothing imaginary is dropped: the full complex
+        sum is real too.
         """
         if self._fourier is None:
             q = self.E.q

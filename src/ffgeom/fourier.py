@@ -9,24 +9,22 @@ so the q^{-d} normalization sits entirely on the forward side.  Grids are
 dense complex arrays of length q^d indexed by the mixed-radix encoding
 enc(x) = sum_i x_i q^{i-1} (first coordinate least significant).
 
-Two transform implementations share one entry point: a hand-written naive
-double sum straight from the definition (the test oracle) and a fast
-per-axis path.  They must agree to 1e-9; tests enforce this.
-
-The fast path contracts each axis of the (q,)*d cube with the symmetric
+forward and inverse contract each axis of the (q,)*d cube with the symmetric
 character matrix C[j, k] = chi(-jk) (character_matrix, cached per q), one
 complex matrix product per axis: q^{d+1} multiply-adds per transform,
 against the O(q^d log q) of an FFT, whose prime-length plans lose to BLAS
-at small q.  The inverse uses conj(C).  On a 2-vCPU Intel Xeon host (numpy
-2.4.6, OpenBLAS 0.3.31, two BLAS threads; the range of three interleaved
-medians) a d = 2 forward took 0.22-0.30 ms at q = 101 against 0.38-0.72 ms
-for np.fft.fftn, 1.4-2.0 against 1.8-3.1 ms at q = 211 and 14 against
-11-14 ms at q = 401, but 125-172 against 73-100 ms at q = 1009; at d = 3
-it took 0.45-0.64 against 1.3-2.5 ms at q = 31 and 4.7-6.3 against
-17-29 ms at q = 61.  The slower large planes reach no caller in ffgeom's
-scripts or CLI: inside the package, forward is reached only from
-plancherel_lhs_rhs and from sphere_fourier_grid and sphere_fourier_closed
-at t = 0, library calls that the tests make at q <= 13.
+at small q.  The inverse uses conj(C).  _naive_transform, the double sum
+straight from the definition, is the oracle the tests hold both to.  On a
+2-vCPU Intel Xeon host (numpy 2.4.6, OpenBLAS 0.3.31, two BLAS threads;
+the range of three interleaved medians) a d = 2 forward took 0.22-0.30 ms
+at q = 101 against 0.38-0.72 ms for np.fft.fftn, 1.4-2.0 against
+1.8-3.1 ms at q = 211 and 14 against 11-14 ms at q = 401, but 125-172
+against 73-100 ms at q = 1009; at d = 3 it took 0.45-0.64 against
+1.3-2.5 ms at q = 31 and 4.7-6.3 against 17-29 ms at q = 61.  The slower
+large planes reach no caller in ffgeom's scripts or CLI: inside the
+package, forward is reached only from plancherel_lhs_rhs and from
+sphere_fourier_grid and sphere_fourier_closed at t = 0, library calls that
+the tests make at q <= 13.
 """
 
 from __future__ import annotations
@@ -272,6 +270,7 @@ class SpectralGrid:
 
 
 def _naive_transform(grid: SpectralGrid, sign: int) -> np.ndarray:
+    """sum_x f(x) chi(sign x.m) at every m, unnormalized, one frequency at a time."""
     q, d = grid.q, grid.d
     size = grid.size
     if size * size > NAIVE_CAPACITY:
@@ -303,31 +302,15 @@ def _per_axis(cube: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return (cube.reshape(-1, q) @ matrix).ravel()
 
 
-def forward(grid: SpectralGrid, method: str = "fast") -> SpectralGrid:
-    """fhat(m) = q^{-d} sum_x f(x) chi(-x.m).
-
-    method "fast" contracts each axis with character_matrix (see the
-    module docstring); "naive" evaluates the double sum from the definition
-    and is the oracle the fast path is tested against.
-    """
-    scale = 1.0 / grid.size
-    if method == "fast":
-        raw = _per_axis(grid.cube(), character_matrix(grid.q))
-    elif method == "naive":
-        raw = _naive_transform(grid, sign=-1)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return SpectralGrid(grid.field, grid.d, raw * scale)
+def forward(grid: SpectralGrid) -> SpectralGrid:
+    """fhat(m) = q^{-d} sum_x f(x) chi(-x.m), one character_matrix product per axis."""
+    raw = _per_axis(grid.cube(), character_matrix(grid.q))
+    return SpectralGrid(grid.field, grid.d, raw * (1.0 / grid.size))
 
 
-def inverse(grid: SpectralGrid, method: str = "fast") -> SpectralGrid:
+def inverse(grid: SpectralGrid) -> SpectralGrid:
     """f(x) = sum_m g(m) chi(x.m); no normalization on this side."""
-    if method == "fast":
-        raw = _per_axis(grid.cube(), character_matrix(grid.q).conj())
-    elif method == "naive":
-        raw = _naive_transform(grid, sign=+1)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    raw = _per_axis(grid.cube(), character_matrix(grid.q).conj())
     return SpectralGrid(grid.field, grid.d, raw)
 
 

@@ -144,7 +144,8 @@ def test_gauss_closed_form_and_constant(q):
     F = PrimeField(q)
     G = GaussConstant(F)
     assert G.Q == (1 if q % 4 == 1 else 1j)
-    assert G.Q_squared_sign == F.legendre(q - 1)
+    # Q^2 = eta(-1), which is why the planar closed form is real
+    assert G.Q ** 2 == F.legendre(q - 1)
     for j in range(1, q):
         direct = gauss_sum(F, j)
         closed = gauss_sum_closed(F, j)

@@ -599,16 +599,28 @@ class TestSpectralClasses:
         assert peak < 14e6, peak
 
     def test_class_table_peak_memory_at_q101(self):
-        # the spheres go through _half_spectrum 25 radii per block, 8 arrays per
-        # product, and the build peaks near 9.6 MB; one block of all 100 radii
-        # lifts it to about 25 MB
+        # one closed-form vector of q values per radius, each one product with the
+        # 101 x 101 character matrix: the build peaks near 0.35 MB when that matrix is
+        # built inside the measurement, and no (q - 1) x q^2 array is ever formed
         tracemalloc.start()
         try:
             counting._sphere_class_table.__wrapped__(101)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16e6, peak
+        assert peak < 2e6, peak
+
+    @pytest.mark.parametrize("q", (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 101))
+    def test_class_table_equals_the_sphere_dft(self, q):
+        # the oracle of the closed-form build: numpy's DFT of every sphere indicator,
+        # scaled by q^-2, against its class entry at every half-spectrum frequency
+        table = counting._sphere_class_table(q)
+        classes = counting._half_spectrum_classes(q)
+        x = np.arange(q)
+        norms = (x[:, None] ** 2 + x[None, :] ** 2) % q
+        for b in range(1, q):
+            shat = np.fft.fft2(norms == b)[:, : q // 2 + 1] / q**2
+            assert np.abs(shat - table[b - 1, classes]).max() <= 1e-12, b
 
     @pytest.mark.parametrize("q", (3, 5, 7, 13))
     def test_class_table(self, q):
@@ -620,6 +632,17 @@ class TestSpectralClasses:
         sizes = sphere_size_table(PrimeField(q), 2)[1:]
         assert np.allclose(table[:, q], sizes / q**2, rtol=0, atol=1e-15)
         assert (q % 4 == 1) == bool(np.any(table[:, 0]))
+
+    @pytest.mark.parametrize("q", (5, 7))
+    @pytest.mark.parametrize("spoil", (lambda row: row * 1j, lambda row: -row),
+                             ids=("imaginary", "negated"))
+    def test_build_rejects_a_spoiled_closed_form(self, q, spoil, monkeypatch):
+        # a closed form off the real axis, or one whose value at the origin misses
+        # |S_b| / q^2, as a wrong Q^2 would give
+        closed = counting._closed_form_by_norm
+        monkeypatch.setattr(counting, "_closed_form_by_norm", lambda *args: spoil(closed(*args)))
+        with pytest.raises(AssertionError, match="closed-form sphere transform"):
+            counting._sphere_class_table.__wrapped__(q)
 
     @pytest.mark.parametrize("q", (5, 13))
     def test_merging_the_origin_into_class_0_is_caught(self, q, monkeypatch):
@@ -633,8 +656,8 @@ class TestSpectralClasses:
 
         with monkeypatch.context() as patch:
             patch.setattr(counting, "_half_spectrum_classes", merged_classes)
-            with pytest.raises(AssertionError, match="not constant on norm classes"):
-                counting._sphere_class_table.__wrapped__(q)
+            with pytest.raises(AssertionError):
+                check_against_full_spectrum(HingeSweep(random_set(q, 2, Fraction(1, 2), seed=0)))
         merged_table = counting._sphere_class_table(q).copy()
         merged_table[:, 0] = merged_table[:, q]
         monkeypatch.setattr(counting, "_sphere_class_table", lambda q: merged_table)
