@@ -13,24 +13,24 @@ square, zero, or a non-residue; this holds on the w_1 = 0 branch as well
 because there the quadratic's discriminant is D divided by the square (2w_2)^2.
 
 intersect_circles solves one system with scalar arithmetic and is the
-readable reference.  radius_counts is the one batched solver: for a radius
-a it solves the systems of every witness w on S_a, every b and every c at
-once with numpy, along the w_1 != 0 elimination branch (for w_1 = 0 the
-witness's coordinates are swapped, an isometry fixing 0), with square roots
-from a per-q table, and applies both checks (solution count against the
-class of D, every point against both circle equations) to every (w, b, c).
-It works through blocks of witnesses of about counting._BLOCK_VALUES values
-each and stores nothing per witness: the checks pass only if every row
-(w, b) equals eta(D) + 1, the same for every witness, so a solved radius
-keeps one read-only q x q int8 table of eta(D) + 1, which radius_counts
-returns, and a tuple of the nonzero c of each b.  It keeps the radius it
-solved last in a one-entry cache, so callers that walk radius by radius
-build each radius once.  Its arithmetic is int32, exact because every
-intermediate lies in (-4q^2, 4q^2) and 4q^2 < 2^31 is checked first; the
-(q + 1) q^2 systems of a radius, a work limit, are held to GRID_CAPACITY
-(q <= 211).  representable_c_values returns the tuple of one b as a fresh
-list, without a numpy call.  The tests hold the batched path equal to the
-scalar one.
+readable reference.  radius_counts counts instead: for a witness w on S_a
+every grid point y solves exactly one system, (b, c) = (|y|, |y - w|), so
+one bincount of the codes b q + c over the q^2 points gives the witness's
+whole q x q table of solution counts.  |y - w| is read from a q x q window
+of the norms of the differences d in (-q, q)^2, built from d^2 mod q as in
+the midpoint scan, so no point is reduced mod q.  Each witness's table is
+checked against eta(D) + 1; the check counts every solution of every
+system, and a point is binned by its own two norms, so none can be missed
+or lie off its circles.  The scan takes blocks of witnesses of about
+counting._BLOCK_VALUES values and stores nothing per witness: every
+witness's table equals eta(D) + 1, so a radius keeps that read-only q x q
+int8 table, which radius_counts returns, and a tuple of the nonzero c of
+each b.  The last radius is cached, so callers that walk radius by radius
+build each radius once, and so are the tables every radius of the last q
+reads.  The (q + 1) q^2 systems of a radius, a work limit, are held to
+GRID_CAPACITY (q <= 211).  representable_c_values returns the tuple of one
+b as a fresh list, without a numpy call.  The tests hold the tables equal
+to the scalar solver and to eta(D) + 1 in Python ints.
 
 The midpoint-avoiding set is a union of circles with radii in A, the positive
 multiples of 8 up to q/32.  For x, y in it whose difference norm lies outside
@@ -64,7 +64,7 @@ from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 import numpy as np
 
 from . import counting
-from .charsums import inverse_table, legendre_table, sqrt_table
+from .charsums import legendre_table
 from .counting import PointSet
 from .field import FieldElement, PrimeField
 from .fourier import GRID_CAPACITY, CapacityError, PointD, _check_grid_size
@@ -161,74 +161,68 @@ def radius_counts(field: PrimeField, a: Scalar) -> np.ndarray:
     """count[b, c], the number of points y with |y| = b and |y - w| = c for
     every witness w on S_a, a != 0, as a read-only q x q int8 table.
 
-    Every system (w, b, c) is solved and checked, its count against the
-    square class of 4ab - (a + b - c)^2 and its points against both circles;
-    a failed check raises AssertionError naming q, a, b, w and the failing
-    c.  So the table is eta(4ab - (a + b - c)^2) + 1, cached for the last
-    radius.  Raises CapacityError for (q + 1) q^2 > GRID_CAPACITY, a work
-    limit, or 4q^2 >= 2^31 (the int32 bound), before any array exists.
+    Every witness's table is counted over the whole grid and checked
+    against the square class of 4ab - (a + b - c)^2; a failed check raises
+    AssertionError naming q, a, b, w and the failing c.  So the table is
+    eta(4ab - (a + b - c)^2) + 1, cached for the last radius.  Raises
+    CapacityError for (q + 1) q^2 > GRID_CAPACITY, a work limit, before any
+    array exists.
     """
     return _radius(field, field.residue(a)).table
 
 
 class _Radius(NamedTuple):
-    """One solved radius: radius_counts' table and rows[b], the nonzero c of b."""
+    """One counted radius: radius_counts' table and rows[b], the nonzero c of b."""
 
     table: np.ndarray
     rows: Tuple[Tuple[int, ...], ...]
 
 
+def _difference_norms(q: int) -> np.ndarray:
+    """|d| = d_1^2 + d_2^2 mod q at [d_1 + q - 1, d_2 + q - 1], d in (-q, q)^2."""
+    d = np.arange(1 - q, q)
+    squares = d * d % q
+    return ((squares[:, None] + squares) % q).astype(np.min_scalar_type(q - 1))
+
+
+@lru_cache(maxsize=1)
+def _scan_tables(q: int, step: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only tables shared by every radius at q, for blocks of up to
+    step witnesses: windows[(q - 1) - w] is the q x q table of |y - w| over
+    y, norm that of |y|, and base[i] + |y - w| < step q^2 the code of the
+    point y of a block's i-th witness w.  Cached for the last (q, step)."""
+    windows = np.lib.stride_tricks.sliding_window_view(_difference_norms(q), (q, q))
+    norm = windows[q - 1, q - 1]
+    base = q * (q * np.arange(step)[:, None, None] + norm)
+    base.setflags(write=False)
+    return windows, norm, base
+
+
 @lru_cache(maxsize=1)
 def _radius(field: PrimeField, a: int) -> _Radius:
-    """Solve and check every circle system of radius a; see radius_counts."""
+    """Count and check the circle systems of every witness on S_a; see radius_counts."""
     q = field.q
     if (q + 1) * q * q > GRID_CAPACITY:
         raise CapacityError(f"circle systems of one radius at q={q} need (q + 1) q^2 = "
                             f"{(q + 1) * q * q} values, over capacity {GRID_CAPACITY}")
-    # the arithmetic below is int32; every intermediate lies in (-4q^2, 4q^2)
-    if 4 * q * q >= 2**31:
-        raise CapacityError(f"circle systems at q={q} need 4q^2 = {4 * q * q} < 2^31 "
-                            f"for int32 arithmetic")
     if a == 0:
         raise ValueError("radius must be nonzero")
-    squares = np.arange(q, dtype=np.int32) ** 2 % q
-    witnesses = np.argwhere((squares[:, None] + squares) % q == a).astype(np.int32)
-    # the w_1 = 0 witnesses are solved with their coordinates swapped
-    swap = witnesses[:, 0] == 0
-    w1 = np.where(swap, witnesses[:, 1], witnesses[:, 0])
-    w2 = np.where(swap, 0, witnesses[:, 1])
-    inv_a = field.inv(a)
-    # t = (k w_2 + w_1 r) / a and s = k / w_1 - t (w_2 / w_1), with the
-    # per-witness ratios reduced first so that each coordinate needs one % q
-    w1_a, w2_a = w1 * inv_a % q, w2 * inv_a % q
-    inv_w1 = inverse_table(field)[w1].astype(np.int32)
-    w2_w1 = w2 * inv_w1 % q
-    # shared by every witness: axis -2 is b, axis -1 is c
-    b = np.arange(q, dtype=np.int32)[:, None]
-    c = np.arange(q, dtype=np.int32)
-    k = (a + b - c) * field.inv(2) % q
-    r = sqrt_table(field)[(a * b - k * k) % q].astype(np.int32)
-    has_root = r >= 0
-    # axis 1 of S, T picks the root the point is built from
-    R = np.stack((r, (q - r) % q))
-    # eta(D) + 1 maps non-residue, zero, square to 0, 1, 2 points
+    # a block never holds more than the |S_a| <= q + 1 witnesses
+    step = min(q + 1, max(1, counting._BLOCK_VALUES // (q * q)))
+    windows, norm, base = _scan_tables(q, step)
+    witnesses = np.argwhere(norm == a)
+    # axis -2 is b, axis -1 is c; eta(D) + 1 maps non-residue, zero, square
+    # to 0, 1, 2 points
+    b = np.arange(q)[:, None]
+    c = np.arange(q)
     expected = legendre_table(field)[(4 * a * b - (a + b - c) ** 2) % q] + 1
     expected.setflags(write=False)
-    step = max(1, counting._BLOCK_VALUES // (q * q))
     for lo in range(0, len(witnesses), step):
-        block = slice(lo, lo + step)
-        W1, W2, W1_A, W2_A, I1, W2_W1 = (v[block, None, None, None]
-                                         for v in (w1, w2, w1_a, w2_a, inv_w1, w2_w1))
-        T = (k * W2_A + W1_A * R) % q
-        S = (k * I1 - T * W2_W1) % q
-        # a double root yields one point, so count distinct points, not roots
-        distinct = (S[:, 0] != S[:, 1]) | (T[:, 0] != T[:, 1])
-        count = np.add(has_root, has_root & distinct, dtype=np.int8)
-        _raise_first(count != expected, "solution count off the class of D",
-                     q, a, witnesses[block])
-        on_both = ((S * S + T * T) % q == b) & (((S - W1) ** 2 + (T - W2) ** 2) % q == c)
-        _raise_first(has_root & ~on_both.all(axis=1), "point off a circle",
-                     q, a, witnesses[block])
+        block = witnesses[lo:lo + step]
+        start = (q - 1) - block
+        codes = base[:len(block)] + windows[start[:, 0], start[:, 1]]
+        count = np.bincount(codes.ravel(), minlength=codes.size).reshape(codes.shape)
+        _raise_first(count != expected, "solution count off the class of D", q, a, block)
     # every row (w, b) was checked equal to expected[b], so one table serves
     # every witness, and one tuple of the nonzero c of each b every read
     nonzero = np.flatnonzero(expected)
@@ -255,8 +249,9 @@ def representable_c_values(
     The subset with c != 0 has at least (q - 3) / 2 members for b != 0.
 
     The values are the nonzero entries of row b of radius_counts(field, a),
-    which solves and checks the systems of every witness on S_a at once and
-    keeps the last radius cached; a run of calls with one a builds it once.
+    which counts every witness on S_a over the whole grid, checks each
+    count against eta(D) + 1, and keeps the last radius cached; a run of
+    calls with one a builds it once.
     The radius keeps the nonzero c of each b as a tuple of ints, and the
     call returns a fresh list of it without a numpy call.  |w| = a is
     checked from w's coordinates in ints.  Raises CapacityError for

@@ -42,10 +42,10 @@ def pytest_terminal_summary(terminalreporter):
 
 
 class RadiusChecks:
-    """The witnesses each check of circles._radius ran over, by (q, a).
+    """The witnesses the count check of circles._radius ran over, by (q, a).
 
     radius_counts keeps one q x q table for every witness on S_a, so its
-    result cannot show which witnesses were solved; this log can.
+    result cannot show which witnesses were counted; this log can.
     """
 
     def __init__(self, check):
@@ -53,18 +53,19 @@ class RadiusChecks:
         self._seen: Dict[Tuple[int, int], Dict[str, List[Tuple[int, ...]]]] = {}
 
     def __call__(self, bad, what, q, a, witnesses):
-        # each check covers every (b, c) of the witnesses it is handed
+        # the check covers every (b, c) of the witnesses it is handed
         assert bad.shape == (len(witnesses), q, q), (what, q, a, bad.shape)
         checks = self._seen.setdefault((q, a), {})
         checks.setdefault(what, []).extend(map(tuple, witnesses.tolist()))
         self._check(bad, what, q, a, witnesses)
 
     def witnesses_checked(self, field, a) -> int:
-        """|S_a|, once both checks are seen to have run over every witness on
-        S_a exactly once in the solves of radius a since the last call."""
+        """|S_a|, once exactly one check is seen to have run over every
+        witness on S_a exactly once in the builds of radius a since the
+        last call."""
         sphere = sorted(w.as_ints() for w in Sphere(field, a, 2).points)
         checks = self._seen.pop((field.q, a), {})
-        assert len(checks) == 2, (field.q, a, sorted(checks))
+        assert len(checks) == 1, (field.q, a, sorted(checks))
         for what, seen in checks.items():
             assert sorted(seen) == sphere, (what, field.q, a, len(seen), len(sphere))
         return len(sphere)
@@ -72,8 +73,8 @@ class RadiusChecks:
 
 @pytest.fixture
 def radius_checks(monkeypatch):
-    """Log the witnesses of every radius solved from here on; the cache is
-    cleared so that the first radius read is solved, not read back."""
+    """Log the witnesses of every radius built from here on; the cache is
+    cleared so that the first radius read is built, not read back."""
     log = RadiusChecks(circles._raise_first)
     circles._radius.cache_clear()
     monkeypatch.setattr(circles, "_raise_first", log)

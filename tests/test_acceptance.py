@@ -285,7 +285,7 @@ def test_criterion_10_representable_radii(record_property, radius_checks):
     """At least (q-3)/2 nonzero c yield a nonempty circle intersection.
 
     All q <= 31, all a, b != 0, every witness w on S_a: radius_counts
-    solves and checks every (w, b, c), which radius_checks sees witness by
+    counts and checks every (w, b, c), which radius_checks sees witness by
     witness, and returns the one table count[b, c] that every witness's
     systems equal; the table and the scalar solver both equal an independent
     grid scan for every witness at q <= 13.  Exact.
@@ -296,7 +296,7 @@ def test_criterion_10_representable_radii(record_property, radius_checks):
         floor = (q - 3) // 2
         for a in range(1, q):
             counts = radius_counts(F, a)[1:]  # b != 0
-            # one system per (w, b, c), every w on S_a seen by both checks
+            # one system per (w, b, c), every w on S_a seen by the count check
             systems_solved += radius_checks.witnesses_checked(F, a) * counts.size
             nonzero = np.count_nonzero(counts[:, 1:], axis=1)
             if nonzero.min() < floor:

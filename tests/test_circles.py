@@ -29,7 +29,7 @@ from ffgeom.circles import (
     sum_two_squares_count,
 )
 from ffgeom.experiments import random_set
-from ffgeom.field import PrimeField
+from ffgeom.field import PrimeField, is_prime
 from ffgeom.fourier import CapacityError, PointD
 
 
@@ -192,42 +192,61 @@ def test_representable_values_capacity_guard():
         representable_c_values(F, 1, 1, PointD(F, (1, 0)))
 
 
-@pytest.mark.parametrize("w", [(1, 2), (0, 3)])  # both elimination branches
+@pytest.mark.parametrize("w", [(1, 2), (0, 3)])  # two radii, 5 and 9
 def test_representable_values_checks_are_live(monkeypatch, w):
+    """A spoiled square class of one residue moves the expected table off
+    the counted one, and the count check says so."""
     F = PrimeField(13)
     witness = PointD(F, w)
     a = witness.norm().value
-    roots = circles.sqrt_table(F)
+    spoiled = circles.legendre_table(F).copy()
+    spoiled[1] = -1  # 1 is a square
     # a radius cached by an earlier call would be read without the patched table
     circles._radius.cache_clear()
-    monkeypatch.setattr(circles, "sqrt_table", lambda field: np.full(field.q, -1))
-    with pytest.raises(AssertionError, match="solution count"):
-        representable_c_values(F, a, 1, witness)
-    # 2r is a root of 4 r^2, not of r^2, and keeps the count of distinct roots
-    circles._radius.cache_clear()
-    monkeypatch.setattr(circles, "sqrt_table",
-                        lambda field: np.where(roots >= 0, 2 * roots % field.q, -1))
-    with pytest.raises(AssertionError, match="off a circle"):
+    monkeypatch.setattr(circles, "legendre_table", lambda field: spoiled)
+    with pytest.raises(AssertionError, match=f"solution count off the class of D at q=13, a={a}"):
         representable_c_values(F, a, 1, witness)
 
 
 def test_radius_checks_reach_later_blocks(monkeypatch):
     """A fault in one late witness is caught in its own block and names it.
 
-    The roots of the quadratic depend on (b, c) only, so a corrupted root
-    shows in every block; the inverse of w_1 is the per-witness input, and
-    corrupting it at 12 moves only the points of (12, 2) and (12, 11), the
-    last two witnesses of S_5 at q = 13, blocks of one witness each.
+    |y - w| is read at row y_1 - w_1 + q - 1 of the difference norms, so the
+    row of d_1 = -12 is read only by the points y = (0, y_2) of the witnesses
+    with w_1 = 12: (12, 2) and (12, 11), the last two of the 12 witnesses of
+    S_5 at q = 13.  Spoiling that row moves their points to other c.  In
+    blocks of one witness (12, 2) has a block of its own; in blocks of four
+    it is the third of the last block, so it is caught only if every
+    witness of a block reads its own window.
     """
     F = PrimeField(13)
     assert [w.as_ints() for w in Sphere(F, 5, 2).points][-2:] == [(12, 2), (12, 11)]
-    inverses = circles.inverse_table(F).copy()
-    inverses[12] = 1
-    circles._radius.cache_clear()
-    monkeypatch.setattr(counting, "_BLOCK_VALUES", 13 * 13)
-    monkeypatch.setattr(circles, "inverse_table", lambda field: inverses)
-    with pytest.raises(AssertionError, match=r"off a circle at q=13, a=5, b=\d+, w=\(12, 2\)"):
-        radius_counts(F, 5)
+    norms = circles._difference_norms(13)
+    row = -12 + (13 - 1)
+    norms[row] = (norms[row] + 1) % 13
+    monkeypatch.setattr(circles, "_difference_norms", lambda q: norms)
+    # a cache of its own, so the spoiled tables are built here and do not outlive the test
+    monkeypatch.setattr(circles, "_scan_tables",
+                        lru_cache(maxsize=1)(circles._scan_tables.__wrapped__))
+    for witnesses_per_block in (1, 4):
+        circles._radius.cache_clear()
+        monkeypatch.setattr(counting, "_BLOCK_VALUES", witnesses_per_block * 13 * 13)
+        with pytest.raises(AssertionError, match=r"solution count off the class of D "
+                                                 r"at q=13, a=5, b=\d+, w=\(12, 2\)"):
+            radius_counts(F, 5)
+
+
+@pytest.mark.parametrize("q", [q for q in range(3, 32) if is_prime(q)])
+def test_radius_tables_equal_the_square_class_of_d(q, radius_checks):
+    """Every odd prime q <= 31 and every a: the table is
+    eta(4ab - (a + b - c)^2) + 1 computed in Python ints, and every witness
+    on S_a was counted and checked once."""
+    F = PrimeField(q)
+    for a in range(1, q):
+        expected = [[F.legendre(4 * a * b - (a + b - c) ** 2) + 1 for c in range(q)]
+                    for b in range(q)]
+        assert radius_counts(F, a).tolist() == expected, a
+        radius_checks.witnesses_checked(F, a)
 
 
 @pytest.mark.parametrize("q", (13, 31))
@@ -284,26 +303,25 @@ def test_radius_capacity_guard_before_any_array():
     assert peak < 2**16, peak  # each q x q int32 intermediate alone is 199 KB
 
 
-def test_radius_int32_guard_before_any_array(monkeypatch):
-    # 23173 is the first prime with 4q^2 >= 2^31, the bound of the int32 solver
-    assert 4 * 23173**2 >= 2**31 > 4 * 23167**2
-    monkeypatch.setattr(circles, "GRID_CAPACITY", 10**15)
-    F = PrimeField(23173)
+def test_radius_peak_memory_at_q211():
+    # one build at the top of the domain peaks at 7.65 MB; the bound fails
+    # the 9.72 MB of the batched elimination solver the scan replaced
+    F = PrimeField(211)
+    circles._radius.cache_clear()
     tracemalloc.start()
     try:
-        with pytest.raises(CapacityError, match="q=23173 need 4q\\^2"):
-            radius_counts(F, 1)
+        radius_counts(F, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2**16, peak
+    assert peak < 9e6, peak
 
 
 def test_radius_oracle_at_q211(radius_checks):
-    """At the top of the domain, where the int32 intermediates are largest:
-    the table against eta(4ab - (a + b - c)^2) + 1 in Python ints, every
-    witness seen by both checks across 43 blocks, and 50 seeded (w, b)
-    reads against the scalar solver."""
+    """At the top of the domain, where the codes are largest: the table
+    against eta(4ab - (a + b - c)^2) + 1 in Python ints, every witness seen
+    by the count check across 43 blocks, and 50 seeded (w, b) reads against
+    the scalar solver."""
     q = 211
     F = PrimeField(q)
     origin = PointD(F, (0, 0))
