@@ -33,14 +33,17 @@ b as a fresh list, without a numpy call.  The tests hold the tables equal
 to the scalar solver and to eta(D) + 1 in Python ints.
 
 The midpoint-avoiding set is a union of circles with radii in A, the positive
-multiples of 8 up to q/32.  For x, y in it whose difference norm lies outside
-the sumset 2A + 2A - 4A, the midpoint (x+y)/2 cannot land back in the set:
-the parallelogram identity forces |x - y| = 2|x| + 2|y| - 4|(x+y)/2| into the
-sumset otherwise.  midpoint_exclusion_check tests this on pairs of points by
-gathers from tables of length 2q - 1, indexed by coordinate differences and
-sums (squares d^2 mod q, halves s/2 mod q), so no pair is reduced mod q.
-Every g in O_2(F_q) is linear and keeps the norm, so each one that maps E
-onto itself gives every pair the same answers as its image pair.  The
+multiples of 8 up to q/32, built from its circles: each circle's points are
+read off the square-root table, O(q) per circle, rather than found by a scan
+of the q^2 grid, and their number is checked against |A| (q - eta(-1)).
+For x, y in it whose difference norm lies outside the sumset 2A + 2A - 4A,
+the midpoint (x+y)/2 cannot land back in the set: the parallelogram identity
+forces |x - y| = 2|x| + 2|y| - 4|(x+y)/2| into the sumset otherwise.
+midpoint_exclusion_check tests this on pairs of points by gathers from
+tables of length 2q - 1, indexed by coordinate differences and sums
+(squares d^2 mod q, halves s/2 mod q), so no pair is reduced mod q.  Every
+g in O_2(F_q) is linear and keeps the norm, so each one that maps E onto
+itself gives every pair the same answers as its image pair.  The
 exhaustive check finds E's full stabilizer G in O_2: the rotations of G
 are the powers of r^d, r a generator of the cyclic group SO_2 and d the
 least divisor of its order with r^d(E) = E, and G holds at most one coset
@@ -64,7 +67,7 @@ from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 import numpy as np
 
 from . import counting
-from .charsums import legendre_table
+from .charsums import legendre_table, sqrt_table
 from .counting import PointSet
 from .field import FieldElement, PrimeField
 from .fourier import GRID_CAPACITY, CapacityError, PointD, _check_grid_size
@@ -328,20 +331,33 @@ def build_counterexample(field: PrimeField) -> CounterexampleSet:
     Needs q >= 257 so the radius set is nonempty.  The sumset 2A + 2A - 4A is
     computed by direct enumeration; all its members are multiples of 8 even
     as signed representatives (|2a1 + 2a2 - 4a3| <= q/8 precludes wraparound),
-    so it can never cover F_q.  The indicator is a uint8 0/1 mask of A
-    gathered by x^2 + y^2 off a table of length 2q - 1, as in the midpoint
-    scan, through a uint16 q x q index table.
+    so it can never cover F_q.  E is built from its circles: for each radius a
+    and every x_0, the points (x_0, +-sqrt(a - x_0^2)) read off sqrt_table,
+    O(q) per circle, are set in a zeroed uint8 indicator of the q^2 grid.
+    Every point must lie on its circle, and |E| must equal |A| (q - eta(-1)),
+    the size of |A| disjoint circles of nonzero radius; so E is exactly their
+    union, and a root table that is wrong anywhere the build reads it raises
+    AssertionError.
     """
     q = field.q
     if q < 257:
         raise ValueError(f"counterexample construction needs q >= 257, got {q}")
     _check_grid_size(q, 2)
     A = tuple(range(8, q // 32 + 1, 8))
-    in_A = np.zeros(2 * q - 1, dtype=np.uint8)
-    in_A[list(A)] = 1
-    in_A[q:] = in_A[:q - 1]  # x^2 + y^2 lies in [0, 2q - 2]
-    squares = (np.arange(q) ** 2 % q).astype(np.uint16)  # 2q - 2 < 2^16 under GRID_CAPACITY
-    E = PointSet(field, 2, in_A[np.add.outer(squares, squares)])
+    x0 = np.arange(q, dtype=np.int64)
+    radii = np.array(A, dtype=np.int64)[:, None]
+    roots = sqrt_table(field)[(radii - x0 * x0) % q]  # -1 where a - x_0^2 is no square
+    circle, x = np.nonzero(roots >= 0)
+    y = roots[circle, x]
+    off = np.count_nonzero((x * x + y * y) % q != radii[circle, 0])
+    indicator = np.zeros(q * q, dtype=np.uint8)
+    indicator[y * q + x] = 1
+    indicator[(q - y) % q * q + x] = 1
+    E = PointSet(field, 2, indicator)
+    expected = len(A) * (q - field.legendre(q - 1))
+    if off or E.cardinality != expected:
+        raise AssertionError(f"circles of radii {A} at q={q}: {E.cardinality} points "
+                             f"(expected {expected}), {off} root(s) off their circle")
     sumset = np.zeros(q, dtype=bool)
     for a1 in A:
         for a2 in A:

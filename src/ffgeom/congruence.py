@@ -257,7 +257,7 @@ def _realized_slabs(q: int, indicator: bytes) -> Iterator[Tuple[np.ndarray, np.n
     """
     n = q * q
     cube = np.frombuffer(indicator, dtype=np.uint8).reshape(q, q)  # cube[x_2, x_1]
-    x2, x1 = np.nonzero(cube)
+    x2, x1 = np.nonzero(cube.view(bool))  # PointSet's entries are 0 or 1
     # row x of A is the q x q window of the doubly tiled cube at offset x
     windows = sliding_window_view(np.tile(cube.astype(np.float32), (2, 2)), (q, q))
     A = windows[x2, x1].reshape(x1.size, n)

@@ -128,8 +128,10 @@ class PointSet:
             raise ValueError("indicator entries must be 0 or 1")
         self.field = field
         self.d = d
+        # the one copy kept; its entries are 0 or 1, so its bool view holds the
+        # same set, which indices() reads, and its nonzero count is |E|
         self.indicator = arr.astype(np.uint8)
-        self.cardinality = int(self.indicator.sum())
+        self.cardinality = int(np.count_nonzero(self.indicator))
         if self.cardinality == 0:
             raise ValueError("point set must be nonempty")
 
@@ -155,7 +157,7 @@ class PointSet:
         return Fraction(self.cardinality, self.q**self.d)
 
     def indices(self) -> np.ndarray:
-        return np.nonzero(self.indicator)[0]
+        return np.flatnonzero(self.indicator.view(bool))
 
     def points(self) -> List[PointD]:
         return [PointD.from_index(self.field, int(i), self.d) for i in self.indices()]

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from ffgeom import circles, counting
 from ffgeom.bounds import sphere_size
-from ffgeom.charsums import Sphere, norm_values
+from ffgeom.charsums import Sphere, norm_values, sqrt_table
 from ffgeom.counting import PointSet
 from ffgeom.circles import (
     CircleSystem,
@@ -434,11 +434,27 @@ class TestCounterexample:
         build_counterexample(PrimeField(1009))
         assert norm_values.cache_info().currsize == 0
 
-    def test_indicator_is_the_norm_mask(self):
-        q = 521
+    @pytest.mark.parametrize("q", [257, 263, 521, 523, 1009, 1019])
+    def test_indicator_is_the_norm_mask(self, q):
         cs = build_counterexample(PrimeField(q))
         r = np.arange(q)
         assert np.array_equal(cs.E.cube(), np.isin((r[:, None] ** 2 + r ** 2) % q, cs.A))
+        # |A| disjoint circles of nonzero radius, q - eta(-1) points each
+        assert cs.E.cardinality == len(cs.A) * (q - 1 if q % 4 == 1 else q + 1)
+
+    @pytest.mark.parametrize("q", [257, 263])
+    @pytest.mark.parametrize("spoil", ["wrong", "lost"])
+    def test_build_rejects_a_spoiled_root(self, monkeypatch, q, spoil):
+        F = PrimeField(q)
+        table = sqrt_table(F).copy()
+        # the first residue 8 - x_0^2 the build reads that has a nonzero root
+        r = next(r for r in ((8 - x * x) % q for x in range(q)) if table[r] > 0)
+        # a wrong root puts two points off the circle and keeps |E| here, a
+        # lost one drops two points of it
+        table[r] = table[r] + 1 if spoil == "wrong" else -1
+        monkeypatch.setattr(circles, "sqrt_table", lambda field: table)
+        with pytest.raises(AssertionError, match=f"circles of radii \\(8,\\) at q={q}"):
+            build_counterexample(F)
 
     def test_build_peak_memory_at_q2053(self):
         tracemalloc.start()
@@ -447,9 +463,10 @@ class TestCounterexample:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the q x q uint16 index table and uint8 indicator, then PointSet's
-        # checks; gathering through a q x q int32 index table peaked at 20.18 MiB
-        assert peak < 14 * 2**20, peak
+        # the zeroed uint8 indicator and PointSet's uint8 copy, 4.02 MiB each,
+        # next to O(q |A|) points; gathering the indicator through a q x q
+        # uint16 index table peaked at 12.13 MiB
+        assert peak < 9 * 2**20, peak
 
     def test_sumset_members_stay_small_multiples_of_eight(self):
         cs = build_counterexample(PrimeField(1009))

@@ -568,6 +568,15 @@ def test_determinism(tmp_path):
      "eb84a5e2f7ebc1b024e142e702117eb5c3b772082bcbb0f38982b9120776d746"),
     ("triangles --q 7 --density 0.5 --seed 0",
      "d12dba0e170b8d34a73ca21f9753aafdedd307a8376062d4d0087a848985f3cf"),
+    # recorded while the counterexample was still gathered off a norm table
+    ("counterexample --q 257 --seed 3 --samples 500",
+     "b9006e70ed436df9d7e7fbda688d52a73b6ce09671e013e82d6aadc04e8529b7"),
+    ("counterexample --q 263 --exhaustive",
+     "348bb303ed1a83bdfcd178424ac8a9323f7baf8fd6e29c25a3bdc2c4c929523a"),
+    ("counterexample --q 1009 --exhaustive",
+     "0a46c0d0c560762214cdea059762cff305c83f2a64885d190ebee6df053288dc"),
+    ("counterexample --q 2053,3001 --seed 7 --samples 2000",
+     "fc7e9e92ec0930f6dd7e69e820e0a9c527f753a71116233c4b7960f0630610ea"),
 ])
 def test_stdout_bytes_pinned(capsys, argv, digest):
     assert main(argv.split()) == 0

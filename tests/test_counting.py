@@ -209,6 +209,36 @@ class TestPointSet:
         E = PointSet(PrimeField(5), 2, np.arange(25) % 2 == 1)
         assert E.cardinality == 12 and E.indicator.dtype == np.uint8
 
+    @staticmethod
+    def check_indices(E: PointSet, indicator: np.ndarray) -> None:
+        """indices() and cardinality against np.nonzero and sum of the input."""
+        want = np.nonzero(np.ravel(indicator))[0]
+        got = E.indices()
+        assert got.dtype == want.dtype == np.intp
+        assert np.array_equal(got, want)
+        assert E.cardinality == int(np.sum(indicator))
+
+    def test_indices_on_every_nonempty_subset_of_the_q3_plane(self):
+        F = PrimeField(3)
+        bits = (np.arange(1, 2**9)[:, None] >> np.arange(9)) & 1
+        for indicator in bits.astype(np.uint8):
+            self.check_indices(PointSet(F, 2, indicator), indicator)
+
+    @pytest.mark.parametrize("q", [5, 13, 101])
+    @pytest.mark.parametrize("rho", [Fraction(1, 10), Fraction(1, 2), Fraction(1)])
+    def test_indices_on_random_sets(self, q, rho):
+        E = random_set(q, 2, rho, seed=q)
+        self.check_indices(E, E.indicator)
+
+    def test_indices_on_the_full_grid(self):
+        E = PointSet.full_grid(PrimeField(13), 2)
+        self.check_indices(E, np.ones(13 * 13, dtype=np.uint8))
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint16, np.int64])
+    def test_indices_of_other_input_dtypes(self, dtype):
+        indicator = (np.random.default_rng(5).random(101 * 101) < 0.3).astype(dtype)
+        self.check_indices(PointSet(PrimeField(101), 2, indicator), indicator)
+
     def test_peak_memory_is_one_copy_at_q2053(self):
         q = 2053
         indicator = np.zeros(q * q, dtype=np.uint8)
