@@ -160,12 +160,14 @@ def _run_hinges(config: ExperimentConfig, stream: TextIO) -> List[List[str]]:
         violated &= bounds.density_in_hinge_regime(q, rho)
         # int64 values below 2^53 divided in float64: correctly rounded, so each
         # equals float(Fraction(...)) and prints as _fmt would print it
-        a, b = np.indices(numer.shape) + 1
-        columns = (a, b, hs.exact, main / q**2, numer / q**2,
+        columns = (hs.exact, main / q**2, numer / q**2,
                    np.abs(numer) / bounds.HINGE_REMAINDER.unit(q, card))
-        fmt = f"{q},{card},%d,%d,%d,%.12g,%.12g,%.12g"
-        out.lines([fmt % row for row in zip(*(c.ravel().tolist() for c in columns))],
-                  violated.ravel())
+        # the q - 1 rows of one radius a at a time, so that only one radius's
+        # formatted lines exist before the sink writes them
+        for a in range(1, q):
+            fmt = f"{q},{card},{a},%d,%d,%.12g,%.12g,%.12g"
+            rows = zip(range(1, q), *(c[a - 1].tolist() for c in columns))
+            out.lines([fmt % row for row in rows], violated[a - 1])
     return out.violations
 
 

@@ -46,19 +46,25 @@ product instead of a sum over all q^2 frequencies.  T depends only on q.
 _sphere_class_table builds it once per q from the Gauss-sum closed form of
 ffgeom.charsums, one per-norm vector per radius, with |S_b| / q^2 at the
 origin; the tests check it against the direct DFT of every sphere
-indicator.  G is built one block of radii at a time, about _BLOCK_VALUES
-grid values per block: f and its transform exist only for the radii of one
-block, and each row of G is one bincount over the q x (q // 2 + 1) class
-array.
+indicator.  G is built one block of radii at a time, and each block is one
+product block of _half_spectrum: _TRANSFORM_ARRAYS radii, or fewer where
+that many would hold more than _BLOCK_VALUES grid values (5 at q = 211).
+f and its transform exist only for the radii of one block, and each row of
+G is one bincount over the q x (q // 2 + 1) class array.
 
 Every half-spectrum transform here is a direct DFT written as two real
 matrix products per q x q array (_half_spectrum): the array times the
 cos/sin columns of chi(-m_0 x_0) for m_0 <= q // 2, then the real and
-imaginary rows of chi(-m_1 x_1) times that, both taken from
-ffgeom.fourier.character_matrix.  At the prime lengths q <= 211
-that HingeSweep allows, these character-matrix products run faster than an
-FFT, and since each array goes through products of one fixed shape, its
-transform does not depend on how many arrays share a block.  The tests
+imaginary rows of chi(-m_1 x_1) for m_1 <= q // 2 times that, both taken
+from ffgeom.fourier.character_matrix.  The rows m_1 > q // 2 take no
+product of their own: chi(-(q - m_1) x_1) is the conjugate of
+chi(-m_1 x_1), so with Re_1 + i Im_1 that character and C + i S the sums
+over x_0, row m_1 is (Re_1 C - Im_1 S) + i (Re_1 S + Im_1 C) and row q - m_1
+is (Re_1 C + Im_1 S) + i (Re_1 S - Im_1 C), from the same four real blocks.
+At the prime lengths q <= 211 that HingeSweep allows, these
+character-matrix products run faster than an FFT, and since each array goes
+through products of one fixed shape, its transform does not depend on how
+many arrays share a block.  The tests
 compare the result with the full-spectrum complex sum over every nonempty
 subset of F_3^2 and random sets up to q = 101, and with the brute-force
 hinge count; those tests are the permanent pin of the conjugate placement.
@@ -66,7 +72,7 @@ hinge count; those tests are the permanent pin of the conjugate placement.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple, Union
 
@@ -80,17 +86,22 @@ from .fourier import (GRID_CAPACITY, CapacityError, PointD, SpectralGrid, _check
 
 Scalar = Union[int, FieldElement]
 
-# about this many grid values per block of radii, in fourier_counts
+# at most this many grid values per block of radii, in fourier_counts, unless one
+# radius alone holds more
 _BLOCK_VALUES = 2**18
-# at most this many q x q arrays per pair of character-matrix products in _half_spectrum
+# at most this many q x q arrays per pair of character-matrix products in
+# _half_spectrum, and so per block of radii in fourier_counts
 _TRANSFORM_ARRAYS = 8
-# about this many points of E per block of the profiles gathered on E, in HingeSweep
-_GATHER_POINTS = 4096
+# at most this many points of E per block of the profiles gathered on E, in
+# HingeSweep: (q - 1) x 1024 float64 values, 1.7 MB at q = 211
+_GATHER_POINTS = 1024
 
 
 def _radius_blocks(q: int) -> List[slice]:
-    """Row slices of a (q - 1)-row radius stack, about _BLOCK_VALUES grid values each."""
-    step = max(1, _BLOCK_VALUES // (q * q))
+    """Row slices of a (q - 1)-row radius stack, each one product block of
+    _half_spectrum: _TRANSFORM_ARRAYS radii, or fewer where that many would
+    hold more than _BLOCK_VALUES grid values (5 at q = 211)."""
+    step = min(_TRANSFORM_ARRAYS, max(1, _BLOCK_VALUES // (q * q)))
     return [slice(start, min(start + step, q - 1)) for start in range(0, q - 1, step)]
 
 
@@ -263,14 +274,16 @@ def _character_matrices(q: int) -> Tuple[np.ndarray, np.ndarray]:
     """The two real factors of the planar half-spectrum DFT at q, read-only.
 
     A q x 2h matrix over (x_0, m_0), h = q // 2 + 1, holding Re then Im of
-    chi(-m_0 x_0) for m_0 < h, and a 2q x q matrix over (m_1, x_1) holding
-    Re then Im of chi(-m_1 x_1); both are blocks of
-    ffgeom.fourier.character_matrix.
+    chi(-m_0 x_0) for m_0 < h, and a 2h x q matrix over (m_1, x_1) holding
+    Re then Im of chi(-m_1 x_1) for m_1 < h; both are blocks of
+    ffgeom.fourier.character_matrix.  The rows m_1 >= h are left out:
+    chi(-(q - m_1) x_1) is the conjugate of chi(-m_1 x_1), so _half_spectrum
+    reads them off the rows q - m_1 < h.
     """
     chi = character_matrix(q)
-    by_m0 = chi[:, : q // 2 + 1]
-    pair = (np.concatenate([by_m0.real, by_m0.imag], axis=1),
-            np.concatenate([chi.real, chi.imag], axis=0))
+    h = q // 2 + 1
+    pair = (np.concatenate([chi.real[:, :h], chi.imag[:, :h]], axis=1),
+            np.concatenate([chi.real[:h], chi.imag[:h]], axis=0))
     for matrix in pair:
         matrix.setflags(write=False)
     return pair
@@ -280,11 +293,14 @@ def _half_spectrum(arrays: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Re and Im of sum_x f(x) chi(-m.x) on the half spectrum, for a stack of q x q arrays.
 
     arrays has shape (n, q, q) over (x_1, x_0); both results have shape
-    (n, q, q // 2 + 1) over (m_1, m_0), the layout of numpy's rfftn.  Each
-    array is contracted over x_0 and then over x_1 by two real products with
-    _character_matrices, at most _TRANSFORM_ARRAYS arrays at a time, each
-    product of one fixed shape per array, so that an array's transform is
-    the same bits whatever stack it is part of.
+    (n, q, h), h = q // 2 + 1, over (m_1, m_0), the layout of numpy's rfftn.
+    Each array is contracted over x_0 and then over x_1 by two real products
+    with _character_matrices, at most _TRANSFORM_ARRAYS arrays at a time,
+    each product of one fixed shape per array, so that an array's transform
+    is the same bits whatever stack it is part of.  The second product forms
+    only the rows m_1 < h, a (2h, 2h) block per array; the rows q - m_1 for
+    0 < m_1 < h combine the same four real blocks with the signs of the
+    conjugate character.
     """
     n, q = arrays.shape[0], arrays.shape[-1]
     h = q // 2 + 1
@@ -293,11 +309,16 @@ def _half_spectrum(arrays: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     im = np.empty((n, q, h))
     for start in range(0, n, _TRANSFORM_ARRAYS):
         part = slice(start, start + _TRANSFORM_ARRAYS)
-        # [[Re1 C, Re1 S], [Im1 C, Im1 S]] for Re1 + i Im1 = chi(-m_1 x_1) and
-        # C + i S the sums over x_0; the transform is their complex product
+        # [[Re1 C, Re1 S], [Im1 C, Im1 S]] for Re1 + i Im1 = chi(-m_1 x_1), m_1 < h,
+        # and C + i S the sums over x_0; row m_1 of the transform is
+        # (Re1 + i Im1)(C + i S), and row q - m_1 is (Re1 - i Im1)(C + i S)
         y = by_m1 @ (arrays[part] @ by_m0)
-        np.subtract(y[:, :q, :h], y[:, q:, h:], out=re[part])
-        np.add(y[:, :q, h:], y[:, q:, :h], out=im[part])
+        re_c, re_s, im_c, im_s = y[:, :h, :h], y[:, :h, h:], y[:, h:, :h], y[:, h:, h:]
+        np.subtract(re_c, im_s, out=re[part, :h])
+        np.add(re_s, im_c, out=im[part, :h])
+        # rows q - 1 down to h, from m_1 = 1 .. h - 1, written through reversed views
+        np.add(re_c[:, 1:], im_s[:, 1:], out=re[part, : h - 1 : -1])
+        np.subtract(re_s[:, 1:], im_c[:, 1:], out=im[part, : h - 1 : -1])
     return re, im
 
 
@@ -373,10 +394,15 @@ class HingeSweep:
             self.pair_counts += on_e.sum(axis=1, dtype=np.int64)
             on_e = on_e.astype(np.float64)
             self.exact += exact_matmul(on_e, on_e.T, bound=q * q * (q + 1) ** 2)
-        # sum_x n_a(x)^2 over the whole grid, at most q^2 (q + 1)^2, multiplied in int64
-        self.sum_sq = np.einsum("ij,ij->i", self.profiles, self.profiles, dtype=np.int64)
         self.sphere_sizes = sphere_size_table(E.field, 2)[1:q]
         self._fourier: Union[np.ndarray, None] = None
+
+    @cached_property
+    def sum_sq(self) -> np.ndarray:
+        """sum_x n_a(x)^2 over the whole grid per radius, at most q^2 (q + 1)^2,
+        multiplied in int64 on first read; the hinge table and the spectral
+        check never read it."""
+        return np.einsum("ij,ij->i", self.profiles, self.profiles, dtype=np.int64)
 
     def fourier_counts(self) -> np.ndarray:
         """The spectral-identity value for every radius pair, as a real float64 matrix.

@@ -110,17 +110,25 @@ def random_set(q: int, d: int, rho: Density, seed: int) -> PointSet:
     """The first ceil(rho q^d) cells of a seeded uniform shuffle of the grid.
 
     Deterministic per (q, d, rho, seed); rho = 1 gives the full grid.
+    random.Random.shuffle swaps position i with a draw j = _randbelow(i + 1)
+    for i from size - 1 down to 1, and position i is final once it has been
+    swapped.  So after the swaps i >= k, the positions k .. size - 1 hold the
+    cells left out, and only those swaps are run: by the same draws, the
+    first k cells of the whole shuffle are the rest of the grid as a set.
+    This relies on CPython's shuffle; a test pins the result against it.
     """
     field = PrimeField(q)
     _check_grid_size(q, d)
     frac = _as_density(rho)
     size = q**d
     k = math.ceil(frac * size)
-    rng = random.Random(seed)
+    randbelow = random.Random(seed)._randbelow
     cells = list(range(size))
-    rng.shuffle(cells)
-    indicator = np.zeros(size, dtype=np.uint8)
-    indicator[cells[:k]] = 1
+    for i in range(size - 1, k - 1, -1):
+        j = randbelow(i + 1)
+        cells[i], cells[j] = cells[j], cells[i]
+    indicator = np.ones(size, dtype=np.uint8)
+    indicator[cells[k:]] = 0
     return PointSet(field, d, indicator)
 
 

@@ -8,6 +8,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -162,6 +163,21 @@ class TestHinges:
         captured = capsys.readouterr()
         assert captured.out == clean
         assert captured.err.splitlines() == clean.splitlines()[1:]
+
+    def test_peak_memory_at_q101(self, tmp_path):
+        # the sweep's gathers of 1024 points of E peak near 3.1 MB and the rows of one
+        # radius a at a time add about 0.15 MB; formatting all (q - 1)^2 rows before
+        # writing any lifted the run to 5.0 MB
+        argv = ["hinges", "--q", "101", "--density", "0.5", "--seed", "0",
+                "--out", str(tmp_path / "out.csv")]
+        assert main(argv) == 0  # the per-q tables are cached once, outside the measurement
+        tracemalloc.start()
+        try:
+            main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.2e6, peak
 
     def test_budget_guard_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "out.csv"

@@ -602,31 +602,44 @@ class TestSpectralClasses:
     @pytest.mark.parametrize("q", (13, 101))
     @pytest.mark.parametrize("radii_per_block", (1, 7))
     def test_block_boundaries(self, q, radii_per_block, monkeypatch):
-        # one radius per block, and blocks of 7 radii, which divides neither q - 1 = 12 nor 100
+        # one radius per block, and blocks of 7 radii, which divides neither q - 1 = 12 nor 100;
+        # at q <= 181 a block holds _TRANSFORM_ARRAYS radii, and so does each product
         sweep = HingeSweep(random_set(q, 2, Fraction(1, 2), seed=q))
         default = sweep.fourier_counts()
         table = counting._sphere_class_table(q)
-        monkeypatch.setattr(counting, "_BLOCK_VALUES", radii_per_block * q * q)
+        monkeypatch.setattr(counting, "_TRANSFORM_ARRAYS", radii_per_block)
         assert len(counting._radius_blocks(q)) == -(-(q - 1) // radii_per_block)
         blocked = HingeSweep(sweep.E).fourier_counts()
         assert np.array_equal(blocked, default)
         assert np.array_equal(np.rint(blocked), sweep.exact)
         assert np.array_equal(counting._sphere_class_table.__wrapped__(q), table)
 
-    def test_spectral_peak_memory_at_q101(self):
-        # blocks of 25 radii through the character-matrix products of _half_spectrum,
-        # 8 arrays per product, and one bincount per radius peak near 9.7 MB; one
-        # block of all 100 radii lifts it to about 20 MB
-        E = random_set(101, 2, Fraction(1, 2), 0)
+    @staticmethod
+    def warm_spectral_peak(q):
+        E = random_set(q, 2, Fraction(1, 2), 0)
         HingeSweep(E).fourier_counts()  # the per-q tables are cached once, outside the measurement
         sweep = HingeSweep(E)
         tracemalloc.start()
         try:
             sweep.fourier_counts()
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 14e6, peak
+
+    def test_spectral_peak_memory_at_q101(self):
+        # blocks of 8 radii, one pair of character-matrix products each with the second
+        # folded to the rows m_1 < h, and one bincount per radius peak near 3.5 MB;
+        # blocks of 25 radii with the unfolded product peaked at 9.7 MB, and one block
+        # of all 100 radii lifts it to about 20 MB
+        peak = self.warm_spectral_peak(101)
+        assert peak < 4.6e6, peak
+
+    def test_spectral_peak_memory_at_the_capacity_limit(self):
+        # blocks of 5 radii, the most that hold 2^18 grid values at q = 211, peak near
+        # 9.8 MB; unfolded products peaked at 11.6 MB, and blocks of 8 radii would
+        # lift that to about 15 MB
+        peak = self.warm_spectral_peak(211)
+        assert peak < 11.5e6, peak
 
     def test_class_table_peak_memory_at_q101(self):
         # one closed-form vector of q values per radius, each one product with the
@@ -719,13 +732,13 @@ class TestHalfSpectrum:
 
     def test_character_matrices_are_cached_read_only(self):
         by_m0, by_m1 = counting._character_matrices(13)
-        assert by_m0.shape == (13, 14) and by_m1.shape == (26, 13)
+        assert by_m0.shape == (13, 14) and by_m1.shape == (14, 13)
         assert not by_m0.flags.writeable and not by_m1.flags.writeable
         assert counting._character_matrices(13)[0] is by_m0
-        # both are blocks of the one character matrix of ffgeom.fourier
+        # both are half-row blocks of the one character matrix of ffgeom.fourier
         chi = character_matrix(13)
         assert np.array_equal(by_m0, np.concatenate([chi.real[:, :7], chi.imag[:, :7]], axis=1))
-        assert np.array_equal(by_m1, np.concatenate([chi.real, chi.imag], axis=0))
+        assert np.array_equal(by_m1, np.concatenate([chi.real[:7], chi.imag[:7]], axis=0))
 
 
 def test_hinge_report_split():

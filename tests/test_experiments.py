@@ -1,7 +1,9 @@
 """Seeded set generation, the pointset file format, configs, and the sweep."""
 
 import io
+import math
 import pathlib
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +36,17 @@ class TestRandomSet:
         E = random_set(13, 2, 0.5, seed=0)
         assert E.cardinality == 85  # ceil(169 / 2)
         assert random_set(7, 2, Fraction(1, 3), seed=0).cardinality == 17
+
+    @pytest.mark.parametrize("q", (3, 5, 13, 17, 19, 31, 61))
+    @pytest.mark.parametrize("rho", (Fraction(1, 10), Fraction(3, 10), Fraction(1, 2), 1))
+    @pytest.mark.parametrize("seed", (0, 1, 7, 2**40))
+    def test_partial_shuffle_equals_the_full_shuffle(self, q, rho, seed):
+        # the oracle: the first ceil(rho q^2) cells of CPython's whole shuffle
+        cells = list(range(q * q))
+        random.Random(seed).shuffle(cells)
+        indicator = np.zeros(q * q, dtype=np.uint8)
+        indicator[cells[: math.ceil(rho * q * q)]] = 1
+        assert np.array_equal(random_set(q, 2, rho, seed).indicator, indicator)
 
     def test_density_one_is_full_grid(self):
         E = random_set(7, 2, 1, seed=3)
