@@ -160,7 +160,7 @@ def charge_character_sums(q: int, budget: int) -> None:
 
 def charge_midpoint_pairs(card: int, budget: int) -> None:
     """Charge an exhaustive midpoint check's |E|^2 steps, one per ordered pair
-    covered (the scan evaluates one row per orbit of E's full O_2 stabilizer)."""
+    covered (the scan evaluates one row per norm class of an O_2-invariant E)."""
     if card * card > budget:
         raise BudgetError(f"exhaustive midpoint check needs {card}^2 pairs, budget {budget}")
 

@@ -42,16 +42,15 @@ forces |x - y| = 2|x| + 2|y| - 4|(x+y)/2| into the sumset otherwise.
 midpoint_exclusion_check tests this on pairs of points by gathers from
 tables of length 2q - 1, indexed by coordinate differences and sums
 (squares d^2 mod q, halves s/2 mod q), so no pair is reduced mod q.  Every
-g in O_2(F_q) is linear and keeps the norm, so each one that maps E onto
-itself gives every pair the same answers as its image pair.  The
-exhaustive check finds E's full stabilizer G in O_2: the rotations of G
-are the powers of r^d, r a generator of the cyclic group SO_2 and d the
-least divisor of its order with r^d(E) = E, and G holds at most one coset
-of reflections.  Each candidate map is probed on a few points of E and
-confirmed on all of them.  It then scans one row per orbit of G against
-all of E, weighed by the orbit's size.  Each circle of the built set is one
-orbit: 1 row for its 256 points at q = 257, 3 for its 3024 at q = 1009, 8
-for its 16416 at q = 2053, and one per point for a set with no symmetry.
+g in O_2(F_q) is linear and keeps the norm, so when O_2 maps E onto itself
+every pair has the same answers as its image pairs.  By Witt's theorem the
+orbits of O_2 are the origin and the nonzero points of each norm t, the
+isotropic ones for t = 0, so O_2 keeps E exactly when each of these norm
+classes that E meets lies in E whole; one bincount of the norms decides
+it.  The exhaustive check then scans one row per norm class against all
+of E, weighed by the class's size, and otherwise every row.  Each circle of
+the built set is one class: 1 row for its 256 points at q = 257, 3 for its
+3024 at q = 1009, 8 for its 16416 at q = 2053.
 The sampled check reads its index pairs in bulk from the Random(seed)
 stream that randrange would draw them from one by one.
 """
@@ -66,7 +65,7 @@ from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from . import counting
+from . import bounds, counting
 from .charsums import legendre_table, sqrt_table
 from .counting import PointSet
 from .field import FieldElement, PrimeField
@@ -368,7 +367,6 @@ def build_counterexample(field: PrimeField) -> CounterexampleSet:
 
 _PAIR_BLOCK = 2**15  # sampled pairs per block of the midpoint check, so memory stays flat
 _SCAN_BLOCK = 2**16  # pairs per block of the exhaustive midpoint scan
-_PROBE_POINTS = 64  # points of E that test every candidate map before its full check
 
 
 @dataclass(frozen=True)
@@ -431,15 +429,15 @@ def midpoint_exclusion_check(
     Sampled pairs are index pairs (i, j) drawn in turn as randrange(n) from
     a Random(seed), in blocks of _PAIR_BLOCK pairs whose draws are read in
     bulk from the same stream (_randrange_draws).  The exhaustive check
-    covers every ordered pair but evaluates one row per orbit of E under its
-    full stabilizer G in O_2(F_q) (_orbits): each g in G is linear and keeps
-    the norm, so |gx - gy| = |x - y| and g((x + y)/2) = (gx + gy)/2 lies in
-    E exactly when (x + y)/2 does, and the row of x = g r against all of E
-    counts as the row of r.  It scans the representatives against all of E,
-    _SCAN_BLOCK // n rows per block, and weighs each row's counts by its
-    orbit size.  A union of circles |x| = t keeps every rotation and
-    reflection and scans one row per circle; a set with no symmetry has the
-    trivial group, one orbit per point, and every row is scanned.
+    covers every ordered pair but, when O_2(F_q) maps E onto itself,
+    evaluates one row per orbit (_orbits): each g in O_2 is linear and
+    keeps the norm, so |gx - gy| = |x - y| and g((x + y)/2) = (gx + gy)/2
+    lies in E exactly when (x + y)/2 does, and the row of x = g r against
+    all of E counts as the row of r.  The orbits are E's norm classes (the
+    origin, and the nonzero points of each norm), so a union of circles
+    |x| = t scans one row per circle.  Any other set scans every row.  The
+    rows are scanned against all of E, _SCAN_BLOCK // n rows per block,
+    and each row's counts are weighed by its orbit size.
     pairs_checked is n^2 or samples, the count the caller charges
     (`bounds.charge_midpoint_pairs`/`_samples`).  The sampled check needs
     samples >= 1; the exhaustive one ignores samples.
@@ -469,7 +467,7 @@ def midpoint_exclusion_check(
     applicable = violations = 0
     if exhaustive:
         pairs_checked = n * n
-        reps, weights = _orbits(q, idx, member)
+        reps, weights = _orbits(q, idx)
         rows = max(1, _SCAN_BLOCK // n)
         for lo in range(0, reps.size, rows):
             r, w = reps[lo:lo + rows], weights[lo:lo + rows]
@@ -488,118 +486,32 @@ def midpoint_exclusion_check(
                           violations=int(violations), exhaustive=exhaustive)
 
 
-@lru_cache(maxsize=4)
-def _rotations(q: int) -> Tuple[int, np.ndarray, np.ndarray]:
-    """N = |SO_2(F_q)| = q - eta(-1) and every power of one generator r of
-    that cyclic group: r^k is the rotation (x, y) -> (c x - s y, s x + c y)
-    with c, s = c[k], s[k], for 0 <= k < N.  Cached per q, read-only.
+def _orbits(q: int, idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The orbits of O_2(F_q) on the points idx (grid indices x + q y,
+    increasing) of a set E that O_2 maps onto itself: the position in idx
+    of each orbit's first point, in increasing order, and the orbit's size.
+    For any other E, every position with size 1: the orbits of the trivial
+    group, which are right for every set.
 
-    r is the first point (1 - t^2, 2t) / (1 + t^2) of the unit circle,
-    t = 1, 2, ..., whose plain-int powers give r^N = I and r^(N/p) != I for
-    each prime p | N; the powers are then built by doubling in numpy.
-    """
-    N = q - 1 if q % 4 == 1 else q + 1
-
-    def mul(g: Tuple[int, int], h: Tuple[int, int]) -> Tuple[int, int]:
-        return (g[0] * h[0] - g[1] * h[1]) % q, (g[0] * h[1] + g[1] * h[0]) % q
-
-    def power(g: Tuple[int, int], e: int) -> Tuple[int, int]:
-        out = (1, 0)
-        while e:
-            if e & 1:
-                out = mul(out, g)
-            g, e = mul(g, g), e >> 1
-        return out
-
-    primes = [p for p in range(2, N + 1) if N % p == 0 and all(p % f for f in range(2, p))]
-    for t in range(1, q):
-        if (1 + t * t) % q == 0:
-            continue
-        inv = pow(1 + t * t, -1, q)
-        r = ((1 - t * t) * inv % q, 2 * t * inv % q)
-        if power(r, N) == (1, 0) and all(power(r, N // p) != (1, 0) for p in primes):
-            break
-    else:
-        raise AssertionError(f"no generator of SO_2 found at q={q}")
-    c, s = np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
-    while c.size < N:
-        # powers [k, 2k) are powers [0, k) times r^k
-        rc, rs = power(r, c.size)
-        c, s = (np.concatenate((c, (c * rc - s * rs) % q)),
-                np.concatenate((s, (c * rs + s * rc) % q)))
-    c, s = c[:N], s[:N]
-    c.flags.writeable = s.flags.writeable = False
-    return N, c, s
-
-
-def _orbits(q: int, idx: np.ndarray, member: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The orbits of the points idx (grid indices x + q y, increasing) of the
-    set E whose boolean indicator is member, under its full stabilizer
-    G = {g in O_2(F_q) : g(E) = E}: the position in idx of each orbit's
-    least grid index, in increasing order, and the orbit's size.
-
-    SO_2 is cyclic of order N (_rotations), so the rotations of G are
-    H = <r^d> for the least divisor d of N with r^d(E) = E.  Every
-    reflection is sigma r^k, sigma(x, y) = (x, -y), and sigma r^k H holds
-    exactly the sigma r^j with j = k mod d, so G holds a reflection only if
-    some sigma r^k with 0 <= k < d does, and then G = H u sigma r^k H.  Each
-    candidate map is first tested on about _PROBE_POINTS points of E, all
-    candidates in one gather, and a map that passes is kept only when every
-    image g(x), x in E, lies in E; g is a bijection of the grid, so then
-    g(E) = E.  The least index of each H-orbit is found by pointer doubling
-    along r^d, about log2 |H| gathers, and a reflection joins two H-orbits.
-    A rotation g != I fixes only 0 (det(g - I) = 2 - 2c != 0), so every
-    nonzero point's H-orbit is checked to have |H| points, and every orbit
-    size to divide |G| with the sizes summing to |E|; a failure raises
-    AssertionError.
+    By Witt's theorem O_2 acts transitively on the nonzero vectors of each
+    norm t, the isotropic ones included when t = 0, so its orbits are the
+    origin, the q - eta(-1) points of each norm t != 0 (bounds.sphere_size)
+    and the 2 (q - 1) nonzero isotropic points, none when q = 3 mod 4.  Each
+    point is keyed by its norm, the origin by q, and one bincount counts
+    every key; O_2 keeps E exactly when each key E meets has its whole orbit.
     """
     xs, ys = idx % q, idx // q
     n = idx.size
-    N, c, s = _rotations(q)
-
-    def images(k, reflect: bool, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Grid indices of r^k (x, y), or of sigma r^k (x, y), broadcast."""
-        u = (c[k] * x - s[k] * y) % q
-        v = (s[k] * x + c[k] * y) % q
-        return u + q * ((q - v) % q if reflect else v)
-
-    def positions(grid: np.ndarray) -> np.ndarray:
-        """The positions in idx of the grid indices grid, all in E; sorting
-        the lookups first made them about three times faster at q = 2053."""
-        order = np.argsort(grid)
-        out = np.empty(n, dtype=np.intp)
-        out[order] = np.searchsorted(idx, grid[order])
-        return out
-
-    def first_kept(ks: np.ndarray, reflect: bool) -> Optional[int]:
-        """The first k in ks whose map keeps E, or None."""
-        probe = slice(None, None, max(1, n // _PROBE_POINTS))
-        passed = member[images(ks[:, None], reflect, xs[probe], ys[probe])].all(axis=1)
-        return next((k for k in ks[passed].tolist()
-                     if member[images(k, reflect, xs, ys)].all()), None)
-
-    divisors = np.array([k for k in range(1, N) if N % k == 0], dtype=np.int64)
-    d = first_kept(divisors, False) or N
-    reflection = first_kept(np.arange(d), True)
-    rotations = N // d
-    group = rotations * (1 if reflection is None else 2)
-    # after j doublings rep[i] is the least position of r^(d e) x_i over
-    # 0 <= e < 2^j and step[i] the position of r^(d 2^j) x_i; 2^j >= |H|
-    # makes rep[i] the least position of x_i's H-orbit
-    position = np.arange(n)
-    rep = position
-    if rotations > 1:
-        step = positions(images(d, False, xs, ys))
-        for _ in range((rotations - 1).bit_length()):
-            rep, step = np.minimum(rep, rep[step]), step[step]
-    if not np.array_equal(np.bincount(rep, minlength=n),
-                          np.where(rep == position, np.where(idx == 0, 1, rotations), 0)):
-        raise AssertionError(f"rotation orbits at q={q} are not of {rotations} points")
-    if reflection is not None:
-        rep = np.minimum(rep, rep[positions(images(reflection, True, xs, ys))])
-    rows = np.flatnonzero(rep == position)
-    sizes = np.bincount(rep, minlength=n)[rows]
-    if sizes.sum() != n or (group % sizes).any():
-        raise AssertionError(f"orbits of {group} maps at q={q} cover {sizes.sum()} "
-                             f"of {n} points in sizes {np.unique(sizes).tolist()}")
-    return rows, sizes
+    key = (xs * xs + ys * ys) % q
+    key[idx == 0] = q
+    count = np.bincount(key, minlength=q + 1)
+    whole = np.full(q + 1, bounds.sphere_size(PrimeField(q)))
+    whole[0] = 2 * (q - 1) if q % 4 == 1 else 0
+    whole[q] = 1
+    met = count > 0
+    if not np.array_equal(count[met], whole[met]):
+        return np.arange(n), np.ones(n, dtype=np.int64)
+    first = np.full(q + 1, n)
+    np.minimum.at(first, key, np.arange(n))
+    rows = np.sort(first[met])
+    return rows, count[key[rows]]

@@ -46,9 +46,10 @@ product instead of a sum over all q^2 frequencies.  T depends only on q.
 _sphere_class_table builds it once per q from the Gauss-sum closed form of
 ffgeom.charsums, one per-norm vector per radius, with |S_b| / q^2 at the
 origin; the tests check it against the direct DFT of every sphere
-indicator.  G is built one block of radii at a time, and each block is one
-product block of _half_spectrum: _TRANSFORM_ARRAYS radii, or fewer where
-that many would hold more than _BLOCK_VALUES grid values (5 at q = 211).
+indicator.  G is built one block of radii at a time, and each block goes
+through _half_spectrum as one pair of stacked products: _TRANSFORM_ARRAYS
+radii, or fewer where that many would hold more than _BLOCK_VALUES grid
+values (5 at q = 211).
 f and its transform exist only for the radii of one block, and each row of
 G is one bincount over the q x (q // 2 + 1) class array.
 
@@ -89,8 +90,8 @@ Scalar = Union[int, FieldElement]
 # at most this many grid values per block of radii, in fourier_counts, unless one
 # radius alone holds more
 _BLOCK_VALUES = 2**18
-# at most this many q x q arrays per pair of character-matrix products in
-# _half_spectrum, and so per block of radii in fourier_counts
+# at most this many radii per block of fourier_counts, and so q x q arrays per
+# pair of character-matrix products in _half_spectrum
 _TRANSFORM_ARRAYS = 8
 # at most this many points of E per block of the profiles gathered on E, in
 # HingeSweep: (q - 1) x 1024 float64 values, 1.7 MB at q = 211
@@ -294,31 +295,30 @@ def _half_spectrum(arrays: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
     arrays has shape (n, q, q) over (x_1, x_0); both results have shape
     (n, q, h), h = q // 2 + 1, over (m_1, m_0), the layout of numpy's rfftn.
-    Each array is contracted over x_0 and then over x_1 by two real products
-    with _character_matrices, at most _TRANSFORM_ARRAYS arrays at a time,
-    each product of one fixed shape per array, so that an array's transform
-    is the same bits whatever stack it is part of.  The second product forms
-    only the rows m_1 < h, a (2h, 2h) block per array; the rows q - m_1 for
-    0 < m_1 < h combine the same four real blocks with the signs of the
-    conjugate character.
+    The stack is contracted over x_0 and then over x_1 by one pair of
+    stacked real products with _character_matrices, each of one fixed shape
+    per array, so that an array's transform is the same bits whatever stack
+    it is part of; fourier_counts passes one block of radii
+    (_radius_blocks) or E alone.  The second product forms only the rows
+    m_1 < h, a (2h, 2h) block per array; the rows q - m_1 for 0 < m_1 < h
+    combine the same four real blocks with the signs of the conjugate
+    character.
     """
     n, q = arrays.shape[0], arrays.shape[-1]
     h = q // 2 + 1
     by_m0, by_m1 = _character_matrices(q)
     re = np.empty((n, q, h))
     im = np.empty((n, q, h))
-    for start in range(0, n, _TRANSFORM_ARRAYS):
-        part = slice(start, start + _TRANSFORM_ARRAYS)
-        # [[Re1 C, Re1 S], [Im1 C, Im1 S]] for Re1 + i Im1 = chi(-m_1 x_1), m_1 < h,
-        # and C + i S the sums over x_0; row m_1 of the transform is
-        # (Re1 + i Im1)(C + i S), and row q - m_1 is (Re1 - i Im1)(C + i S)
-        y = by_m1 @ (arrays[part] @ by_m0)
-        re_c, re_s, im_c, im_s = y[:, :h, :h], y[:, :h, h:], y[:, h:, :h], y[:, h:, h:]
-        np.subtract(re_c, im_s, out=re[part, :h])
-        np.add(re_s, im_c, out=im[part, :h])
-        # rows q - 1 down to h, from m_1 = 1 .. h - 1, written through reversed views
-        np.add(re_c[:, 1:], im_s[:, 1:], out=re[part, : h - 1 : -1])
-        np.subtract(re_s[:, 1:], im_c[:, 1:], out=im[part, : h - 1 : -1])
+    # [[Re1 C, Re1 S], [Im1 C, Im1 S]] for Re1 + i Im1 = chi(-m_1 x_1), m_1 < h,
+    # and C + i S the sums over x_0; row m_1 of the transform is
+    # (Re1 + i Im1)(C + i S), and row q - m_1 is (Re1 - i Im1)(C + i S)
+    y = by_m1 @ (arrays @ by_m0)
+    re_c, re_s, im_c, im_s = y[:, :h, :h], y[:, :h, h:], y[:, h:, :h], y[:, h:, h:]
+    np.subtract(re_c, im_s, out=re[:, :h])
+    np.add(re_s, im_c, out=im[:, :h])
+    # rows q - 1 down to h, from m_1 = 1 .. h - 1, written through reversed views
+    np.add(re_c[:, 1:], im_s[:, 1:], out=re[:, : h - 1 : -1])
+    np.subtract(re_s[:, 1:], im_c[:, 1:], out=im[:, : h - 1 : -1])
     return re, im
 
 

@@ -550,7 +550,7 @@ def midpoint_case(name: str) -> CounterexampleSet:
     """The built set at q = 257 (256 points), the same with an empty sumset,
     or the built sumset over 300 seeded random points: no union of circles,
     not rotation invariant.  Blocks of 109 rows leave a partial last block
-    of the random set's rows, blocks of 7 one of orbit_sizes' orbits.
+    of the random set's rows, blocks of 8 one of orbit_sizes' 49 rows.
 
     The orbit cases, each under its own built sumset: the built set at
     q = 263 (q = 3 mod 4); the q = 257 set less a point p and its image
@@ -563,8 +563,10 @@ def midpoint_case(name: str) -> CounterexampleSet:
     (order 24, with the origin) and of both (kept by <r^33>, order 8), none
     of them a signed permutation past order 4; at q = 257, points and their
     images under one reflection that is no signed permutation, with three
-    points it fixes; and the origin with the <r^4> orbits (64 points) of a
-    point on the isotropic line y = 16 x (16^2 = -1) and of a circle point."""
+    points it fixes; the origin with the <r^4> orbits (64 points) of a
+    point on the isotropic line y = 16 x (16^2 = -1) and of a circle point;
+    and the built set with the origin and the 512 nonzero isotropic points,
+    three whole orbits of O_2."""
     q = 263 if name in ("q263", "rot3", "rot11", "rot3_11") else 257
     cs = build_counterexample(PrimeField(q))
     if name in ("built", "q263"):
@@ -604,6 +606,8 @@ def midpoint_case(name: str) -> CounterexampleSet:
         fixed = [tuple((u + v) % q for u, v in zip(p, act(tau, p, q))) for p in seeds[:3]]
         assert all(act(tau, p, q) == p for p in fixed)
         pts = set(fixed) | {r for p in seeds for r in (p, act(tau, p, q))}
+    elif name == "null_cone":
+        pts |= {(0, 0)} | {(x, 16 * s * x % q) for x in range(1, q) for s in (1, -1)}
     elif name == "isotropic":
         assert 16 * 16 % q == q - 1
         pts = {(0, 0)} | {act(g, p, q) for p in [(1, 16), (3, 5)] for g in rotation_powers(q)[::4]}
@@ -636,11 +640,19 @@ ORBITS = {
     "rot3_11": (8, {8: 17}),
     "one_reflection": (2, {1: 3, 2: 40}),
     "isotropic": (64, {1: 1, 64: 2}),
+    "null_cone": (512, {1: 1, 256: 1, 512: 1}),
 }
 
 
 def orbits_of(cs: CounterexampleSet):
-    return circles._orbits(cs.q, cs.E.indices(), cs.E.indicator.view(bool))
+    return circles._orbits(cs.q, cs.E.indices())
+
+
+def o2_orbits(q: int):
+    """The orbits of O_2(F_q) on the plane, each a frozenset of points, as the
+    images of every point under all of its 2N maps in plain ints."""
+    return {frozenset(act(g, (x, y), q) for g in orthogonal_group(q))
+            for x in range(q) for y in range(q)}
 
 
 class TestMidpointExclusion:
@@ -655,28 +667,46 @@ class TestMidpointExclusion:
 
     @pytest.mark.parametrize("name", sorted(ORBITS))
     def test_orbits_match_images_of_every_point(self, name):
-        """_orbits against the full stabilizer of E in O_2(F_q), found in
-        plain ints over all of its 2N elements."""
+        """_orbits against the stabilizer of E in O_2(F_q), found in plain
+        ints over all of its 2N elements: one row per orbit, at the orbit's
+        least grid index and with its size, where E keeps all 2N maps, and
+        every position with size 1 where it does not."""
         group, size_of = stabilizer_orbits(name)
         assert (group, Counter(size_of.values())) == ORBITS[name]
         cs = midpoint_case(name)
         reps, sizes = orbits_of(cs)
-        assert dict(zip(cs.E.indices()[reps].tolist(), sizes.tolist())) == size_of
-        assert reps.tolist() == sorted(reps.tolist())
+        n = cs.E.cardinality
+        if group == len(orthogonal_group(cs.q)):
+            assert dict(zip(cs.E.indices()[reps].tolist(), sizes.tolist())) == size_of
+            assert reps.tolist() == sorted(reps.tolist())
+        else:
+            assert reps.tolist() == list(range(n)) and sizes.tolist() == [1] * n
 
-    @pytest.mark.parametrize("name", sorted(ORBITS))
-    def test_orbits_confirm_every_probed_map(self, name, monkeypatch):
-        # probing one point passes maps that do not keep E, and the full
-        # check over E must turn them down
-        monkeypatch.setattr(circles, "_PROBE_POINTS", 1)
-        cs = midpoint_case(name)
-        reps, sizes = orbits_of(cs)
-        size_of = stabilizer_orbits(name)[1]
-        assert dict(zip(cs.E.indices()[reps].tolist(), sizes.tolist())) == size_of
+    @pytest.mark.parametrize("q", [5, 7])
+    @pytest.mark.parametrize("sumset", ["empty", "random"])
+    def test_every_union_of_orbits_matches_every_pair_oracle(self, q, sumset):
+        # every nonempty union of the O_2 orbits of F_q^2: the origin, the
+        # nonzero points of each norm, and at q = 5 (q = 1 mod 4) the 8
+        # nonzero isotropic points; _orbits scans one row per orbit of each
+        orbits = sorted(o2_orbits(q), key=min)
+        assert Counter(map(len, orbits)) == ({1: 1, 4: 4, 8: 1} if q == 5 else {1: 1, 8: 6})
+        field = PrimeField(q)
+        rng = random.Random(q)
+        mask = np.zeros(q, dtype=bool) if sumset == "empty" else np.array(
+            [rng.random() < 0.5 for _ in range(q)])
+        for chosen in range(1, 2 ** len(orbits)):
+            union = [orbit for k, orbit in enumerate(orbits) if chosen >> k & 1]
+            cs = CounterexampleSet(field, (), PointSet.from_points(field, 2, set().union(*union)),
+                                   mask)
+            reps, sizes = orbits_of(cs)
+            assert dict(zip(cs.E.indices()[reps].tolist(), sizes.tolist())) == {
+                min(x + q * y for x, y in orbit): len(orbit) for orbit in union}, chosen
+            r = midpoint_exclusion_check(cs, exhaustive=True)
+            assert (r.applicable, r.violations) == every_pair_oracle(cs), chosen
 
     @pytest.mark.parametrize("q,orbits", [(1009, {1008: 3}), (2053, {2052: 8})])
     def test_built_set_keeps_every_symmetry(self, q, orbits):
-        # each circle |x| = t, t in A, is one orbit of SO_2, of q - eta(-1) points
+        # each circle |x| = t, t in A, is one orbit of O_2, of q - eta(-1) points
         assert Counter(orbits_of(build_counterexample(PrimeField(q)))[1].tolist()) == orbits
 
     @pytest.mark.parametrize("q,applicable", [(257, 65280), (263, 69432), (1009, 9026640),
@@ -684,24 +714,10 @@ class TestMidpointExclusion:
     def test_built_set_exhaustive_reports_pinned(self, q, applicable):
         cs = build_counterexample(PrimeField(q))
         n = cs.E.cardinality
-        # a cold and a warm rotation table give the same report
-        circles._rotations.cache_clear()
-        for _ in range(2):
-            r = midpoint_exclusion_check(cs, exhaustive=True)
-            assert (r.pairs_checked, r.applicable, r.violations) == (n * n, applicable, 0)
-        assert circles._rotations.cache_info().misses == 1
+        r = midpoint_exclusion_check(cs, exhaustive=True)
+        assert (r.pairs_checked, r.applicable, r.violations) == (n * n, applicable, 0)
         # one row per circle |x| = t, t in A
         assert orbits_of(cs)[0].size == len(cs.A)
-
-    def test_rotation_table_is_cached_read_only(self):
-        circles._rotations.cache_clear()
-        N, c, s = circles._rotations(257)
-        assert circles._rotations(257)[1] is c
-        assert circles._rotations.cache_info().misses == 1
-        assert N == c.size == s.size == 256
-        for table in (c, s):
-            with pytest.raises(ValueError):
-                table[0] = 0
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_sampled_off_circle_report_matches_pair_replay(self, seed):
@@ -719,15 +735,16 @@ class TestMidpointExclusion:
 
     @pytest.mark.parametrize("name", ["built", "empty_sumset", "off_circle", "orbit_sizes"])
     def test_exhaustive_blocks_match_every_pair_oracle(self, name, monkeypatch):
-        # one row per block, 7 rows with a partial last block of orbit_sizes'
-        # 8 orbits, 109 rows with a partial last block of the random set's
-        # rows, one block of all rows; the empty sumset makes every diagonal
-        # pair (x, x) a violation
+        # one row per block, 8 rows with a partial last block of every case's
+        # rows (1 for a built set, 300 for the random set, 49 for
+        # orbit_sizes), 109 rows with a partial last block of the random
+        # set's rows, one block of all rows; the empty sumset makes every
+        # diagonal pair (x, x) a violation
         cs = midpoint_case(name)
         n = cs.E.cardinality
-        assert n % 109 and orbits_of(cs)[0].size % 7
+        assert n % 109 and orbits_of(cs)[0].size % 8
         expected = every_pair_oracle(cs)
-        for rows in (1, 7, 109, n):
+        for rows in (1, 8, 109, n):
             monkeypatch.setattr(circles, "_SCAN_BLOCK", rows * n)
             r = midpoint_exclusion_check(cs, exhaustive=True)
             assert (r.pairs_checked, r.applicable, r.violations) == (n * n, *expected), rows

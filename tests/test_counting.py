@@ -723,7 +723,8 @@ class TestHalfSpectrum:
     @pytest.mark.parametrize("q", (13, 101))
     @pytest.mark.parametrize("size", (7, 19))
     def test_an_array_alone_equals_it_in_a_stack(self, q, size):
-        # 7 arrays go through one pair of stacked products, 19 through 8 + 8 + 3
+        # 7 and 19 arrays each go through one pair of stacked products, whose
+        # per-array products have the shape of an array alone
         stack = np.random.default_rng(size).standard_normal((size, q, q))
         re, im = counting._half_spectrum(stack)
         for k in (0, 3, size - 1):
