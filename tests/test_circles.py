@@ -682,6 +682,34 @@ class TestMidpointExclusion:
         else:
             assert reps.tolist() == list(range(n)) and sizes.tolist() == [1] * n
 
+    @pytest.mark.parametrize("name", sorted(ORBITS))
+    def test_orbits_confirm_every_probed_map(self, name):
+        # _orbits groups E only when every map of O_2 keeps it: the closure of
+        # E under all 2N maps (plain ints) is grouped one row per orbit, and
+        # that closure less one point of its largest orbit is moved by a map
+        # of O_2, so it must get every position with size 1
+        cs = midpoint_case(name)
+        q = cs.q
+        pts = {p.as_ints() for p in cs.E.points()}
+        orbits = []
+        for p in sorted(pts):
+            if not any(p in orbit for orbit in orbits):
+                orbits.append(frozenset(act(g, p, q) for g in orthogonal_group(q)))
+        closure = set().union(*orbits)
+        E = PointSet.from_points(cs.field, 2, closure)
+        reps, sizes = circles._orbits(q, E.indices())
+        assert dict(zip(E.indices()[reps].tolist(), sizes.tolist())) == {
+            min(x + q * y for x, y in orbit): len(orbit) for orbit in orbits}
+
+        largest = max(orbits, key=len)
+        assert len(largest) > 1
+        less = closure - {min(largest)}
+        assert any(act(g, p, q) not in less for g in orthogonal_group(q) for p in less)
+        E = PointSet.from_points(cs.field, 2, less)
+        reps, sizes = circles._orbits(q, E.indices())
+        n = E.cardinality
+        assert reps.tolist() == list(range(n)) and sizes.tolist() == [1] * n
+
     @pytest.mark.parametrize("q", [5, 7])
     @pytest.mark.parametrize("sumset", ["empty", "random"])
     def test_every_union_of_orbits_matches_every_pair_oracle(self, q, sumset):
