@@ -14,6 +14,9 @@ tolerance.)
                      fluctuation bound only where hinge_energy_guaranteed holds
     sphere size      |S_t| = q - eta(-1) for t != 0 in the plane
     triangle chain   signatures <= orbits_O <= orbits_SO
+    class totals     a set realizes at most N + q^2 signatures (N nondegenerate),
+                     N + q^2 + iota O and 2N + q^2 + 2 iota SO triangle classes,
+                     N = q (q - 1)(q + eta(-1)) / 2 (class_totals)
 
 All of them are stated for sets E in the plane F_q^2, the only setting the
 counting kernel (counting.HingeSweep) computes.  Each of the first four is a
@@ -32,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Tuple
 
 from .field import PrimeField
 from .fourier import BudgetError
@@ -127,6 +130,34 @@ def triangle_chain_holds(signatures: int, orbits_o: int, orbits_so: int) -> bool
     SO-orbits, so each coarser count is at most the finer one.
     """
     return signatures <= orbits_o <= orbits_so
+
+
+def class_totals(q: int) -> Tuple[int, int, int, int]:
+    """The most triangle classes any set in F_q^2 realizes, for an odd prime q:
+    (signatures_all, signatures_nondeg, orbits_SO, orbits_O), the order of
+    `congruence._triangle_counts`.  The full grid realizes every pair, so it
+    reaches all four.
+
+    A pair (u, v) has Gram code (a, b, g) = (|u|, |v|, u.v), and by the
+    Lagrange identity det(u, v)^2 = ab - g^2.  Write eta = eta(-1).
+    - Dependent pairs have ab = g^2: q^2 codes (b = g^2 / a for each a != 0
+      and g, and g = 0 with any b for a = 0), each realized by (w, (g/a) w)
+      with |w| = a or by (0, w) with |w| = b.
+    - Independent pairs have ab - g^2 a nonzero square s.  The ternary form
+      ab - g^2 takes each such s q^2 + eta q times, so over the (q - 1) / 2
+      squares there are N = q (q - 1)(q + eta) / 2 codes.  By Witt's theorem
+      each is the Gram matrix of a basis, and a reflection of that basis
+      flips det: two SO classes per code, one O class.
+    - For q = 1 mod 4 the pairs of Gram code 0 other than (0, 0) lie on the
+      two isotropic lines: (w, lambda w) for each lambda and (0, w), so
+      iota = q + 1 classes per line for SO, and the reflections swap the
+      lines for O.  For q = 3 mod 4, iota = 0.
+    So signatures_all = N + q^2, signatures_nondeg = N,
+    orbits_SO = 2N + q^2 + 2 iota and orbits_O = N + q^2 + iota.
+    """
+    eta, iota = (1, q + 1) if q % 4 == 1 else (-1, 0)
+    n = q * (q - 1) * (q + eta) // 2
+    return n + q * q, n, 2 * n + q * q + 2 * iota, n + q * q + iota
 
 
 def signature_ratio(signatures: int, q: int, rho: Fraction) -> float:

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from ffgeom import congruence
+from ffgeom.bounds import class_totals
+from ffgeom.circles import radius_counts
 from ffgeom.congruence import (
     CongruenceWitness,
     Simplex,
@@ -524,6 +526,12 @@ def lines_through_origin(q: int, slope: int):
     return [PointSet.from_points(PrimeField(q), 2, pts) for pts in (line, line[:3], line[1:])]
 
 
+def both_isotropic_lines(q: int, slope: int) -> PointSet:
+    """The lines y = slope x and y = -slope x, isotropic when slope^2 = -1."""
+    return PointSet.from_points(PrimeField(q), 2,
+                                [(x, s * x % q) for x in range(q) for s in (slope, q - slope)])
+
+
 # y = 2x at q = 5, 5x at q = 13 and 4x at q = 17 are isotropic (slope^2 = -1)
 LINES = [(5, 2), (5, 1), (7, 3), (13, 5), (17, 4)]
 ISOTROPIC_LINES = {(5, 2), (13, 5), (17, 4)}
@@ -551,10 +559,10 @@ class TestRealizedPairTable:
 
     @pytest.mark.parametrize("q,lines", [(7, 1), (7, 2), (13, 3), (13, 5), (17, 1)])
     def test_several_slabs(self, monkeypatch, q, lines):
-        # up to q = 31 the table is one slab; force slabs of a few u_2 lines,
-        # with a shorter last slab when lines does not divide q; at q = 17
-        # the isotropic rows t (1, +-4) fall in separate one-line slabs
-        monkeypatch.setattr(congruence, "_SLAB_ENTRIES", lines * q**3)
+        # slabs hold _SLAB_LINES = 4 u_2 lines below q = 61; force slabs of
+        # other sizes, with a shorter last slab when lines does not divide q;
+        # at q = 17 the isotropic rows t (1, +-4) fall in separate one-line slabs
+        monkeypatch.setattr(congruence, "_SLAB_LINES", lines)
         congruence._triangle_counts.cache_clear()
         try:
             for seed in range(2):
@@ -572,25 +580,63 @@ def table_counts(E: PointSet):
     return congruence._triangle_counts.__wrapped__(E.q, E.indicator.tobytes())
 
 
-def boolean_mask_counts(E: PointSet):
-    """The earlier marking, on the library's slabs and codes: each slab's
-    realized codes compacted through its boolean mask into a bool table,
-    then counted with .any reductions.  Returns the counts and the slabs."""
+def every_slab_marks(E: PointSet):
+    """The earlier marking, on the library's slabs and codes, with no early
+    exit: each slab's realized codes compacted through its boolean mask into
+    a bool table.  Returns the table and the number of slabs."""
     q = E.q
     seen = np.zeros(3 * q**3 + 2 * (q + 1), dtype=bool)
     slabs = 0
     for u2s, realized in congruence._realized_slabs(q, E.indicator.tobytes()):
         seen[congruence._slab_codes(q, int(u2s[0]), int(u2s[-1]) + 1)[realized]] = True
         slabs += 1
+    return seen, slabs
+
+
+def mark_counts(seen: np.ndarray, q: int):
+    """The four counts of a bool class-code table, with .any reductions."""
     cells = seen[:3 * q**3].reshape(q**3, 3)
     iso = seen[3 * q**3:].reshape(2, q + 1)
     dependent = int(np.count_nonzero(cells[:, 0]))
     nondeg = int(np.count_nonzero(cells[:, 1:].any(axis=1)))
-    counts = (int(np.count_nonzero(cells.any(axis=1))),
-              nondeg,
-              int(np.count_nonzero(cells[:, 1:])) + dependent + int(np.count_nonzero(iso)),
-              nondeg + dependent + int(np.count_nonzero(iso.any(axis=0))))
-    return counts, slabs
+    return (int(np.count_nonzero(cells.any(axis=1))),
+            nondeg,
+            int(np.count_nonzero(cells[:, 1:])) + dependent + int(np.count_nonzero(iso)),
+            nondeg + dependent + int(np.count_nonzero(iso.any(axis=0))))
+
+
+def boolean_mask_counts(E: PointSet):
+    """The counts of `every_slab_marks` and the number of slabs it read."""
+    seen, slabs = every_slab_marks(E)
+    return mark_counts(seen, E.q), slabs
+
+
+def slabs_read(monkeypatch, E: PointSet):
+    """table_counts(E) and the (first, stop) lines of each slab it formed."""
+    read = []
+    every_slab = congruence._realized_slabs
+
+    def counted(q, indicator):
+        for u2s, realized in every_slab(q, indicator):
+            read.append((int(u2s[0]), int(u2s[-1]) + 1))
+            yield u2s, realized
+
+    monkeypatch.setattr(congruence, "_realized_slabs", counted)
+    return table_counts(E), read
+
+
+def lru_misses(keys, size: int) -> int:
+    """The misses of a least-recently-used cache of `size` entries over keys."""
+    cache, misses = [], 0
+    for key in keys:
+        if key in cache:
+            cache.remove(key)
+        else:
+            misses += 1
+            if len(cache) == size:
+                cache.pop(0)
+        cache.append(key)
+    return misses
 
 
 class TestSlabCache:
@@ -605,12 +651,23 @@ class TestSlabCache:
             codes[0, 0] = 0
 
     @pytest.mark.parametrize("q", (13, 17, 19))
-    def test_warm_counts_equal_cold_counts(self, q):
+    def test_warm_counts_equal_cold_counts(self, monkeypatch, q):
+        # each slab a set reads is built once while it stays in the cache:
+        # q = 13 has four slabs, all kept; q = 17 and 19 have five, and the
+        # rho = 1/10 sets, which read all five, cycle the four entries
         sets = [random_set(q, 2, Fraction(rho), seed)
                 for rho in DENSITIES for seed in range(2)]
         congruence._slab_codes.cache_clear()
-        warm = [table_counts(E) for E in sets]
-        assert congruence._slab_codes.cache_info().misses == 1
+        warm, read = [], []
+        for E in sets:
+            counts, slabs = slabs_read(monkeypatch, E)
+            warm.append(counts)
+            read += slabs
+        info = congruence._slab_codes.cache_info()
+        assert info.hits + info.misses == len(read)
+        assert info.misses == lru_misses(read, info.maxsize) < len(read)
+        if q == 13:
+            assert info.misses == 4
         cold = []
         for E in sets:
             congruence._slab_codes.cache_clear()
@@ -622,15 +679,16 @@ class TestSlabCache:
         E = random_set(q, 2, Fraction(1, 2), 0)
         congruence._slab_codes.cache_clear()
         whole = table_counts(E)
-        monkeypatch.setattr(congruence, "_SLAB_ENTRIES", lines * q**3)
+        monkeypatch.setattr(congruence, "_SLAB_LINES", lines)
         warm = table_counts(E)
         congruence._slab_codes.cache_clear()
         assert table_counts(E) == warm == whole
 
     def test_table_peak_memory_at_q61(self):
-        # q = 61 has 16 slabs of four u_2 lines, so the four cached slab
-        # codes are rebuilt here too; the build peaks near 25 MB, and an
-        # int64 copy of each slab's product would lift it to about 37 MB
+        # q = 61 has 16 slabs of four u_2 lines, and this set stops after 9,
+        # so the four cached slab codes are rebuilt here too; the build peaks
+        # near 25 MB, and an int64 copy of each slab's product would lift it
+        # to about 37 MB
         E = random_set(61, 2, Fraction(1, 20), 0)
         key = (E.q, E.indicator.tobytes())
         expected = table_counts(E)
@@ -642,13 +700,14 @@ class TestSlabCache:
             tracemalloc.stop()
         assert peak < 31 * 10**6, peak
 
-    @pytest.mark.parametrize("q,slabs", [(47, 5), (61, 16)])
+    @pytest.mark.parametrize("q,slabs", [(47, 12), (61, 16)])
     @pytest.mark.parametrize("rho", ("1/20", "1/400"))
     def test_marks_match_the_boolean_mask_on_real_slabs(self, q, slabs, rho):
-        # past four slabs the cached codes are rebuilt within every set: at
-        # q = 47 in slabs of ten u_2 lines, at q = 61 of four.  At rho = 1/20
-        # nearly every realizable class is marked; the 6 and 10 points of
-        # rho = 1/400 mark a few hundred, so a lost mark changes a count
+        # past four slabs the cached codes are rebuilt within every set; both
+        # q have slabs of four u_2 lines.  At rho = 1/20 the table stops after
+        # 11 of 12 and 9 of 16 slabs, one mark short of saturation one slab
+        # before; the 6 and 10 points of rho = 1/400 mark a few hundred
+        # classes and read every slab, so a lost mark changes a count
         E = random_set(q, 2, Fraction(rho), 0)
         counts, built = boolean_mask_counts(E)
         assert built == slabs
@@ -656,15 +715,109 @@ class TestSlabCache:
 
     def test_codes_fit_the_table_at_q97(self):
         # q = 97 = 1 mod 4 is the largest q under PAIR_CAPACITY; the last code,
-        # 3 q^3 + 2 (q + 1) - 1, is (0, w) on the second isotropic line
+        # 3 q^3 + 2 (q + 1) - 1, is (0, w) on the second isotropic line.  The
+        # codes of every pair are the full grid's table, so they also pin the
+        # class totals the early exit stops at
         q = 97
         low, high = [], []
+        seen = np.zeros(3 * q**3 + 2 * (q + 1), dtype=bool)
         for u2 in range(q):
             codes = congruence._slab_codes.__wrapped__(q, u2, u2 + 1)
             low.append(codes.min())
             high.append(codes.max())
+            seen[codes] = True
         assert min(low) == 0
         assert max(high) == 3 * q**3 + 2 * (q + 1) - 1
+        assert mark_counts(seen, q) == class_totals(q)
+
+
+def parallel_lines(q: int, count: int) -> PointSet:
+    """The horizontal lines x_2 = 0 .. count - 1."""
+    return PointSet.from_points(PrimeField(q), 2,
+                                [(x, c) for c in range(count) for x in range(q)])
+
+
+class TestSaturation:
+    """The class totals, the per-triple counts of the radius tables, and the
+    table's exit once a set reaches the totals."""
+
+    @pytest.mark.parametrize("q", [q for q in range(3, 62) if is_prime(q)])
+    def test_full_grid_reaches_the_class_totals(self, q):
+        # every code of every slab is marked, with no product and no exit
+        seen = np.zeros(3 * q**3 + 2 * (q + 1), dtype=bool)
+        for u2 in range(q):
+            seen[congruence._slab_codes.__wrapped__(q, u2, u2 + 1)] = True
+        assert mark_counts(seen, q) == class_totals(q)
+
+    @staticmethod
+    def assert_triples_within_radius_tables(E: PointSet, tables, full: bool):
+        # Gram code (a, b, g) has c = |u - v| = a + b - 2g, and its three
+        # cells hold at most the radius table's count of SO classes
+        q = E.q
+        seen, _ = every_slab_marks(E)
+        marks = seen[:3 * q**3].reshape(q, q, q, 3).sum(axis=3)
+        b, g = np.ogrid[:q, :q]
+        for a in range(1, q):
+            allowed = tables[a][b, (a + b - 2 * g) % q]
+            assert np.all(marks[a] <= allowed), a
+            if full:
+                assert np.array_equal(marks[a], allowed), a
+
+    @staticmethod
+    def radius_tables(q: int):
+        field = PrimeField(q)
+        return {a: radius_counts(field, a) for a in range(1, q)}
+
+    def test_triples_on_every_subset_of_the_q3_plane(self):
+        tables = self.radius_tables(3)
+        for mask, E in subsets_of_the_q3_plane():
+            self.assert_triples_within_radius_tables(E, tables, full=mask == 2**9 - 1)
+
+    @pytest.mark.parametrize("q", (5, 7, 11, 13, 17, 19, 23, 29, 31))
+    def test_triples_on_random_and_structured_sets(self, q):
+        tables = self.radius_tables(q)
+        sets = [random_set(q, 2, Fraction(rho), 0) for rho in ("1/20", "1/10", "1/2")]
+        sets += [parallel_lines(q, count) for count in (1, 2, 3)]
+        if q % 4 == 1:
+            sets.append(both_isotropic_lines(q, next(i for i in range(q) if (i * i + 1) % q == 0)))
+        for E in sets:
+            self.assert_triples_within_radius_tables(E, tables, full=False)
+        self.assert_triples_within_radius_tables(
+            PointSet(PrimeField(q), 2, np.ones(q * q, dtype=np.uint8)), tables, full=True)
+
+    def test_exit_on_every_subset_of_the_q3_plane(self):
+        for mask, E in subsets_of_the_q3_plane():
+            assert table_counts(E) == boolean_mask_counts(E)[0], mask
+
+    @pytest.mark.parametrize("q", (5, 7, 11, 13))
+    @pytest.mark.parametrize("rho", DENSITIES)
+    def test_exit_on_random_sets(self, q, rho):
+        for seed in range(3):
+            E = random_set(q, 2, Fraction(rho), seed)
+            assert table_counts(E) == boolean_mask_counts(E)[0], seed
+
+    @pytest.mark.parametrize("q,slope", LINES)
+    def test_exit_on_lines(self, q, slope):
+        sets = lines_through_origin(q, slope) + [parallel_lines(q, 3)]
+        if (q, slope) in ISOTROPIC_LINES:
+            sets.append(both_isotropic_lines(q, slope))
+        for E in sets:
+            assert table_counts(E) == boolean_mask_counts(E)[0]
+
+    @pytest.mark.parametrize("q,rho,read", [(19, "1/2", 2), (97, "1/20", None), (97, "1/40", 97)])
+    def test_slabs_read(self, monkeypatch, q, rho, read):
+        # a saturated set stops at the slab that completes it: q = 19 needs
+        # five u_2 lines, q = 97 at rho = 1/20 16 of its 97 one-line slabs;
+        # at rho = 1/40 two SO classes stay unmarked and every slab is read
+        E = random_set(q, 2, Fraction(rho), 0)
+        counts, slabs = slabs_read(monkeypatch, E)
+        assert slabs[0][0] == 0
+        assert all(stop == first for (_, stop), (first, _) in zip(slabs, slabs[1:]))
+        if read is None:
+            assert len(slabs) < q
+        else:
+            assert len(slabs) == read
+        assert (counts == class_totals(q)) == (len(slabs) < q)
 
 
 class TestTriangleKernelOracles:
@@ -702,8 +855,7 @@ class TestTriangleKernelOracles:
         # which swaps the lines and flips det, so each nondegenerate Gram code
         # fills both SO cells; SO then exceeds O by those codes plus the q + 1
         # dependent classes, (w, lambda w) and (0, w), of the second line
-        E = PointSet.from_points(PrimeField(q), 2,
-                                 [(x, s * x % q) for x in range(q) for s in (slope, q - slope)])
+        E = both_isotropic_lines(q, slope)
         congruence._triangle_counts.cache_clear()
         stats = kernel_statistics(E)
         assert stats == earlier_statistics(E)
