@@ -22,23 +22,23 @@ the pair (u, v) is realized exactly when (A^T A)[u, v] > 0.  That product is
 formed in float32 BLAS, streamed in slabs of at most four u_2 lines and 2^20
 pairs, and only its sign is read: each term is 0 or 1, so an entry is
 positive exactly when some anchor realizes the pair, in whatever order or
-precision BLAS adds.  An independent pair is fixed up to O_2 by its Gram
-data (|u|, |v|, u.v) (Witt's theorem) and up to SO_2 by that data plus
-det(u, v); as 2 is invertible, the Gram data and the distance triple
-(|u|, |v|, |u - v|) determine each other, so signatures are counted as Gram
-codes.  By the Lagrange identity det^2 = |u||v| - (u.v)^2 the Gram data
-fixes det up to sign, so each Gram code needs three cells: 0 for a
-dependent pair, 1 for det in 1 .. (q - 1)/2 and 2 for det above.  The code
-Gram * 3 + cell of each pair is marked in a uint8 table of about 3 q^3
-entries by one np.maximum.at per slab, over views of the slab's codes and
-of its sign table: a max over 0/1 marks is their OR in any order, so the
-realized pairs are never compacted or copied.  The counts are read from the
-three cell columns and the isotropic rows with | and count_nonzero.  The
-slabs stop once the table holds bounds.class_totals(q)[2] marks, the full
-grid's count of codes: no slab after that can add a mark.  The saturated
-cells of the default sweep read one or two slabs, a random set of density
-1/20 at q = 97 reads 16 to 18 of 97, and a set short of saturation reads
-every slab.
+precision BLAS adds.  An
+independent pair is fixed up to O_2 by its Gram data (|u|, |v|,
+u.v) (Witt's theorem) and up to SO_2 by that data plus det(u, v); as 2 is
+invertible, the Gram data and the distance triple (|u|, |v|, |u - v|)
+determine each other, so signatures are counted as Gram codes.  By the
+Lagrange identity det^2 = |u||v| - (u.v)^2 the Gram data fixes det up to
+sign, so each Gram code needs three cells: 0 for a dependent pair, 1 for
+det in 1 .. (q - 1)/2 and 2 for det above.  The code Gram * 3 + cell of
+each pair is marked in a uint8 table of about 3 q^3 entries by one
+np.maximum.at per slab, over views of the slab's codes and of its sign
+table: a max over 0/1 marks is their OR in any order, so the realized
+pairs are never compacted or copied.  The counts are read from the three
+cell columns and the isotropic rows with | and count_nonzero.  The slabs
+stop once the table holds bounds.class_totals(q)[2] marks, the full grid's
+count of codes: no slab after that can add a mark.  The default sweep's
+cells read one or two slabs, a random set of density 1/20 at q = 97 reads
+16 to 18 of 97, and a set short of saturation reads every slab.
 
 A dependent pair (det(u, v) = 0) is (0, 0), (0, w) or (w, lambda w) with
 w != 0.  SO_2 acts simply transitively on each circle S_t with t != 0, so
@@ -72,8 +72,8 @@ from .fourier import CapacityError, PointD
 # q <= 100, so the slab codes' uint8 sums stay below 2q <= 200
 PAIR_CAPACITY = 10**8
 _SLAB_ENTRIES = 2**20  # realized-pair table entries formed per product
-# u_2 lines per slab at most: a saturated set at q <= 31 stops within the
-# first one or two slabs, whose codes then stay in _slab_codes' cache
+# u_2 lines per slab at most: the sweep's and criterion 13's sets (q <= 31)
+# saturate within one or two slabs, whose codes then stay in _slab_codes' cache
 _SLAB_LINES = 4
 
 Matrix2 = Tuple[int, int, int, int]
@@ -339,12 +339,12 @@ def _triangle_counts(q: int, indicator: bytes) -> Tuple[int, int, int, int]:
     if q**4 > PAIR_CAPACITY:
         raise CapacityError(f"pair table of size {q}^4 exceeds {PAIR_CAPACITY}")
     seen = np.zeros(3 * q**3 + 2 * (q + 1), dtype=np.uint8)
-    every_code = class_totals(q)[2]
+    so_total = class_totals(q)[2]
     for u2s, realized in _realized_slabs(q, indicator):
         codes = _slab_codes(q, int(u2s[0]), int(u2s[-1]) + 1)
         # a max over 0/1 marks is their OR, in any order; both operands are views
         np.maximum.at(seen, codes.ravel(), realized.ravel().view(np.uint8))
-        if np.count_nonzero(seen) == every_code:
+        if np.count_nonzero(seen) == so_total:
             break
     dependent, cell1, cell2 = seen[:3 * q**3].reshape(q**3, 3).T
     line1, line2 = seen[3 * q**3:].reshape(2, q + 1)

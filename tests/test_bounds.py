@@ -69,6 +69,21 @@ def test_triangle_chain_skips_missing_terms():
     assert not bounds.triangle_chain_holds(5, 7, 6)
 
 
+@pytest.mark.parametrize("q,totals", [
+    # the saturated counts of the golden sweep's q = 13 and 19 rows, of
+    # criterion 13 (q = 31) and of the q = 97 sweep cell in tests/test_cli.py
+    (13, (1261, 1092, 2381, 1275)),
+    (19, (3439, 3078, 6517, 3439)),
+    (31, (14911, 13950, 28861, 14911)),
+    (97, (465697, 456288, 922181, 465795)),
+])
+def test_class_totals_pinned(q, totals):
+    assert bounds.class_totals(q) == totals
+    assert all(type(t) is int for t in bounds.class_totals(q))
+    signatures, _, orbits_so, orbits_o = totals
+    assert bounds.triangle_chain_holds(signatures, orbits_o, orbits_so)
+
+
 def test_triangle_table_charge():
     bounds.charge_triangle_table(7, 7**4)
     with pytest.raises(BudgetError,
