@@ -16,65 +16,48 @@ O_2 taking u to v.  For a triangle T is unique as well, so whether det T is
 +1 or -1 is a property of the pair; genuinely chiral pairs exist (mirror
 triangles), which is why the group argument exposes both SO and O.
 
-Triangle statistics read one table, the realized difference pairs (u, v) =
-(y - x, z - x) over (x, y, z) in E^3.  With A[x, u] = E(x + u) for x in E,
-the pair (u, v) is realized exactly when (A^T A)[u, v] > 0.  That product is
-formed in float32 BLAS, streamed in slabs of at most four u_2 lines and 2^20
-pairs, and only its sign is read: each term is 0 or 1, so an entry is
-positive exactly when some anchor realizes the pair, in whatever order or
-precision BLAS adds.  An
-independent pair is fixed up to O_2 by its Gram data (|u|, |v|,
-u.v) (Witt's theorem) and up to SO_2 by that data plus det(u, v); as 2 is
-invertible, the Gram data and the distance triple (|u|, |v|, |u - v|)
-determine each other, so signatures are counted as Gram codes.  By the
-Lagrange identity det^2 = |u||v| - (u.v)^2 the Gram data fixes det up to
-sign, so each Gram code needs three cells: 0 for a dependent pair, 1 for
-det in 1 .. (q - 1)/2 and 2 for det above.  The code Gram * 3 + cell of
-each pair is marked in a uint8 table of about 3 q^3 entries by one
-np.maximum.at per slab, over views of the slab's codes and of its sign
-table: a max over 0/1 marks is their OR in any order, so the realized
-pairs are never compacted or copied.  The counts are read from the three
-cell columns and the isotropic rows with | and count_nonzero.  The slabs
-stop once the table holds bounds.class_totals(q)[2] marks, the full grid's
-count of codes: no slab after that can add a mark.  The default sweep's
-cells read one or two slabs, a random set of density 1/20 at q = 97 reads
-16 to 18 of 97, and a set short of saturation reads every slab.
+Triangle statistics count the classes of the realized difference pairs
+(u, v) = (y - x, z - x) over (x, y, z) in E^3 frame by frame.  SO_2 acts
+simply transitively on each circle S_a, a != 0, and on each isotropic line
+t (1, +-i), i^2 = -1, minus 0 (only for q = 1 mod 4).  So one frame point
+u_0 per such orbit makes every SO class with u != 0 exactly one cell
+(u_0, v), and the cell is realized when (g u_0, g v) is for some rotation g.
+With A[x, u] = E(x + u) for x in E, that is (A^T A)[g u_0, g v] > 0, and
+each rotation forms the rows g u_0 of that product in float32, reading only
+its sign: each term is 0 or 1, so an entry is positive exactly when some
+anchor realizes the pair, in whatever order or precision BLAS adds.  The
+rotations stop once every cell is marked: the full grid marks no more.
+The pairs (0, v) are realized for v in E - E, A's nonzero column sums, and
+form one class per SO orbit of v.
 
-A dependent pair (det(u, v) = 0) is (0, 0), (0, w) or (w, lambda w) with
-w != 0.  SO_2 acts simply transitively on each circle S_t with t != 0, so
-off the null cone the orbit of such a pair is named by |w| and lambda,
-which its Gram code carries.  The exceptions all have Gram code 0: an
-isotropic w != 0 (only for q = 1 mod 4) lies on one of the lines
-t (1, +-i), i^2 = -1, which SO_2 scales by all of F_q^* and the reflections
-swap.  These pairs get codes past the 3 q^3 cells that keep the line and
-lambda (q for (0, w)): SO counts them per line, O per lambda.  The four
-counts are cached per set content, so the four statistics of one set cost
-one pass.  The codes themselves do not depend on the set: they are built
-once per (q, slab) and shared by every set.
+Each count is the number of distinct keys among the marked cells.  SO
+counts cells.  O merges a cell with its image under the reflection fixing
+u_0, and the two isotropic frames and lines with each other.  An
+independent pair is fixed up to O_2 by its Gram data (|u|, |v|, u.v)
+(Witt's theorem); as 2 is invertible, the Gram data and the distance triple
+(|u|, |v|, |u - v|) determine each other, so signatures are counted as Gram
+codes, and the nondegenerate ones over the independent cells.  The keys do
+not depend on the set: they are built once per q and shared by every set,
+and the four counts are cached per set content, so the four statistics of
+one set cost one pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .bounds import class_totals
-from .charsums import norm_values
+from .charsums import inverse_table, norm_values
 from .counting import PointSet
 from .field import PrimeField
 from .fourier import CapacityError, PointD
 
-# q^4 at most: bounds A's |E| q^2 float32 entries (|E| <= q^2) and keeps
-# q <= 100, so the slab codes' uint8 sums stay below 2q <= 200
+# q^4 at most: bounds A's |E| q^2 float32 entries (|E| <= q^2), so q <= 100
 PAIR_CAPACITY = 10**8
-_SLAB_ENTRIES = 2**20  # realized-pair table entries formed per product
-# u_2 lines per slab at most: the sweep's and criterion 13's sets (q <= 31)
-# saturate within one or two slabs, whose codes then stay in _slab_codes' cache
-_SLAB_LINES = 4
 
 Matrix2 = Tuple[int, int, int, int]
 Vector2 = Tuple[int, int]
@@ -254,108 +237,124 @@ def congruent(P: Simplex, P2: Simplex, group: str = "SO") -> Optional[Congruence
     return witness
 
 
-def _realized_slabs(q: int, indicator: bytes) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """The realized-pair table of a planar set, streamed in slabs of u_2 lines.
+class _Frames(NamedTuple):
+    """Read-only tables of the frame count at one q.  Frame f is u_0(f): the
+    first point of norm f + 1, then (1, i) and (1, -i), i^2 = -1, when
+    q = 1 mod 4.  points[g, f] and turn[g, v] are the indices of g u_0(f)
+    and g v over the rotations g of `group_matrices`.  Cell (f, v) has a
+    Gram code (|u_0| q + |v|) q + u_0.v, an independence flag and an O key,
+    the lower of the cell and its O partner; the pairs (0, v) have a Gram
+    code |v| q, an SO orbit (v's frame, F for the origin) and an O orbit."""
 
-    Yields (u2s, realized): realized[i q + u_1, v] is true exactly when some x
-    in E has x + u and x + v in E for u = (u_1, u2s[i]), i.e. (u, v) =
-    (y - x, z - x) for a triple of E^3.  Each slab, at most _SLAB_LINES lines
-    and _SLAB_ENTRIES pairs, is the sign of one float32 product
-    (A^T A)[u, v], where A[x, u] = E(x + u) for x in E: a sum of 0/1 terms,
-    positive exactly when one of them is 1, however BLAS orders or rounds
-    it.  A slab's product is formed only when the caller asks for it.
-    """
+    points: np.ndarray
+    turn: np.ndarray
+    gram: np.ndarray
+    independent: np.ndarray
+    o_key: np.ndarray
+    zero_gram: np.ndarray
+    zero_so: np.ndarray
+    zero_o: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def _frame_tables(q: int) -> _Frames:
+    """The frame tables of `_Frames`, shared by every set at q and built one
+    row at a time in int32, so that no temporary is larger than q^2."""
+    field = PrimeField(q)
     n = q * q
+    norms = norm_values(field, 2).astype(np.int32)
+    v = np.arange(n, dtype=np.int32)
+    v1, v2 = v % q, v // q  # point indices are v_2 q + v_1, as in norm_values
+    frames = np.concatenate([np.unique(norms, return_index=True)[1][1:],
+                             np.flatnonzero((norms == 0) & (v1 == 1))])
+    rotations = group_matrices(field, "SO")
+    turn = np.empty((len(rotations), n), dtype=np.int32)
+    for row, (a, b, c, d) in zip(turn, rotations):
+        row[:] = (a * v1 + b * v2) % q + (c * v1 + d * v2) % q * q
+    gram = np.empty((frames.size, n), dtype=np.int32)
+    independent = np.empty(gram.shape, dtype=bool)
+    o_key = np.empty(gram.shape, dtype=np.int32)
+    inverse = inverse_table(field)
+    for f, (p1, p2, a) in enumerate(zip(v1[frames].tolist(), v2[frames].tolist(), norms[frames].tolist())):
+        dot = (p1 * v1 + p2 * v2) % q
+        gram[f] = (a * q + norms) * q + dot
+        independent[f] = (p1 * v2 - p2 * v1) % q != 0
+        if a:
+            # O merges v with its image under the reflection fixing u_0,
+            # v -> (2 u_0.v / a) u_0 - v
+            s = 2 * int(inverse[a]) * dot % q
+            o_key[f] = f * n + np.minimum(v, (s * p1 - v1) % q + (s * p2 - v2) % q * q)
+        else:
+            # and (x, y) -> (x, -y) takes frame q - 1, (1, i), to frame q, (1, -i)
+            o_key[f] = (q - 1) * n + (v if f == q - 1 else v1 + (-v2) % q * q)
+    zero_so = np.empty(n, dtype=np.int32)
+    zero_so[turn[:, frames]] = np.arange(frames.size)
+    zero_so[0] = frames.size
+    tables = _Frames(turn[:, frames], turn, gram, independent, o_key, norms * q, zero_so,
+                     np.where(zero_so == q, q - 1, zero_so))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _anchor_matrix(q: int, indicator: bytes) -> np.ndarray:
+    """A[x, u] = E(x + u) for x in E, float32, columns over u_2 q + u_1."""
     cube = np.frombuffer(indicator, dtype=np.uint8).reshape(q, q)  # cube[x_2, x_1]
     x2, x1 = np.nonzero(cube.view(bool))  # PointSet's entries are 0 or 1
     # row x of A is the q x q window of the doubly tiled cube at offset x
     windows = sliding_window_view(np.tile(cube.astype(np.float32), (2, 2)), (q, q))
-    A = windows[x2, x1].reshape(x1.size, n)
-    lines = max(1, min(_SLAB_LINES, _SLAB_ENTRIES // (q * n)))
-    for first in range(0, q, lines):
-        u2s = np.arange(first, min(q, first + lines))
-        yield u2s, A[:, first * q:(first + lines) * q].T @ A > 0
+    return windows[x2, x1].reshape(x1.size, q * q)
 
 
-@lru_cache(maxsize=4)
-def _slab_codes(q: int, first: int, stop: int) -> np.ndarray:
-    """The class code of every pair (u, v) with u on the u_2 lines first ..
-    stop - 1, rows over u as in `_realized_slabs` and columns over v.
+def _rotation_products(A: np.ndarray, points: np.ndarray) -> Iterator[np.ndarray]:
+    """The rows g u_0 of the realized-pair table, one rotation g per row of
+    points: realized[f, w] when some x in E has x + g u_0(f) and x + w in E.
+    That is the sign of a float32 product of 0/1 terms, positive exactly
+    when one term is 1, however BLAS orders or rounds it; each product is
+    formed only when the caller asks for it."""
+    for rows in points:
+        yield A[:, rows].T @ A > 0
 
-    Read-only int32, below 3 q^3 + 2 (q + 1): Gram * 3 + cell as in the
-    module notes, and 3 q^3 + line (q + 1) + lambda for (w, lambda w) with w
-    on an isotropic line, lambda = q for (0, w).
-    """
-    r = np.arange(q, dtype=np.int64)
-    prod = (r[:, None] * r[None, :]) % q
-    mul, neg = prod.astype(np.uint8), ((-prod) % q).astype(np.uint8)
-    norms = norm_values(PrimeField(q), 2).astype(np.int32)
-    u2s = np.arange(first, stop)
-    rows = u2s.size * q
-    # u.v = u1 v1 + u2 v2 and det = u1 v2 - u2 v1 over (u2, u1, v2, v1),
-    # as uint8 sums below 2q <= 200 (q <= 100 under PAIR_CAPACITY),
-    # reduced as min(s, s - q): s - q wraps above s when s < q
-    dot = mul[u2s][:, None, :, None] + mul[None, :, None, :]
-    dot = np.minimum(dot, dot - np.uint8(q)).reshape(rows, q * q)
-    det = mul[None, :, :, None] + neg[u2s][:, None, None, :]
-    det = np.minimum(det, det - np.uint8(q)).reshape(rows, q * q)
-    # the Gram code (|u| q + |v|) q + u.v, then its cell; every digit is
-    # added in place in int32, as 3 q^3 + 2 (q + 1) < 2^31
-    codes = np.add.outer(norms[first * q:stop * q] * q * q, norms * q)
-    codes += dot
-    codes *= 3
-    codes += det > 0
-    codes += det > (q - 1) // 2
-    # the pairs of Gram code 0 other than (0, 0) have w = t (1, i) on an
-    # isotropic line, t != 0; w lies on u_2 = t i, so t = -i u_2
-    u2 = u2s[u2s > 0]
-    for line, i in enumerate(np.flatnonzero(prod.diagonal() == q - 1)):
-        base = 3 * q**3 + line * (q + 1)
-        t = prod[q - i, u2]
-        lam_t = prod[:, t]  # lambda w = (lambda t, lambda t i) over (lambda, w)
-        codes[(u2 - first) * q + t, prod[i, lam_t] * q + lam_t] = base + r[:, None]
-        if first == 0:
-            codes[0, prod[i, 1:] * q + r[1:]] = base + q
-    codes.flags.writeable = False
-    return codes
+
+def _distinct(size: int, keys: np.ndarray) -> int:
+    """How many distinct values in range(size) keys holds."""
+    seen = np.zeros(size, dtype=bool)
+    seen[keys] = True
+    return int(np.count_nonzero(seen))
+
+
+def _class_counts(q: int, marks: np.ndarray, differences: np.ndarray) -> Tuple[int, int, int, int]:
+    """(signatures_all, signatures_nondeg, orbits_so, orbits_o) of the frame
+    cells marks and the pairs (0, v) for v in differences, both boolean."""
+    t = _frame_tables(q)
+    # an independent pair's Gram code is never a dependent pair's (ab != g^2)
+    grams = np.zeros(q**3, dtype=bool)
+    grams[t.gram[marks & t.independent]] = True
+    signatures_nondeg = int(np.count_nonzero(grams))
+    grams[t.gram[marks & ~t.independent]] = True
+    grams[t.zero_gram[differences]] = True
+    orbits = marks.shape[0] + 1
+    return (int(np.count_nonzero(grams)),
+            signatures_nondeg,
+            int(np.count_nonzero(marks)) + _distinct(orbits, t.zero_so[differences]),
+            _distinct(marks.size, t.o_key[marks]) + _distinct(orbits, t.zero_o[differences]))
 
 
 @lru_cache(maxsize=8)
 def _triangle_counts(q: int, indicator: bytes) -> Tuple[int, int, int, int]:
     """(signatures_all, signatures_nondeg, orbits_so, orbits_o) of one planar
-    set, from one pass over its realized pairs.
-
-    With cells[g] the three cells of Gram code g and iso[line] the codes of
-    that isotropic line, marked for the set's realized pairs: signatures are
-    the Gram codes with a mark (all) or a mark off cell 0 (nondegenerate);
-    SO orbits are the marked cells and iso codes; O orbits merge the cells 1
-    and 2 of a Gram code and the two lines.
-
-    The slabs stop once the set is saturated.  The full grid realizes every
-    pair, so it marks every code any set can mark, and it marks
-    bounds.class_totals(q)[2] of them; once `seen` holds that many marks, no
-    later slab can add one.  The counts are read from `seen` either way.
-    """
+    set.  Cell (f, v) is marked once some rotation g realizes (g u_0, g v);
+    the rotations stop once every cell is, as on the full grid."""
     if q**4 > PAIR_CAPACITY:
         raise CapacityError(f"pair table of size {q}^4 exceeds {PAIR_CAPACITY}")
-    seen = np.zeros(3 * q**3 + 2 * (q + 1), dtype=np.uint8)
-    so_total = class_totals(q)[2]
-    for u2s, realized in _realized_slabs(q, indicator):
-        codes = _slab_codes(q, int(u2s[0]), int(u2s[-1]) + 1)
-        # a max over 0/1 marks is their OR, in any order; both operands are views
-        np.maximum.at(seen, codes.ravel(), realized.ravel().view(np.uint8))
-        if np.count_nonzero(seen) == so_total:
+    frames = _frame_tables(q)
+    A = _anchor_matrix(q, indicator)
+    marks = np.zeros(frames.gram.shape, dtype=bool)
+    for turn, realized in zip(frames.turn, _rotation_products(A, frames.points)):
+        marks |= realized[:, turn]
+        if marks.all():
             break
-    dependent, cell1, cell2 = seen[:3 * q**3].reshape(q**3, 3).T
-    line1, line2 = seen[3 * q**3:].reshape(2, q + 1)
-    # (0, 0) is realized whenever any pair is, and keeps Gram code 0
-    nondeg = cell1 | cell2
-    signatures_nondeg = int(np.count_nonzero(nondeg))
-    return (int(np.count_nonzero(nondeg | dependent)),
-            signatures_nondeg,
-            sum(int(np.count_nonzero(marks)) for marks in (dependent, cell1, cell2, line1, line2)),
-            signatures_nondeg + int(np.count_nonzero(dependent))
-            + int(np.count_nonzero(line1 | line2)))
+    return _class_counts(q, marks, A.sum(axis=0) > 0)
 
 
 def distinct_signature_count(E: PointSet, mode: str = "all") -> int:
@@ -376,11 +375,10 @@ def distinct_signature_count(E: PointSet, mode: str = "all") -> int:
 def t3_orbit_count(E: PointSet, group: str = "SO") -> int:
     """Exact number of orbits of E^3 under translations and the chosen group.
 
-    Realized pairs are counted by class code: the Gram code, with the sign
-    class of det(u, v) for SO, and the line and lambda of pairs on the
-    isotropic lines (merged for O).  The count is read from the set's cached
-    triangle table.  Like the signature counts, this guards only the table's
-    memory; the caller charges the work first
+    Realized pairs are counted as frame cells, merged in pairs by the
+    reflections for O, and the count is read from the set's cached triangle
+    table.  Like the signature counts, this guards only the table's memory;
+    the caller charges the work first
     (`bounds.charge_triangle_table`).
     """
     if E.d != 2:

@@ -476,10 +476,19 @@ def anchor_loop_pairs(E: PointSet) -> np.ndarray:
 
 
 def product_pairs(E: PointSet) -> np.ndarray:
-    """The library's realized-pair table, its slabs stacked in u order."""
-    slabs = list(congruence._realized_slabs(E.q, E.indicator.tobytes()))
-    assert np.array_equal(np.concatenate([u2s for u2s, _ in slabs]), np.arange(E.q))
-    return np.concatenate([realized for _, realized in slabs])
+    """The library's realized-pair table: row 0 from A's column sums and each
+    row u = g u_0 from the rotation products, every nonzero u formed once."""
+    q = E.q
+    frames = congruence._frame_tables(q)
+    A = congruence._anchor_matrix(q, E.indicator.tobytes())
+    table = np.zeros((q * q, q * q), dtype=bool)
+    table[0] = A.sum(axis=0) > 0
+    formed = np.zeros(q * q, dtype=int)
+    for rows, realized in zip(frames.points, congruence._rotation_products(A, frames.points)):
+        table[rows] = realized
+        np.add.at(formed, rows, 1)
+    assert formed[0] == 0 and np.all(formed[1:] == 1)
+    return table
 
 
 def full_group_orbit_count(E: PointSet, group: str) -> int:
@@ -539,7 +548,7 @@ DENSITIES = ("1/10", "3/10", "1/2", "1")
 
 
 class TestRealizedPairTable:
-    """The exact-product table against the anchor-loop kernel."""
+    """The exact-product rows against the anchor-loop kernel."""
 
     def test_every_subset_of_the_q3_plane(self):
         for mask, E in subsets_of_the_q3_plane():
@@ -557,138 +566,119 @@ class TestRealizedPairTable:
         for E in lines_through_origin(q, slope):
             assert np.array_equal(product_pairs(E), anchor_loop_pairs(E))
 
-    @pytest.mark.parametrize("q,lines", [(7, 1), (7, 2), (13, 3), (13, 5), (17, 1)])
-    def test_several_slabs(self, monkeypatch, q, lines):
-        # slabs hold _SLAB_LINES = 4 u_2 lines below q = 61; force slabs of
-        # other sizes, with a shorter last slab when lines does not divide q;
-        # at q = 17 the isotropic rows t (1, +-4) fall in separate one-line slabs
-        monkeypatch.setattr(congruence, "_SLAB_LINES", lines)
-        congruence._triangle_counts.cache_clear()
-        try:
-            for seed in range(2):
-                E = random_set(q, 2, Fraction(1, 2), seed)
-                slabs = list(congruence._realized_slabs(q, E.indicator.tobytes()))
-                assert len(slabs) == -(-q // lines)
-                assert np.array_equal(product_pairs(E), anchor_loop_pairs(E))
-                assert kernel_statistics(E) == earlier_statistics(E)
-        finally:
-            congruence._triangle_counts.cache_clear()
-
 
 def table_counts(E: PointSet):
     """The four counts of a table built now, past the per-set cache."""
     return congruence._triangle_counts.__wrapped__(E.q, E.indicator.tobytes())
 
 
-def every_slab_marks(E: PointSet):
-    """The earlier marking, on the library's slabs and codes, with no early
-    exit: each slab's realized codes compacted through its boolean mask into
-    a bool table.  Returns the table and the number of slabs."""
+def every_rotation_marks(E: PointSet):
+    """The frame marks with no early exit, every rotation's product ORed in,
+    and the pairs (0, v) from A's column sums."""
     q = E.q
-    seen = np.zeros(3 * q**3 + 2 * (q + 1), dtype=bool)
-    slabs = 0
-    for u2s, realized in congruence._realized_slabs(q, E.indicator.tobytes()):
-        seen[congruence._slab_codes(q, int(u2s[0]), int(u2s[-1]) + 1)[realized]] = True
-        slabs += 1
-    return seen, slabs
+    frames = congruence._frame_tables(q)
+    A = congruence._anchor_matrix(q, E.indicator.tobytes())
+    marks = np.zeros(frames.gram.shape, dtype=bool)
+    for turn, realized in zip(frames.turn, congruence._rotation_products(A, frames.points)):
+        marks |= realized[:, turn]
+    return marks, A.sum(axis=0) > 0
 
 
-def mark_counts(seen: np.ndarray, q: int):
-    """The four counts of a bool class-code table, with .any reductions."""
-    cells = seen[:3 * q**3].reshape(q**3, 3)
-    iso = seen[3 * q**3:].reshape(2, q + 1)
-    dependent = int(np.count_nonzero(cells[:, 0]))
-    nondeg = int(np.count_nonzero(cells[:, 1:].any(axis=1)))
-    return (int(np.count_nonzero(cells.any(axis=1))),
-            nondeg,
-            int(np.count_nonzero(cells[:, 1:])) + dependent + int(np.count_nonzero(iso)),
-            nondeg + dependent + int(np.count_nonzero(iso.any(axis=0))))
+def traced_table(monkeypatch, E: PointSet):
+    """table_counts(E), the number of rotation products it formed, and the
+    marks and differences it counted."""
+    read, counted = [0], []
+    every_product, count = congruence._rotation_products, congruence._class_counts
+
+    def products(A, points):
+        for realized in every_product(A, points):
+            read[0] += 1
+            yield realized
+
+    def recorded(q, marks, differences):
+        counted.append((marks.copy(), differences.copy()))
+        return count(q, marks, differences)
+
+    monkeypatch.setattr(congruence, "_rotation_products", products)
+    monkeypatch.setattr(congruence, "_class_counts", recorded)
+    counts = table_counts(E)
+    monkeypatch.undo()
+    return counts, read[0], counted[0]
 
 
-def boolean_mask_counts(E: PointSet):
-    """The counts of `every_slab_marks` and the number of slabs it read."""
-    seen, slabs = every_slab_marks(E)
-    return mark_counts(seen, E.q), slabs
+def assert_marks_match_every_rotation(monkeypatch, E: PointSet):
+    marks, differences = every_rotation_marks(E)
+    counts, _, (kernel_marks, kernel_differences) = traced_table(monkeypatch, E)
+    assert np.array_equal(kernel_marks, marks)
+    assert np.array_equal(kernel_differences, differences)
+    assert counts == congruence._class_counts(E.q, marks, differences)
 
 
-def slabs_read(monkeypatch, E: PointSet):
-    """table_counts(E) and the (first, stop) lines of each slab it formed."""
-    read = []
-    every_slab = congruence._realized_slabs
+@pytest.mark.parametrize("q", [p for p in range(3, 32) if is_prime(p)])
+def test_frame_tables(q):
+    # the pairs (g, frame) hit every nonzero point once, each turn[g] is the
+    # permutation v -> g v, and the O partner is an involution by a
+    # reflection of O_2 that keeps |v| and u_0.v
+    F = PrimeField(q)
+    n = q * q
+    frames = congruence._frame_tables(q)
+    rotations = group_matrices(F, "SO")
+    points = [(v % q, v // q) for v in range(n)]
+    frame_points = frames.points[rotations.index((1, 0, 0, 1))]
+    assert np.array_equal(np.bincount(frames.points.ravel(), minlength=n), [0] + [1] * (n - 1))
+    for m, turn, rows in zip(rotations, frames.turn, frames.points):
+        assert np.array_equal(np.sort(turn), np.arange(n))
+        assert [points[w] for w in turn] == [apply_mat(m, p, q) for p in points]
+        assert np.array_equal(rows, turn[frame_points])
+    key = frames.o_key.ravel()
+    cells = np.arange(key.size)
+    assert np.all(np.bincount(key) <= 2)
+    partner = cells.copy()
+    lower = key < cells
+    partner[lower], partner[key[lower]] = key[lower], cells[lower]
+    assert np.array_equal(partner[partner], cells)
+    assert np.array_equal(key, np.minimum(cells, partner))
+    assert np.array_equal(frames.gram.ravel()[partner], frames.gram.ravel())
+    u0 = [points[w] for w in frame_points]
+    reflections = group_matrices(F, "O")[len(rotations):]
+    for f, u in enumerate(u0):
+        mate, images = divmod(partner[f * n:(f + 1) * n], n)
+        assert np.all(mate == mate[0])
+        carriers = [m for m in reflections if apply_mat(m, u, q) == u0[mate[0]]]
+        assert len(carriers) == 1, (f, u)
+        assert [points[w] for w in images] == [apply_mat(carriers[0], p, q) for p in points]
 
-    def counted(q, indicator):
-        for u2s, realized in every_slab(q, indicator):
-            read.append((int(u2s[0]), int(u2s[-1]) + 1))
-            yield u2s, realized
 
-    monkeypatch.setattr(congruence, "_realized_slabs", counted)
-    return table_counts(E), read
+class TestFrameTables:
+    """The set-independent frame tables, built once per q and shared."""
 
-
-def lru_misses(keys, size: int) -> int:
-    """The misses of a least-recently-used cache of `size` entries over keys."""
-    cache, misses = [], 0
-    for key in keys:
-        if key in cache:
-            cache.remove(key)
-        else:
-            misses += 1
-            if len(cache) == size:
-                cache.pop(0)
-        cache.append(key)
-    return misses
-
-
-class TestSlabCache:
-    """The set-independent slab codes, built once per (q, slab) and shared."""
-
-    def test_read_only_with_int32_code(self):
-        congruence._slab_codes.cache_clear()
-        codes = congruence._slab_codes(7, 0, 7)
-        assert codes.dtype == np.int32
-        assert codes.shape == (7**2, 7**2)
-        with pytest.raises(ValueError):
-            codes[0, 0] = 0
+    def test_read_only_int32_tables(self):
+        congruence._frame_tables.cache_clear()
+        frames = congruence._frame_tables(7)
+        assert frames.turn.shape == (8, 49)
+        assert frames.points.shape == frames.turn[:, :6].shape
+        assert frames.gram.shape == frames.o_key.shape == frames.independent.shape == (6, 49)
+        for table in frames:
+            assert table.dtype in (np.int32, np.bool_)
+            with pytest.raises(ValueError):
+                table[(0,) * table.ndim] = 0
 
     @pytest.mark.parametrize("q", (13, 17, 19))
-    def test_warm_counts_equal_cold_counts(self, monkeypatch, q):
-        # each slab a set reads is built once while it stays in the cache:
-        # q = 13 has four slabs, all kept; q = 17 and 19 have five, and the
-        # rho = 1/10 sets, which read all five, cycle the four entries
+    def test_warm_counts_equal_cold_counts(self, q):
+        # the tables are built by the first set and read by the others
         sets = [random_set(q, 2, Fraction(rho), seed)
                 for rho in DENSITIES for seed in range(2)]
-        congruence._slab_codes.cache_clear()
-        warm, read = [], []
-        for E in sets:
-            counts, slabs = slabs_read(monkeypatch, E)
-            warm.append(counts)
-            read += slabs
-        info = congruence._slab_codes.cache_info()
-        assert info.hits + info.misses == len(read)
-        assert info.misses == lru_misses(read, info.maxsize) < len(read)
-        if q == 13:
-            assert info.misses == 4
+        congruence._frame_tables.cache_clear()
+        warm = [table_counts(E) for E in sets]
+        assert congruence._frame_tables.cache_info().misses == 1
         cold = []
         for E in sets:
-            congruence._slab_codes.cache_clear()
+            congruence._frame_tables.cache_clear()
             cold.append(table_counts(E))
         assert warm == cold
 
-    @pytest.mark.parametrize("q,lines", [(7, 1), (7, 2), (13, 3), (13, 5)])
-    def test_slab_bounds_are_part_of_the_key(self, monkeypatch, q, lines):
-        E = random_set(q, 2, Fraction(1, 2), 0)
-        congruence._slab_codes.cache_clear()
-        whole = table_counts(E)
-        monkeypatch.setattr(congruence, "_SLAB_LINES", lines)
-        warm = table_counts(E)
-        congruence._slab_codes.cache_clear()
-        assert table_counts(E) == warm == whole
-
     def test_table_peak_memory_at_q61(self):
-        # q = 61 has 16 slabs of four u_2 lines, and this set stops after 9,
-        # so the four cached slab codes are rebuilt here too; the build peaks
-        # near 25 MB, and an int64 copy of each slab's product would lift it
-        # to about 37 MB
+        # warm tables: A is 2.8 MB here, and the peak stays near 5 MB
         E = random_set(61, 2, Fraction(1, 20), 0)
         key = (E.q, E.indicator.tobytes())
         expected = table_counts(E)
@@ -700,35 +690,37 @@ class TestSlabCache:
             tracemalloc.stop()
         assert peak < 31 * 10**6, peak
 
-    @pytest.mark.parametrize("q,slabs", [(47, 12), (61, 16)])
-    @pytest.mark.parametrize("rho", ("1/20", "1/400"))
-    def test_marks_match_the_boolean_mask_on_real_slabs(self, q, slabs, rho):
-        # past four slabs the cached codes are rebuilt within every set; both
-        # q have slabs of four u_2 lines.  At rho = 1/20 the table stops after
-        # 11 of 12 and 9 of 16 slabs, one mark short of saturation one slab
-        # before; the 6 and 10 points of rho = 1/400 mark a few hundred
-        # classes and read every slab, so a lost mark changes a count
-        E = random_set(q, 2, Fraction(rho), 0)
-        counts, built = boolean_mask_counts(E)
-        assert built == slabs
-        assert table_counts(E) == counts
+    def test_cold_table_peak_memory_at_q97(self):
+        # A holds 471 x 97^2 float32 entries (17.7 MB) and the tables,
+        # built here in int32, about 12 MB; the bounds are what the earlier
+        # class-code table cached (14.7 MB) and peaked at (42.8 MB)
+        E = random_set(97, 2, Fraction(1, 20), 0)
+        key = (E.q, E.indicator.tobytes())
+        congruence._frame_tables.cache_clear()
+        tracemalloc.start()
+        try:
+            counts = congruence._triangle_counts.__wrapped__(*key)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts == class_totals(97)
+        assert sum(table.nbytes for table in congruence._frame_tables(97)) < 14.7e6
+        assert peak < 42.8e6, peak
 
-    def test_codes_fit_the_table_at_q97(self):
-        # q = 97 = 1 mod 4 is the largest q under PAIR_CAPACITY; the last code,
-        # 3 q^3 + 2 (q + 1) - 1, is (0, w) on the second isotropic line.  The
-        # codes of every pair are the full grid's table, so they also pin the
-        # class totals the early exit stops at
-        q = 97
-        low, high = [], []
-        seen = np.zeros(3 * q**3 + 2 * (q + 1), dtype=bool)
-        for u2 in range(q):
-            codes = congruence._slab_codes.__wrapped__(q, u2, u2 + 1)
-            low.append(codes.min())
-            high.append(codes.max())
-            seen[codes] = True
-        assert min(low) == 0
-        assert max(high) == 3 * q**3 + 2 * (q + 1) - 1
-        assert mark_counts(seen, q) == class_totals(q)
+    @pytest.mark.parametrize("q", (47, 61))
+    @pytest.mark.parametrize("rho", ("1/20", "1/400"))
+    def test_marks_match_every_rotation(self, monkeypatch, q, rho):
+        # at rho = 1/20 the table stops after a few rotations; the 6 and 10
+        # points of rho = 1/400 mark a few hundred classes and read every
+        # rotation, so a lost mark changes a count
+        assert_marks_match_every_rotation(monkeypatch, random_set(q, 2, Fraction(rho), 0))
+
+    def test_full_grid_at_q97_reaches_the_class_totals(self):
+        # q = 97 = 1 mod 4 is the largest q under PAIR_CAPACITY; the full
+        # grid marks every cell and every (0, v)
+        frames = congruence._frame_tables(97)
+        marks = np.ones(frames.gram.shape, dtype=bool)
+        assert congruence._class_counts(97, marks, np.ones(97**2, dtype=bool)) == class_totals(97)
 
 
 def parallel_lines(q: int, count: int) -> PointSet:
@@ -739,29 +731,32 @@ def parallel_lines(q: int, count: int) -> PointSet:
 
 class TestSaturation:
     """The class totals, the per-triple counts of the radius tables, and the
-    table's exit once a set reaches the totals."""
+    table's exit once every frame cell is marked."""
 
     @pytest.mark.parametrize("q", [q for q in range(3, 62) if is_prime(q)])
-    def test_full_grid_reaches_the_class_totals(self, q):
-        # every code of every slab is marked, with no product and no exit
-        seen = np.zeros(3 * q**3 + 2 * (q + 1), dtype=bool)
-        for u2 in range(q):
-            seen[congruence._slab_codes.__wrapped__(q, u2, u2 + 1)] = True
-        assert mark_counts(seen, q) == class_totals(q)
+    def test_full_grid_reaches_the_class_totals(self, monkeypatch, q):
+        # the full grid realizes every pair, so its first rotation marks
+        # every cell
+        counts, read, _ = traced_table(monkeypatch, PointSet.full_grid(PrimeField(q), 2))
+        assert counts == class_totals(q)
+        assert read == 1
 
     @staticmethod
     def assert_triples_within_radius_tables(E: PointSet, tables, full: bool):
-        # Gram code (a, b, g) has c = |u - v| = a + b - 2g, and its three
-        # cells hold at most the radius table's count of SO classes
+        # frame a's cells of Gram code (a, b, g), b = |v| and g = u_0.v, are
+        # its SO classes with c = |u - v| = a + b - 2g, at most the radius
+        # table's count
         q = E.q
-        seen, _ = every_slab_marks(E)
-        marks = seen[:3 * q**3].reshape(q, q, q, 3).sum(axis=3)
+        frames = congruence._frame_tables(q)
+        marks, _ = every_rotation_marks(E)
         b, g = np.ogrid[:q, :q]
         for a in range(1, q):
+            marked = np.bincount(frames.gram[a - 1][marks[a - 1]] - a * q * q, minlength=q * q)
+            marked = marked.reshape(q, q)
             allowed = tables[a][b, (a + b - 2 * g) % q]
-            assert np.all(marks[a] <= allowed), a
+            assert np.all(marked <= allowed), a
             if full:
-                assert np.array_equal(marks[a], allowed), a
+                assert np.array_equal(marked, allowed), a
 
     @staticmethod
     def radius_tables(q: int):
@@ -782,43 +777,44 @@ class TestSaturation:
             sets.append(both_isotropic_lines(q, next(i for i in range(q) if (i * i + 1) % q == 0)))
         for E in sets:
             self.assert_triples_within_radius_tables(E, tables, full=False)
-        self.assert_triples_within_radius_tables(
-            PointSet(PrimeField(q), 2, np.ones(q * q, dtype=np.uint8)), tables, full=True)
+        self.assert_triples_within_radius_tables(PointSet.full_grid(PrimeField(q), 2), tables, full=True)
+
+    @pytest.mark.parametrize("q", (5, 7, 11, 13, 31, 61))
+    def test_radius_table_sums(self, q):
+        # each v has one (|v|, |v - u_0|), so a radius table sums to q^2, and
+        # its nonzero entries are the Gram codes of frame a
+        frames = congruence._frame_tables(q)
+        for a, table in self.radius_tables(q).items():
+            assert table.sum(dtype=np.int64) == q * q, a
+            assert np.count_nonzero(table) == np.unique(frames.gram[a - 1]).size, a
 
     def test_exit_on_every_subset_of_the_q3_plane(self, monkeypatch):
-        # q = 3 is one slab of three lines; in one-line slabs the exit can
-        # skip the second and third
-        monkeypatch.setattr(congruence, "_SLAB_LINES", 1)
         for mask, E in subsets_of_the_q3_plane():
-            assert table_counts(E) == boolean_mask_counts(E)[0], mask
+            assert_marks_match_every_rotation(monkeypatch, E)
 
     @pytest.mark.parametrize("q", (5, 7, 11, 13))
     @pytest.mark.parametrize("rho", DENSITIES)
-    def test_exit_on_random_sets(self, q, rho):
+    def test_exit_on_random_sets(self, monkeypatch, q, rho):
         for seed in range(3):
-            E = random_set(q, 2, Fraction(rho), seed)
-            assert table_counts(E) == boolean_mask_counts(E)[0], seed
+            assert_marks_match_every_rotation(monkeypatch, random_set(q, 2, Fraction(rho), seed))
 
     @pytest.mark.parametrize("q,slope", LINES)
-    def test_exit_on_lines(self, q, slope):
+    def test_exit_on_lines(self, monkeypatch, q, slope):
         sets = lines_through_origin(q, slope) + [parallel_lines(q, 3)]
         if (q, slope) in ISOTROPIC_LINES:
             sets.append(both_isotropic_lines(q, slope))
         for E in sets:
-            assert table_counts(E) == boolean_mask_counts(E)[0]
+            assert_marks_match_every_rotation(monkeypatch, E)
 
-    @pytest.mark.parametrize("q,rho,read", [(19, "1/2", 2), (97, "1/20", 16), (97, "1/40", 97)])
-    def test_slabs_read(self, monkeypatch, q, rho, read):
-        # a saturated set stops at the slab that completes it: at q = 19 the
-        # second of five slabs of four u_2 lines, at q = 97, rho = 1/20 the
-        # 16th of 97 one-line slabs; at rho = 1/40 two SO classes stay
-        # unmarked and every slab is read
+    @pytest.mark.parametrize("q,rho,read", [(19, "1/2", 1), (97, "1/20", 12), (97, "1/40", 96)])
+    def test_rotations_read(self, monkeypatch, q, rho, read):
+        # a saturated set stops at the rotation that completes it: the first
+        # of 20 at q = 19, the 12th of 96 at q = 97, rho = 1/20; at
+        # rho = 1/40 two SO classes stay unmarked and every rotation is read
         E = random_set(q, 2, Fraction(rho), 0)
-        counts, slabs = slabs_read(monkeypatch, E)
-        assert slabs[0][0] == 0
-        assert all(stop == first for (_, stop), (first, _) in zip(slabs, slabs[1:]))
-        assert len(slabs) == read
-        assert (counts == class_totals(q)) == (read < q)
+        counts, rotations, _ = traced_table(monkeypatch, E)
+        assert rotations == read
+        assert (counts == class_totals(q)) == (read < len(congruence._frame_tables(q).turn))
 
 
 class TestTriangleKernelOracles:
@@ -873,7 +869,8 @@ class TestTriangleTableCache:
         lambda E: t3_orbit_count(E, "O"),
     )
 
-    @pytest.mark.parametrize("q,rho,seed", [(5, "1/2", 0), (7, "3/10", 1), (11, "1/10", 2)])
+    @pytest.mark.parametrize("q,rho,seed", [(5, "1/2", 0), (7, "3/10", 1), (11, "1/10", 2),
+                                            (17, "1/2", 0), (17, "1/2", 1)])
     def test_any_call_order(self, q, rho, seed):
         E = random_set(q, 2, Fraction(rho), seed)
         expected = earlier_statistics(E)
