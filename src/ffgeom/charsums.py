@@ -2,7 +2,7 @@
 
 The sphere S_t = {x : x_1^2 + ... + x_d^2 = t} has, for d=2 and t != 0,
 exactly q - eta(-1) points.  Its transform admits a closed form built from
-Gauss sums; for t != 0:
+Gauss sums, at every t:
 
     Shat_t(l) = q^{-1} delta(l)
               + Q^d q^{-(d+2)/2} sum_{j != 0} chi(|l|/(4j) + j t) eta^d(-j)
@@ -12,19 +12,20 @@ Q = i for q = 3 mod 4).  The sign inside chi is a convention trap: the
 completed square can be written with either j t or -j t depending on how
 the summation variable is flipped.  The +j t form is the one that matches
 the direct DFT of the sphere indicator under this package's forward
-transform; the oracle test pinning this is permanent.  t = 0 is always
-routed to the direct transform (the closed form's decay consequences are
-only claimed for t != 0).
+transform; the oracle test pinning this is permanent.  The q^{-1} delta(l)
+term is the j = 0 term of q^{-1} sum_j chi(j(|x| - t)), whatever t is, so
+the formula holds on the null cone S_0 too; the decay bound is claimed only
+for t != 0, since the cone's transform does not decay.
 
-For t != 0 the right side depends on l only through the norm |l|, so it is
-evaluated once per norm value n in F_q and then read off at every frequency
-through the grid's norm table: O(q^2 + q^d) per t rather than O(q^{d+1}).
-Since j -> k = -1/(4j) permutes F_q^*, chi(n/(4j)) = chi(-kn) is entry
-(k, n) of the character matrix C of ffgeom.fourier, and the q values are
-one vector-matrix product v @ C with v[k] = eta^d(-j) chi(jt) and v[0] = 0.
-The single-frequency sphere_fourier_closed reads the same per-norm table,
-and so does ffgeom.counting's sphere class table, one planar vector per
-radius, which HingeSweep's spectral hinge identity multiplies by.
+The right side depends on l only through the norm |l|, so it is evaluated
+once per norm value n in F_q and then read off at every frequency through
+the grid's norm table: O(q log q + q^d) per t rather than O(q^{d+1}).
+Since j -> k = -1/(4j) permutes F_q^*, chi(n/(4j)) = chi(-kn), and the q
+values are one length-q FFT, sum_k v[k] chi(-kn) with v[k] = eta^d(-j) chi(jt)
+and v[0] = 0.  The single-frequency sphere_fourier_closed reads the same
+per-norm table, and so does ffgeom.counting's sphere class table, one
+planar row per radius, which HingeSweep's spectral hinge identity
+multiplies by.
 
 Kloosterman sums K(a) = sum_{s != 0} chi(as + s^{-1}) psi(s) are evaluated
 directly; only the trivial and quadratic psi arise here (eta^d for d = 2, 3).
@@ -45,8 +46,9 @@ from typing import Callable, List, Sequence, Tuple, Union
 import numpy as np
 
 from .field import FieldElement, PrimeField
-from .fourier import (PointD, SpectralGrid, _check_grid_size, character_matrix, chi_table,
-                      forward)
+from .fourier import PointD, SpectralGrid, _check_grid_size, chi_table
+# not called here: perfbench's tracer wraps charsums.forward, read from this namespace
+from .fourier import forward
 
 Scalar = Union[int, FieldElement]
 
@@ -291,31 +293,32 @@ def delta(l: Union[PointD, Tuple[int, ...]]) -> int:
     return 1 if all(int(c) == 0 for c in l) else 0
 
 
-def _closed_form_by_norm(field: PrimeField, t: int, d: int) -> np.ndarray:
-    """Q^d q^{-(d+2)/2} sum_{j != 0} chi(n/(4j) + j t) eta^d(-j) for every n in F_q, t != 0.
+def _closed_form_by_norm(field: PrimeField, ts: Sequence[int], d: int) -> np.ndarray:
+    """Q^d q^{-(d+2)/2} sum_{j != 0} chi(n/(4j) + j t) eta^d(-j) for every n in F_q,
+    one row per radius t of ts (t = 0 allowed).
 
-    Entry n is Shat_t(l) at every l with |l| = n, less the q^{-1} delta(l)
-    term.  One product v @ C with the cached character matrix (see the
-    module docstring): O(q^2) per t, whatever d is.
+    Entry (i, n) is Shat_t(l) for t = ts[i] at every l with |l| = n, less the
+    q^{-1} delta(l) term.  One length-q FFT per radius (see the module
+    docstring): O(q log q) per t, whatever d is.
     """
     q = field.q
     prefactor = gauss_constant(field).Q**d * q ** (-(d + 2) / 2)
+    ts = np.asarray(ts, dtype=np.int64).reshape(-1, 1)
     j = np.arange(1, q, dtype=np.int64)
-    # k = -1/(4j), so that chi(n/(4j)) = chi(-kn) = C[k, n]
+    # k = -1/(4j), so that chi(n/(4j)) = chi(-kn), the kernel of numpy's fft
     k = (q - inverse_table(field)[(4 * j) % q]) % q
     signs = legendre_table(field)[(q - j) % q].astype(np.float64) ** d
-    v = np.zeros(q, dtype=np.complex128)
-    v[k] = signs * chi_table(q)[(j * t) % q]
-    return (v @ character_matrix(q)) * prefactor
+    v = np.zeros((ts.shape[0], q), dtype=np.complex128)
+    v[:, k] = signs * chi_table(q)[(j * ts) % q]
+    return np.fft.fft(v, axis=1) * prefactor
 
 
 def sphere_fourier_closed(
     field: PrimeField, t: Scalar, l: Union[PointD, Tuple[int, ...]]
 ) -> complex:
-    """Shat_t(l) for a single frequency l of F_q^d, d = len(l); t = 0 falls
-    back to the direct DFT.
+    """Shat_t(l) for a single frequency l of F_q^d, d = len(l), at any t.
 
-    For t != 0 this is the entry of the per-norm table at |l|, so it equals
+    This is the entry of the per-norm table at |l|, so it equals
     sphere_fourier_grid at l exactly.
     """
     tv = field.residue(t)
@@ -325,26 +328,23 @@ def sphere_fourier_closed(
     else:
         l_coords = tuple(field.residue(int(c)) for c in l)
         d = len(l_coords)
-    if tv == 0:
-        grid = sphere_fourier_grid(field, 0, d)
-        return grid[l_coords]
     norm_l = sum(c * c for c in l_coords) % field.q
-    value = _closed_form_by_norm(field, tv, d)[norm_l]
+    value = _closed_form_by_norm(field, [tv], d)[0, norm_l]
     if delta(l_coords):
         value += 1.0 / field.q
     return complex(value)
 
 
 def sphere_fourier_grid(field: PrimeField, t: Scalar, d: int = 2) -> SpectralGrid:
-    """Shat_t at every frequency: closed form for t != 0, direct DFT for t = 0.
+    """Shat_t at every frequency, by the closed form at every t, 0 included.
 
-    For t != 0 the value at l depends on l only through |l|, so the closed
-    form is evaluated once per norm value and gathered by norm_values.
+    The value at l depends on l only through |l|, so the closed form is
+    evaluated once per norm value and gathered by norm_values.  The decay
+    bound |Shat_t(l)| <= 2 q^{-(d+1)/2} at l != 0 holds only for t != 0: the
+    null cone S_0 does not decay.
     """
     tv = field.residue(t)
-    if tv == 0:
-        return forward(Sphere(field, 0, d).indicator())
     q = field.q
-    values = _closed_form_by_norm(field, tv, d)[norm_values(field, d)]
+    values = _closed_form_by_norm(field, [tv], d)[0, norm_values(field, d)]
     values[0] += 1.0 / q
     return SpectralGrid(field, d, values)

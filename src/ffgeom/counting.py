@@ -44,7 +44,7 @@ G[a, k] = the weighted sum of Re(conj(fhat_a(m)) Ehat(m)) over the class k,
 where T[b, k] is Shat_b at any frequency of class k: a (q - 1) x (q + 1)
 product instead of a sum over all q^2 frequencies.  T depends only on q.
 _sphere_class_table builds it once per q from the Gauss-sum closed form of
-ffgeom.charsums, one per-norm vector per radius, with |S_b| / q^2 at the
+ffgeom.charsums, one call for every radius, with |S_b| / q^2 at the
 origin; the tests check it against the direct DFT of every sphere
 indicator.  G is built one block of radii at a time, and each block goes
 through _half_spectrum as one pair of stacked products: _TRANSFORM_ARRAYS
@@ -56,8 +56,8 @@ G is one bincount over the q x (q // 2 + 1) class array.
 Every half-spectrum transform here is a direct DFT written as two real
 matrix products per q x q array (_half_spectrum): the array times the
 cos/sin columns of chi(-m_0 x_0) for m_0 <= q // 2, then the real and
-imaginary rows of chi(-m_1 x_1) for m_1 <= q // 2 times that, both taken
-from ffgeom.fourier.character_matrix.  The rows m_1 > q // 2 take no
+imaginary rows of chi(-m_1 x_1) for m_1 <= q // 2 times that, both read
+from ffgeom.fourier.chi_table.  The rows m_1 > q // 2 take no
 product of their own: chi(-(q - m_1) x_1) is the conjugate of
 chi(-m_1 x_1), so with Re_1 + i Im_1 that character and C + i S the sums
 over x_0, row m_1 is (Re_1 C - Im_1 S) + i (Re_1 S + Im_1 C) and row q - m_1
@@ -83,7 +83,7 @@ from . import bounds
 from .charsums import Sphere, _closed_form_by_norm, norm_values, sphere_size_table
 from .field import FieldElement, PrimeField
 from .fourier import (GRID_CAPACITY, CapacityError, PointD, SpectralGrid, _check_grid_size,
-                      character_matrix, decode)
+                      chi_table, decode)
 
 Scalar = Union[int, FieldElement]
 
@@ -275,16 +275,16 @@ def _character_matrices(q: int) -> Tuple[np.ndarray, np.ndarray]:
     """The two real factors of the planar half-spectrum DFT at q, read-only.
 
     A q x 2h matrix over (x_0, m_0), h = q // 2 + 1, holding Re then Im of
-    chi(-m_0 x_0) for m_0 < h, and a 2h x q matrix over (m_1, x_1) holding
-    Re then Im of chi(-m_1 x_1) for m_1 < h; both are blocks of
-    ffgeom.fourier.character_matrix.  The rows m_1 >= h are left out:
+    chi(-m_0 x_0) for m_0 < h, and its transpose, a 2h x q matrix over
+    (m_1, x_1) holding Re then Im of chi(-m_1 x_1) for m_1 < h; both read
+    chi_table at (-x m) mod q.  The rows m_1 >= h are left out:
     chi(-(q - m_1) x_1) is the conjugate of chi(-m_1 x_1), so _half_spectrum
     reads them off the rows q - m_1 < h.
     """
-    chi = character_matrix(q)
     h = q // 2 + 1
-    pair = (np.concatenate([chi.real[:, :h], chi.imag[:, :h]], axis=1),
-            np.concatenate([chi.real[:h], chi.imag[:h]], axis=0))
+    block = chi_table(q)[(-np.outer(np.arange(q), np.arange(h))) % q]
+    by_m0 = np.concatenate([block.real, block.imag], axis=1)
+    pair = (by_m0, by_m0.T.copy())
     for matrix in pair:
         matrix.setflags(write=False)
     return pair
@@ -327,27 +327,27 @@ def _sphere_class_table(q: int) -> np.ndarray:
     """T[b - 1, k] = Shat_b(m) for any frequency m of class k, b = 1 .. q - 1.
 
     A (q - 1) x (q + 1) float64 table over the classes of
-    _half_spectrum_classes.  Column n < q is the Gauss-sum closed form of
-    ffgeom.charsums at norm n, one _closed_form_by_norm vector per radius, and
-    column q, the origin, is |S_b| / q^2.  The nonzero isotropic class is
-    empty when q = 3 mod 4 and its column stays 0.  The build raises if a
-    closed form is not real or misses |S_b| / q^2 at the origin; the tests
-    check the table against the direct DFT of every sphere indicator.
+    _half_spectrum_classes.  Columns n < q are the Gauss-sum closed form of
+    ffgeom.charsums at norm n, one _closed_form_by_norm call for every
+    radius, and column q, the origin, is |S_b| / q^2.  The nonzero isotropic
+    class is empty when q = 3 mod 4 and its column stays 0.  The build raises,
+    naming the first such radius, if a closed form is not real or misses
+    |S_b| / q^2 at the origin; the tests check the table against the direct
+    DFT of every sphere indicator.
 
     The returned array is cached and marked read-only; copy before mutating.
     """
     field = PrimeField(q)
     sizes = sphere_size_table(field, 2)[1:] / q**2
-    table = np.zeros((q - 1, q + 1))
-    for b in range(1, q):
-        row = _closed_form_by_norm(field, b, 2)
-        # the origin's value is row[0] + 1/q, the delta term of the closed form
-        err = max(np.abs(row.imag).max(), abs(row[0].real + 1 / q - sizes[b - 1]))
-        if not err <= 1e-12:
-            raise AssertionError(f"closed-form sphere transform at q={q}, radius {b} is not "
-                                 f"real or misses |S_b|/q^2 at the origin (off by {err})")
-        table[b - 1, :q] = row.real
-    table[:, q] = sizes
+    rows = _closed_form_by_norm(field, np.arange(1, q), 2)
+    # the origin's value is rows[:, 0] + 1/q, the delta term of the closed form
+    err = np.maximum(np.abs(rows.imag).max(axis=1), np.abs(rows[:, 0].real + 1 / q - sizes))
+    bad = np.flatnonzero(~(err <= 1e-12))
+    if bad.size:
+        b = int(bad[0]) + 1
+        raise AssertionError(f"closed-form sphere transform at q={q}, radius {b} is not "
+                             f"real or misses |S_b|/q^2 at the origin (off by {err[b - 1]})")
+    table = np.column_stack([rows.real, sizes])
     if q % 4 == 3:
         table[:, 0] = 0
     table.setflags(write=False)

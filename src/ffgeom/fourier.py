@@ -22,9 +22,7 @@ at q = 101 against 0.38-0.72 ms for np.fft.fftn, 1.4-2.0 against
 against 73-100 ms at q = 1009; at d = 3 it took 0.45-0.64 against
 1.3-2.5 ms at q = 31 and 4.7-6.3 against 17-29 ms at q = 61.  The slower
 large planes reach no caller in ffgeom's scripts or CLI: inside the
-package, forward is reached only from plancherel_lhs_rhs and from
-sphere_fourier_grid and sphere_fourier_closed at t = 0, library calls that
-the tests make at q <= 13.
+package, forward is reached only from plancherel_lhs_rhs.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from ffgeom.charsums import (
     sqrt_table,
 )
 from ffgeom.field import PrimeField
-from ffgeom.fourier import CapacityError, PointD, SpectralGrid, chi_table, forward
+from ffgeom.fourier import CapacityError, PointD, SpectralGrid, character_matrix, chi_table, forward
 
 PRIMES_TO_31 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -240,7 +240,7 @@ def test_kloosterman_rejects_unknown_character():
 
 def _closed_form_by_phase_table(field, t, d):
     """The per-norm closed form summed over j from a (q - 1) x q table of phases
-    n/(4j) + j t, the reference for the character-matrix product."""
+    n/(4j) + j t, the reference for the FFT of _closed_form_by_norm."""
     q = field.q
     prefactor = charsums.gauss_constant(field).Q ** d * q ** (-(d + 2) / 2)
     j = np.arange(1, q, dtype=np.int64)
@@ -254,18 +254,20 @@ def _closed_form_by_phase_table(field, t, d):
 @pytest.mark.parametrize("q", (5, 13, 101))
 @pytest.mark.parametrize("d", (2, 3))
 def test_closed_form_by_norm_matches_the_phase_table(q, d):
+    # one call for every radius, t = 0 included, against one phase table per radius
     F = PrimeField(q)
-    for t in range(1, q):
-        got = charsums._closed_form_by_norm(F, t, d)
-        assert np.max(np.abs(got - _closed_form_by_phase_table(F, t, d))) <= 1e-12
+    got = charsums._closed_form_by_norm(F, np.arange(q), d)
+    want = np.array([_closed_form_by_phase_table(F, t, d) for t in range(q)])
+    assert got.shape == (q, q)
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 @pytest.mark.parametrize("q,d", [(3, 2), (5, 2), (7, 2), (11, 2), (13, 2), (5, 3), (7, 3)])
 def test_sphere_fourier_closed_matches_dft(q, d):
-    # the per-norm grid against the direct DFT at every t != 0, and the
+    # the per-norm grid against the direct DFT at every t, 0 included, and the
     # single-frequency closed form against the grid at every frequency
     F = PrimeField(q)
-    for t in range(1, q):
+    for t in range(q):
         direct = forward(Sphere(F, t, d).indicator()).values
         closed = sphere_fourier_grid(F, t, d).values
         assert np.max(np.abs(direct - closed)) < 1e-9
@@ -281,11 +283,43 @@ def test_sphere_fourier_zero_mode_is_density():
         assert abs(val - s.count / 169) < 1e-12
 
 
-def test_sphere_fourier_t0_routes_to_direct_transform():
-    F = PrimeField(5)
-    grid = sphere_fourier_grid(F, 0, 2)
-    direct = forward(Sphere(F, 0, 2).indicator()).values
+@pytest.mark.parametrize("q", (5, 7, 13))
+@pytest.mark.parametrize("d", (2, 3))
+def test_sphere_fourier_t0_closed_form_matches_direct_transform(q, d):
+    # the null cone, with q = 1 and 3 mod 4: the closed form holds at t = 0 too
+    F = PrimeField(q)
+    grid = sphere_fourier_grid(F, 0, d)
+    direct = forward(Sphere(F, 0, d).indicator()).values
     assert np.max(np.abs(grid.values - direct)) < 1e-12
+
+
+def test_sphere_transforms_at_q1009_build_no_character_matrix():
+    # one length-q FFT per radius at t = 0 and t != 0 alike: the 16 MB q x q
+    # character matrix is neither built nor cached, and no whole plane is transformed
+    F = PrimeField(1009)
+    norm_values(F, 2)  # the norm table is cached once, outside the measurement
+    character_matrix.cache_clear()
+    for t in (0, 1):
+        tracemalloc.start()
+        try:
+            sphere_fourier_grid(F, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40e6, (t, peak)
+    assert character_matrix.cache_info().currsize == 0
+
+
+def test_sphere_fourier_closed_at_t0_makes_no_grid_transform(monkeypatch):
+    F = PrimeField(211)
+    direct = forward(Sphere(F, 0, 2).indicator())
+
+    def refuse(grid):
+        raise AssertionError("sphere_fourier_closed transformed a whole grid")
+
+    monkeypatch.setattr(charsums, "forward", refuse)
+    for l in ((0, 0), (1, 0), (3, 7), (210, 105)):
+        assert abs(sphere_fourier_closed(F, 0, l) - direct[l]) < 1e-12
 
 
 @pytest.mark.parametrize("q,d", [(13, 2), (13, 3)])

@@ -642,9 +642,8 @@ class TestSpectralClasses:
         assert peak < 11.5e6, peak
 
     def test_class_table_peak_memory_at_q101(self):
-        # one closed-form vector of q values per radius, each one product with the
-        # 101 x 101 character matrix: the build peaks near 0.35 MB when that matrix is
-        # built inside the measurement, and no (q - 1) x q^2 array is ever formed
+        # one (q - 1) x q closed-form array, one length-q FFT per radius, and the
+        # table: no character matrix and no (q - 1) x q^2 array is ever formed
         tracemalloc.start()
         try:
             counting._sphere_class_table.__wrapped__(101)
@@ -681,10 +680,17 @@ class TestSpectralClasses:
                              ids=("imaginary", "negated"))
     def test_build_rejects_a_spoiled_closed_form(self, q, spoil, monkeypatch):
         # a closed form off the real axis, or one whose value at the origin misses
-        # |S_b| / q^2, as a wrong Q^2 would give
+        # |S_b| / q^2, as a wrong Q^2 would give, at the even radii: the error
+        # names the first of them
         closed = counting._closed_form_by_norm
-        monkeypatch.setattr(counting, "_closed_form_by_norm", lambda *args: spoil(closed(*args)))
-        with pytest.raises(AssertionError, match="closed-form sphere transform"):
+
+        def spoiled(*args):
+            rows = closed(*args)
+            rows[1::2] = spoil(rows[1::2])
+            return rows
+
+        monkeypatch.setattr(counting, "_closed_form_by_norm", spoiled)
+        with pytest.raises(AssertionError, match="closed-form sphere transform at q=.*, radius 2 "):
             counting._sphere_class_table.__wrapped__(q)
 
     @pytest.mark.parametrize("q", (5, 13))
